@@ -4,7 +4,8 @@ Subcommands: expand, bracket, deriv, verify, classify, iso, scan-conjecture.
 All numbers on the command line are exact rationals written p/q; nothing is
 ever parsed as floating point.  Output is deterministic for a fixed
 configuration and seed.  Exit codes: 0 all checks passed, 1 a check failed,
-2 usage error, 3 an internal invariant was violated.
+2 usage error, 3 an internal invariant was violated.  expand accepts
+truncation orders 0 <= N <= 200 and windows 1 <= G <= 1000.
 """
 
 from __future__ import annotations
@@ -123,14 +124,27 @@ def _derivation(name: str, params: list[Fraction]) -> derivations.Derivation:
 # -------------------------------------------------------------- subcommands
 
 
+# Largest truncation order and window expand accepts; a series product costs
+# about N^2 times the squared row width, so larger values run for minutes.
+MAX_Q_ORDER = 200
+MAX_WINDOW = 1000
+
+
 def _cmd_expand(args) -> int:
     n, window = args.N, args.G
+    if not 0 <= n <= MAX_Q_ORDER:
+        raise UsageError(f"--N must be between 0 and {MAX_Q_ORDER}, got {n}")
+    if not 1 <= window <= MAX_WINDOW:
+        raise UsageError(f"--G must be between 1 and {MAX_WINDOW}, got {window}")
     named = {"E2", "E4", "E6", "A", "B", "J1", "J2", "Delta"}
     if args.what == "element":
         if not args.element:
             raise UsageError("--what element requires --element")
-        bundle = qseries.make_bundle(n, window)
-        series = qseries.evaluate(_element(args.element, args.allow_f2), bundle)
+        f = _element(args.element, args.allow_f2)
+        try:
+            series = qseries.evaluate(f, qseries.make_bundle(n, window))
+        except ValueError as exc:  # a window too small for N, or negative A exponents
+            raise UsageError(str(exc)) from exc
     elif args.what in named:
         if args.what == "J1":
             series = qseries.j1_series(n, window)
@@ -143,7 +157,10 @@ def _cmd_expand(args) -> int:
         elif args.what == "A":
             series = qseries.theta_quotient_A(n)
         elif args.what == "B":
-            series = qseries.b_series(n, window)
+            try:
+                series = qseries.b_series(n, window)
+            except qseries.WindowError as exc:
+                raise UsageError(str(exc)) from exc
         else:  # Delta
             series = Fraction(1, 1728) * (qseries.eisenstein(4, n) ** 3 - qseries.eisenstein(6, n) ** 2)
     else:

@@ -4,6 +4,12 @@ Series live in q up to a fixed order N; each q-coefficient is a Laurent
 polynomial in w, where w^2 = xi is the elliptic variable (half-integer
 xi powers hide in the theta factors, so w keeps everything polynomial).
 
+A series stores one row per power of q, a dict {w exponent: integer
+numerator}, over one positive denominator shared by all rows and reduced
+once per operation, as BigradedElement stores its terms.  All series
+arithmetic runs on these integers; coefficient(n) builds a LaurentPolyW
+of Fractions from a row on demand.
+
 Most series are Exact: every stored coefficient is the true one and the
 support is genuinely finite.  The elliptic-zeta series J1 is the one
 exception: its q^0 coefficient xi/(xi-1) has an infinite geometric tail,
@@ -17,15 +23,16 @@ The index-one generators are built rather than tabulated: A as a signed
 quotient of reduced theta and eta-cube series (the q^{1/8} prefactors
 cancel in the square, keeping integer q powers), and B from A through the
 Fourier-side derivation, with both checked against their known leading
-coefficients before use.
+coefficients before use.  A product costs about N^2 times the square of
+the row width, so the CLI's expand accepts N <= 200 and G <= 1000.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, isqrt
+from math import comb, gcd, isqrt, lcm
 
 from .elements import (
     BigradedElement,
@@ -42,7 +49,7 @@ class WindowError(ValueError):
 
 
 class LaurentPolyW:
-    """Finite Laurent polynomial in w with exact rational coefficients."""
+    """One q-coefficient: a finite Laurent polynomial in w, exact rationals."""
 
     __slots__ = ("_coeffs",)
 
@@ -73,13 +80,7 @@ class LaurentPolyW:
     def support(self) -> list[int]:
         return sorted(self._coeffs)
 
-    def width(self) -> int:
-        """Largest |w exponent| in the support (0 for the zero polynomial)."""
-        return max((abs(r) for r in self._coeffs), default=0)
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPolyW({0: other})
         if not isinstance(other, LaurentPolyW):
             return NotImplemented
         return self._coeffs == other._coeffs
@@ -87,23 +88,14 @@ class LaurentPolyW:
     def __hash__(self):
         return hash(frozenset(self._coeffs.items()))
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPolyW({0: other})
+    def __add__(self, other: "LaurentPolyW") -> "LaurentPolyW":
         out = dict(self._coeffs)
         for r, c in other._coeffs.items():
             out[r] = out.get(r, Fraction(0)) + c
         return LaurentPolyW._raw(out)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return LaurentPolyW._raw({r: -c for r, c in self._coeffs.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPolyW({0: other})
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -137,15 +129,8 @@ class LaurentPolyW:
         """Substitute w -> w^{-1}."""
         return LaurentPolyW._raw({-r: c for r, c in self._coeffs.items()})
 
-    def truncated(self, bound: int) -> "LaurentPolyW":
-        return LaurentPolyW._raw({r: c for r, c in self._coeffs.items() if abs(r) <= bound})
-
     def __repr__(self):
         return f"<wpoly {format_wpoly(self)}>"
-
-
-W_ZERO = LaurentPolyW()
-W_ONE = LaurentPolyW({0: 1})
 
 
 def format_wpoly(poly: LaurentPolyW) -> str:
@@ -168,75 +153,114 @@ def format_wpoly(poly: LaurentPolyW) -> str:
 # ---------------------------------------------------------------- the series
 
 
-class QSeries:
-    """Truncated q-series with LaurentPolyW coefficients.
+def _accumulate(acc: dict, row1: dict, row2: dict) -> None:
+    """acc += row1 * row2, for rows of integer numerators."""
+    get = acc.get
+    for r1, c1 in row1.items():
+        for r2, c2 in row2.items():
+            r = r1 + r2
+            acc[r] = get(r, 0) + c1 * c2
 
-    window is None for Exact series; an integer G means stored w^r
-    coefficients are guaranteed exact for |r| <= G (the constructors store
-    tails well past the window so that one product against a finite factor
-    stays sound after the G - width shrink).
+
+class QSeries:
+    """Truncated q-series; row n holds the q^n coefficient as integer
+    numerators over the shared positive denominator.
+
+    QSeries(coeffs) takes LaurentPolyW values or {w exponent: rational}
+    dicts, one per power of q.  window is None for Exact series; an
+    integer G means stored w^r coefficients are guaranteed exact for
+    |r| <= G (the constructors store tails well past the window so that
+    one product against a finite factor stays sound after the G - width
+    shrink).
     """
 
-    __slots__ = ("coeffs", "window")
+    __slots__ = ("_rows", "_den", "window", "_hash")
 
     def __init__(self, coeffs, window: int | None = None):
-        self.coeffs = tuple(c if isinstance(c, LaurentPolyW) else LaurentPolyW(c) for c in coeffs)
+        polys = [c if isinstance(c, LaurentPolyW) else LaurentPolyW(c) for c in coeffs]
+        den = lcm(*(c.denominator for p in polys for c in p._coeffs.values()))
+        rows = [{r: c.numerator * (den // c.denominator) for r, c in p.items()} for p in polys]
+        self._assign(rows, den, window)
+
+    @classmethod
+    def _raw(cls, rows, den: int, window: int | None = None) -> "QSeries":
+        # trusted path: integer numerators over a positive denominator
+        series = cls.__new__(cls)
+        series._assign(rows, den, window)
+        return series
+
+    def _assign(self, rows, den: int, window) -> None:
+        """Store rows without zero entries, in lowest terms."""
+        g = den
+        for row in rows:
+            if g == 1:
+                break
+            if row:
+                g = gcd(g, *row.values())
+        self._rows = tuple({r: c // g for r, c in row.items() if c} for row in rows)
+        self._den = den // g
         self.window = window
+        self._hash = None
 
     @property
     def q_order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._rows) - 1
 
     @property
     def is_exact(self) -> bool:
         return self.window is None
 
+    @property
+    def coeffs(self) -> tuple[LaurentPolyW, ...]:
+        return tuple(self.coefficient(n) for n in range(len(self._rows)))
+
     def coefficient(self, n: int) -> LaurentPolyW:
-        return self.coeffs[n]
+        den = self._den
+        return LaurentPolyW._raw({r: Fraction(c, den) for r, c in self._rows[n].items()})
 
     def w_width(self) -> int:
-        return max((c.width() for c in self.coeffs), default=0)
-
-    def truncated_q(self, order: int) -> "QSeries":
-        return QSeries(self.coeffs[: order + 1], self.window)
+        return max((abs(r) for row in self._rows for r in row), default=0)
 
     def __neg__(self):
-        return QSeries([-c for c in self.coeffs], self.window)
+        return QSeries._raw([{r: -c for r, c in row.items()} for row in self._rows], self._den, self.window)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = constant_series(other, self.q_order)
-        order = min(self.q_order, other.q_order)
-        window = _min_window(self.window, other.window)
-        return QSeries(
-            [self.coeffs[n] + other.coeffs[n] for n in range(order + 1)], window
-        )
+        g = gcd(self._den, other._den)
+        s1, s2 = other._den // g, self._den // g  # scale both rows to the lcm
+        rows = []
+        for row1, row2 in zip(self._rows, other._rows):  # the shorter q order
+            row = {r: c * s1 for r, c in row1.items()}
+            get = row.get
+            for r, c in row2.items():
+                row[r] = get(r, 0) + c * s2
+            rows.append(row)
+        return QSeries._raw(rows, self._den * s1, _min_window(self.window, other.window))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = constant_series(other, self.q_order)
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            return QSeries([p * c for p in self.coeffs], self.window if c else None)
+            rows = [{r: v * c.numerator for r, v in row.items()} for row in self._rows]
+            return QSeries._raw(rows, self._den * c.denominator, self.window if c else None)
         if not isinstance(other, QSeries):
             return NotImplemented
         window = _product_window(self, other)
         order = min(self.q_order, other.q_order)
-        out = [W_ZERO] * (order + 1)
-        for n1, c1 in enumerate(self.coeffs[: order + 1]):
-            if c1.is_zero:
+        right = other._rows
+        out = [{} for _ in range(order + 1)]
+        for n1, row1 in enumerate(self._rows[: order + 1]):
+            if not row1:
                 continue
             for n2 in range(order + 1 - n1):
-                c2 = other.coeffs[n2]
-                if c2.is_zero:
-                    continue
-                out[n1 + n2] = out[n1 + n2] + c1 * c2
-        return QSeries(out, window)
+                if right[n2]:
+                    _accumulate(out[n1 + n2], row1, right[n2])
+        return QSeries._raw(out, self._den * other._den, window)
 
     __rmul__ = __mul__
 
@@ -254,14 +278,13 @@ class QSeries:
 
     def dtau(self) -> "QSeries":
         """q d/dq: multiply the q^n coefficient by n."""
-        return QSeries([c * n for n, c in enumerate(self.coeffs)], self.window)
+        rows = [{r: c * n for r, c in row.items()} for n, row in enumerate(self._rows)]
+        return QSeries._raw(rows, self._den, self.window)
 
     def dz(self) -> "QSeries":
         """Elliptic derivative: the w^r term picks up the factor r/2."""
-        out = []
-        for c in self.coeffs:
-            out.append(LaurentPolyW._raw({r: v * Fraction(r, 2) for r, v in c.items()}))
-        return QSeries(out, self.window)
+        rows = [{r: c * r for r, c in row.items()} for row in self._rows]
+        return QSeries._raw(rows, 2 * self._den, self.window)
 
     def as_exact(self) -> "QSeries":
         """Drop everything outside the window and promote to Exact.
@@ -272,7 +295,8 @@ class QSeries:
         if self.window is None:
             return self
         bound = self.window
-        return QSeries([c.truncated(bound) for c in self.coeffs], None)
+        rows = [{r: c for r, c in row.items() if abs(r) <= bound} for row in self._rows]
+        return QSeries._raw(rows, self._den)
 
     def agrees_with(self, other: "QSeries", q_through: int | None = None) -> bool:
         """Coefficientwise equality inside the common guaranteed window."""
@@ -282,28 +306,24 @@ class QSeries:
                 raise WindowError(f"series only reach q^{order}, need q^{q_through}")
             order = q_through
         window = _min_window(self.window, other.window)
+        d1, d2 = self._den, other._den
         for n in range(order + 1):
-            left, right = self.coeffs[n], other.coeffs[n]
-            if window is None:
-                if left != right:
+            left, right = self._rows[n], other._rows[n]
+            for r in left.keys() | right.keys():
+                if (window is None or abs(r) <= window) and left.get(r, 0) * d2 != right.get(r, 0) * d1:
                     return False
-            else:
-                for r in range(-window, window + 1):
-                    if left.coefficient(r) != right.coefficient(r):
-                        return False
         return True
 
     def __eq__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
-        return (
-            self.window == other.window
-            and self.q_order == other.q_order
-            and all(a == b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return self.window == other.window and self._den == other._den and self._rows == other._rows
 
     def __hash__(self):
-        return hash((self.window, self.coeffs))
+        if self._hash is None:
+            rows = tuple(frozenset(row.items()) for row in self._rows)
+            self._hash = hash((self.window, self._den, rows))
+        return self._hash
 
     def __repr__(self):
         kind = "exact" if self.is_exact else f"window={self.window}"
@@ -324,7 +344,7 @@ def _product_window(left: QSeries, right: QSeries):
     if left.window is not None and right.window is not None:
         raise WindowError("cannot multiply two windowed series")
     windowed, finite = (left, right) if left.window is not None else (right, left)
-    if all(c.is_zero for c in finite.coeffs):
+    if not any(finite._rows):
         return None  # exact zero factor
     window = windowed.window - finite.w_width()
     if window < 0:
@@ -335,12 +355,8 @@ def _product_window(left: QSeries, right: QSeries):
 
 
 def constant_series(value, q_order: int) -> QSeries:
-    coeffs = [LaurentPolyW({0: value})] + [W_ZERO] * q_order
-    return QSeries(coeffs)
-
-
-def zero_series(q_order: int) -> QSeries:
-    return QSeries([W_ZERO] * (q_order + 1))
+    c = Fraction(value)
+    return QSeries._raw([{0: c.numerator}] + [{}] * q_order, c.denominator)
 
 
 # ----------------------------------------------------------- number helpers
@@ -379,10 +395,9 @@ def eisenstein(k: int, q_order: int) -> QSeries:
     if k < 2 or k % 2:
         raise ValueError("Eisenstein weight must be an even integer >= 2")
     factor = Fraction(-2 * k) / bernoulli(k)
-    coeffs = [LaurentPolyW({0: 1})]
-    for n in range(1, q_order + 1):
-        coeffs.append(LaurentPolyW({0: factor * sigma(k - 1, n)}))
-    return QSeries(coeffs)
+    rows = [{0: factor.denominator}]
+    rows += [{0: factor.numerator * sigma(k - 1, n)} for n in range(1, q_order + 1)]
+    return QSeries._raw(rows, factor.denominator)
 
 
 # ----------------------------------------------------- index-one generators
@@ -390,41 +405,40 @@ def eisenstein(k: int, q_order: int) -> QSeries:
 
 def _theta_reduced(q_order: int) -> QSeries:
     """sum_{n>=0} (-1)^n q^{n(n+1)/2} (w^{2n+1} - w^{-(2n+1)})."""
-    coeffs = [dict() for _ in range(q_order + 1)]
+    rows = [{} for _ in range(q_order + 1)]
     n = 0
     while n * (n + 1) // 2 <= q_order:
-        sign = -1 if n % 2 else 1
-        exp = 2 * n + 1
-        coeffs[n * (n + 1) // 2][exp] = Fraction(sign)
-        coeffs[n * (n + 1) // 2][-exp] = Fraction(-sign)
+        sign, exp = (-1) ** n, 2 * n + 1
+        rows[n * (n + 1) // 2] = {exp: sign, -exp: -sign}
         n += 1
-    return QSeries([LaurentPolyW(c) for c in coeffs])
+    return QSeries._raw(rows, 1)
 
 
 def _eta_cubed_reduced(q_order: int) -> QSeries:
     """sum_{n>=0} (-1)^n (2n+1) q^{n(n+1)/2}, the eta-cube without q^{1/8}."""
-    coeffs = [Fraction(0)] * (q_order + 1)
+    rows = [{} for _ in range(q_order + 1)]
     n = 0
     while n * (n + 1) // 2 <= q_order:
-        coeffs[n * (n + 1) // 2] += (-1) ** n * (2 * n + 1)
+        rows[n * (n + 1) // 2] = {0: (-1) ** n * (2 * n + 1)}
         n += 1
-    return QSeries([LaurentPolyW({0: c}) for c in coeffs])
+    return QSeries._raw(rows, 1)
 
 
 def _inverted_unit(series: QSeries) -> QSeries:
-    """Inverse of an exact q-series whose constant term is the scalar 1 or -1."""
-    lead = series.coeffs[0]
-    if lead not in (W_ONE, -W_ONE):
-        raise ValueError("series inversion requires a constant leading term of 1 or -1")
-    sign = lead.coefficient(0)
-    out = [W_ONE * sign]
-    for n in range(1, series.q_order + 1):
-        acc = W_ZERO
+    """Inverse of an exact integral q-series whose constant term is the
+    scalar 1 or -1; the inverse is integral too."""
+    rows = series._rows
+    if series._den != 1 or rows[0] not in ({0: 1}, {0: -1}):
+        raise ValueError("series inversion requires integer coefficients and a leading term of 1 or -1")
+    sign = rows[0][0]
+    out = [{0: sign}]
+    for n in range(1, len(rows)):
+        acc: dict = {}
         for k in range(1, n + 1):
-            if k <= series.q_order and not series.coeffs[k].is_zero:
-                acc = acc + series.coeffs[k] * out[n - k]
-        out.append(acc * (-sign))
-    return QSeries(out)
+            if rows[k]:
+                _accumulate(acc, rows[k], out[n - k])
+        out.append({r: -sign * c for r, c in acc.items()})
+    return QSeries._raw(out, 1)
 
 
 def _wpoly_xi(*pairs) -> LaurentPolyW:
@@ -451,14 +465,14 @@ def theta_quotient_A(q_order: int) -> QSeries:
     theta = _theta_reduced(q_order)
     eta_inv = _inverted_unit(_eta_cubed_reduced(q_order))
     quotient = theta * theta * eta_inv * eta_inv
-    if quotient.coeffs[0] == _A_Q0:
+    if quotient.coefficient(0) == _A_Q0:
         series = quotient
-    elif quotient.coeffs[0] == -_A_Q0:
+    elif quotient.coefficient(0) == -_A_Q0:
         series = -quotient
     else:
         raise InternalInvariantError("theta quotient has the wrong q^0 coefficient")
     for n, expected in ((1, _A_Q1), (2, _A_Q2)):
-        if n <= q_order and series.coeffs[n] != expected:
+        if n <= q_order and series.coefficient(n) != expected:
             raise InternalInvariantError(f"theta quotient mismatch at q^{n}")
     return series
 
@@ -469,22 +483,18 @@ def j1_series(q_order: int, window: int) -> QSeries:
     q^0 is -1/2 + xi/(xi-1) expanded in the xi^{-1} direction and truncated
     at xi^{-window} (twice the window in w exponents, deep enough to keep
     one finite product sound); the q^n coefficient for n >= 1 is
-    -(sum_{d|n} (xi^d - xi^{-d})).
+    -(sum_{d|n} (xi^d - xi^{-d})).  Stored over the denominator 2.
     """
     if window < 1:
         raise ValueError("window must be positive")
-    head = {0: Fraction(1, 2)}
-    for d in range(1, window + 1):
-        head[-2 * d] = Fraction(1)
-    coeffs = [LaurentPolyW(head)]
+    rows = [{0: 1, **{-2 * d: 2 for d in range(1, window + 1)}}]
     for n in range(1, q_order + 1):
-        poly: dict = {}
+        row: dict = {}
         for d in range(1, n + 1):
             if n % d == 0:
-                poly[2 * d] = poly.get(2 * d, Fraction(0)) - 1
-                poly[-2 * d] = poly.get(-2 * d, Fraction(0)) + 1
-        coeffs.append(LaurentPolyW(poly))
-    return QSeries(coeffs, window=window)
+                row.update({2 * d: -2, -2 * d: 2})
+        rows.append(row)
+    return QSeries._raw(rows, 2, window)
 
 
 def j2_series(q_order: int) -> QSeries:
@@ -494,16 +504,16 @@ def j2_series(q_order: int) -> QSeries:
     The even xi-combination is the one compatible with dz(J2) = 2 dtau(J1)
     and with the evenness of the series in z; it is cross-checked against
     the reference expansion of the weight-0 generator through b_series.
+    Stored over the denominator 6.
     """
-    coeffs = [LaurentPolyW({0: Fraction(1, 6)})]
+    rows = [{0: 1}]
     for n in range(1, q_order + 1):
-        poly: dict = {}
+        row: dict = {}
         for d in range(1, n + 1):
             if n % d == 0:
-                poly[2 * d] = poly.get(2 * d, Fraction(0)) - 2 * Fraction(n, d)
-                poly[-2 * d] = poly.get(-2 * d, Fraction(0)) - 2 * Fraction(n, d)
-        coeffs.append(LaurentPolyW(poly))
-    return QSeries(coeffs)
+                row[2 * d] = row[-2 * d] = -12 * (n // d)
+        rows.append(row)
+    return QSeries._raw(rows, 6)
 
 
 # -------------------------------------------------------------- the bundle
@@ -546,7 +556,49 @@ def oberdieck_series(f: QSeries, k, p, bundle: JacobiSeriesBundle) -> QSeries:
     return total
 
 
-def b_series(q_order: int, window: int, *, _partial=None) -> QSeries:
+def _bundle_without_b(q_order: int, window: int) -> JacobiSeriesBundle:
+    """Every expansion B is derived from, with B itself left zero."""
+    return JacobiSeriesBundle(
+        q_order,
+        window,
+        eisenstein(2, q_order),
+        eisenstein(4, q_order),
+        eisenstein(6, q_order),
+        theta_quotient_A(q_order),
+        constant_series(0, q_order),
+        j1_series(q_order, window),
+        j2_series(q_order),
+    )
+
+
+def _derived_b(bundle: JacobiSeriesBundle) -> QSeries:
+    q_order, window, a = bundle.q_order, bundle.window, bundle.a
+    sound_floor = -2 * window + a.w_width()
+    bound = 2 * isqrt(4 * q_order + 1)
+    if sound_floor > -bound:
+        raise WindowError(
+            f"window {window} cannot certify support {bound} at order {q_order}"
+        )
+    series = (-6) * oberdieck_series(a, -2, 1, bundle)
+    for row in series._rows:
+        for r in row:
+            if r > bound or sound_floor <= r < -bound:
+                raise InternalInvariantError(
+                    f"derived weight-0 generator has support at w^{r}, outside "
+                    f"the index-one bound {bound}"
+                )
+    # exact for |r| <= bound and zero beyond it: truncate and promote
+    exact = QSeries._raw(series._rows, series._den, bound).as_exact()
+    for n, expected in ((0, _B_Q0), (1, _B_Q1), (2, _B_Q2)):
+        if n <= q_order and exact.coefficient(n) != expected:
+            raise InternalInvariantError(
+                f"derived weight-0 generator mismatch at q^{n}: "
+                f"{format_wpoly(exact.coefficient(n))}"
+            )
+    return exact
+
+
+def b_series(q_order: int, window: int) -> QSeries:
     """The weight 0, index 1 generator, built as -6 times the Fourier-side
     operator applied to the index-one weight -2 generator.
 
@@ -559,65 +611,12 @@ def b_series(q_order: int, window: int, *, _partial=None) -> QSeries:
     coefficients.  A mismatch invalidates the evenness resolution of the
     even elliptic companion and raises instead of patching.
     """
-    if _partial is None:
-        a = theta_quotient_A(q_order)
-        bundle = JacobiSeriesBundle(
-            q_order,
-            window,
-            eisenstein(2, q_order),
-            eisenstein(4, q_order),
-            eisenstein(6, q_order),
-            a,
-            zero_series(q_order),
-            j1_series(q_order, window),
-            j2_series(q_order),
-        )
-    else:
-        bundle = _partial
-        a = bundle.a
-    series = (-6) * oberdieck_series(a, -2, 1, bundle)
-    sound_floor = -2 * window + a.w_width()
-    bound = 2 * isqrt(4 * q_order + 1)
-    if sound_floor > -bound:
-        raise WindowError(
-            f"window {window} cannot certify support {bound} at order {q_order}"
-        )
-    coeffs = []
-    for poly in series.coeffs:
-        for r, c in poly.items():
-            if c and (r > bound or sound_floor <= r < -bound):
-                raise InternalInvariantError(
-                    f"derived weight-0 generator has support at w^{r}, outside "
-                    f"the index-one bound {bound}"
-                )
-        coeffs.append(poly.truncated(bound))
-    exact = QSeries(coeffs, None)
-    for n, expected in ((0, _B_Q0), (1, _B_Q1), (2, _B_Q2)):
-        if n <= q_order and exact.coeffs[n] != expected:
-            raise InternalInvariantError(
-                f"derived weight-0 generator mismatch at q^{n}: "
-                f"{format_wpoly(exact.coeffs[n])}"
-            )
-    return exact
+    return _derived_b(_bundle_without_b(q_order, window))
 
 
 def make_bundle(q_order: int = 10, window: int = 24) -> JacobiSeriesBundle:
-    a = theta_quotient_A(q_order)
-    partial = JacobiSeriesBundle(
-        q_order,
-        window,
-        eisenstein(2, q_order),
-        eisenstein(4, q_order),
-        eisenstein(6, q_order),
-        a,
-        zero_series(q_order),
-        j1_series(q_order, window),
-        j2_series(q_order),
-    )
-    b = b_series(q_order, window, _partial=partial)
-    return JacobiSeriesBundle(
-        q_order, window, partial.e2, partial.e4, partial.e6, a, b, partial.j1, partial.j2
-    )
+    bundle = _bundle_without_b(q_order, window)
+    return replace(bundle, b=_derived_b(bundle))
 
 
 # -------------------------------------------------------------- evaluation
@@ -645,7 +644,7 @@ def evaluate(f: BigradedElement, bundle: JacobiSeriesBundle) -> QSeries:
     """
     if not membership(f, "Jtilde"):
         raise ValueError("element has negative A exponents; clear them before evaluating")
-    total = zero_series(bundle.q_order)
+    total = constant_series(0, bundle.q_order)
     for m, c in f.terms().items():
         term = constant_series(c, bundle.q_order)
         for name, e in zip(("E4", "E6", "A", "B"), m):
@@ -664,7 +663,7 @@ def evaluate_quasimodular(f: BigradedElement, bundle: JacobiSeriesBundle) -> QSe
     """
     if not membership(f, "Q"):
         raise ValueError("element is not a polynomial in E4, E6, F2")
-    total = zero_series(bundle.q_order)
+    total = constant_series(0, bundle.q_order)
     for m, c in f.terms().items():
         term = constant_series(c, bundle.q_order)
         for name, e in (("E4", m.e4), ("E6", m.e6), ("E2", m.b)):

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from jacobiforms.cli import main
 
 
@@ -187,6 +189,34 @@ def test_scan_json_deterministic(capsys):
 def test_unknown_arguments_exit_2(capsys):
     assert run(capsys, "bogus")[0] == 2
     assert run(capsys, "expand", "--what", "XX")[0] == 2
+
+
+BAD_EXPAND_SIZES = {
+    "negative-N": ["--what", "A", "--N", "-1"],
+    "B-window-too-small": ["--what", "B", "--G", "2"],
+    "B-window-too-small-at-N5": ["--what", "B", "--N", "5", "--G", "3"],
+    "element-window-too-small": ["--what", "element", "--element", "A", "--N", "5", "--G", "3"],
+    "negative-A-exponent": ["--what", "element", "--element", "B*A^-1"],
+    "huge-N": ["--what", "E4", "--N", "100000000"],
+    "N-above-limit": ["--what", "E4", "--N", "201"],
+    "zero-window": ["--what", "J1", "--G", "0"],
+    "G-above-limit": ["--what", "J1", "--G", "1001"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_EXPAND_SIZES.values(), ids=BAD_EXPAND_SIZES.keys())
+def test_expand_bad_sizes_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, "expand", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv", [["--what", "E4", "--N", "200"], ["--what", "J1", "--N", "0", "--G", "1000"]], ids=["N-200", "G-1000"]
+)
+def test_expand_size_limits_are_inclusive(capsys, argv):
+    assert run(capsys, "expand", *argv)[0] == 0
 
 
 def test_negative_rationals_via_equals_form(capsys):

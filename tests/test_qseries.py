@@ -1,6 +1,9 @@
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jacobiforms import (
     A,
@@ -18,8 +21,10 @@ from jacobiforms import (
     iterate,
     j1_series,
     j2_series,
+    make_bundle,
     oberdieck,
     oberdieck_series,
+    parse_element,
     partial_u,
     sigma,
     theta_quotient_A,
@@ -266,3 +271,194 @@ def test_generator_expansions_are_even_in_z(bundle):
         for n in range(series.q_order + 1):
             c = series.coefficient(n)
             assert c.mirror() == c
+
+
+# --------------------------------------------- integer kernel vs Fractions
+
+
+def rows_of(series):
+    """The stored coefficients as {w exponent: Fraction} dicts, via coefficient(n)."""
+    return [dict(series.coefficient(n).items()) for n in range(series.q_order + 1)]
+
+
+def ref_clean(rows):
+    return [{r: c for r, c in row.items() if c} for row in rows]
+
+
+def ref_add(x, y):
+    out = []
+    for a, b in zip(x, y):
+        row = dict(a)
+        for r, c in b.items():
+            row[r] = row.get(r, 0) + c
+        out.append(row)
+    return ref_clean(out)
+
+
+def ref_mul(x, y):
+    order = min(len(x), len(y))
+    out = [{} for _ in range(order)]
+    for n1 in range(order):
+        for n2 in range(order - n1):
+            for r1, c1 in x[n1].items():
+                for r2, c2 in y[n2].items():
+                    out[n1 + n2][r1 + r2] = out[n1 + n2].get(r1 + r2, 0) + c1 * c2
+    return ref_clean(out)
+
+
+def ref_window_of_product(x, y, rx, ry):
+    """(window of x*y, whether x*y must raise WindowError), from the reference rows."""
+    if x.window is None and y.window is None:
+        return None, False
+    if x.window is not None and y.window is not None:
+        return None, True
+    windowed, finite = (x, ry) if x.window is not None else (y, rx)
+    if not any(finite):
+        return None, False
+    window = windowed.window - max(abs(r) for row in finite for r in row)
+    return window, window < 0
+
+
+def ref_agrees(x, y, window):
+    for a, b in zip(x, y):
+        for r in a.keys() | b.keys():
+            if (window is None or abs(r) <= window) and a.get(r, 0) != b.get(r, 0):
+                return False
+    return True
+
+
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+q_rows = st.dictionaries(st.integers(-6, 6), rationals, max_size=4)
+
+
+@st.composite
+def series(draw, windowed=None):
+    order = draw(st.integers(0, 4))
+    rows = draw(st.lists(q_rows, min_size=order + 1, max_size=order + 1))
+    if windowed is None:
+        windowed = draw(st.booleans())
+    return QSeries(rows, draw(st.integers(0, 14)) if windowed else None)
+
+
+def lesser(w1, w2):
+    return w2 if w1 is None else w1 if w2 is None else min(w1, w2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(series(), series(), rationals)
+def test_integer_kernel_matches_fraction_reference(x, y, c):
+    rx, ry = rows_of(x), rows_of(y)
+    neg_y = [{r: -v for r, v in row.items()} for row in ry]
+    window = lesser(x.window, y.window)
+
+    assert rows_of(x + y) == ref_add(rx, ry) and (x + y).window == window
+    assert rows_of(x - y) == ref_add(rx, neg_y) and (x - y).window == window
+    assert rows_of(-x) == ref_clean([{r: -v for r, v in row.items()} for row in rx])
+    scaled = x * c
+    assert rows_of(scaled) == ref_clean([{r: v * c for r, v in row.items()} for row in rx])
+    assert scaled.window == (x.window if c else None)
+    assert rows_of(x.dz()) == ref_clean([{r: v * F(r, 2) for r, v in row.items()} for row in rx])
+    assert rows_of(x.dtau()) == ref_clean([{r: v * n for r, v in row.items()} for n, row in enumerate(rx)])
+
+    product_window, raises = ref_window_of_product(x, y, rx, ry)
+    if raises:
+        with pytest.raises(WindowError):
+            x * y
+    else:
+        assert rows_of(x * y) == ref_mul(rx, ry) and (x * y).window == product_window
+
+    if x.window is None:
+        power = [{0: F(1)}] + [{}] * x.q_order
+        for k in range(4):
+            assert rows_of(x ** k) == ref_clean(power)
+            power = ref_mul(power, rx)
+    else:
+        exact = x.as_exact()
+        assert exact.is_exact
+        assert rows_of(exact) == ref_clean([{r: v for r, v in row.items() if abs(r) <= x.window} for row in rx])
+
+    assert x.agrees_with(y) == ref_agrees(rx, ry, window)
+    assert x.agrees_with(QSeries(x.coeffs, x.window)) and not x.agrees_with(x + 1)
+    assert QSeries(x.coeffs, x.window) == x and hash(QSeries(x.coeffs, x.window)) == hash(x)
+    assert x * 2 == x + x
+
+
+@settings(max_examples=50, deadline=None)
+@given(series(windowed=True), series(windowed=True))
+def test_windowed_times_windowed_is_refused(x, y):
+    with pytest.raises(WindowError):
+        x * y
+
+
+def test_window_too_small_for_a_factor_is_refused():
+    narrow = QSeries([{0: 1, -2: F(1, 3)}], window=3)
+    wide = QSeries([{4: F(2, 5)}])
+    with pytest.raises(WindowError):
+        narrow * wide
+    with pytest.raises(WindowError):
+        wide * narrow
+    assert (narrow * QSeries([{2: 1}])).window == 1
+
+
+# ------------------------------------------------- oracles at any truncation
+
+
+def eichler_zagier_violation(series, m):
+    """Where an index-m weak Jacobi form's coefficients break Eichler-Zagier.
+
+    c(n, r) depends only on 4nm - r^2 and r mod 2m, and vanishes when
+    4nm - r^2 < -m^2; stored w exponents are 2r.  Returns None if none.
+    """
+    seen = {}
+    for n in range(series.q_order + 1):
+        poly = series.coefficient(n)
+        for w in poly.support():
+            if w % 2 or (w // 2) ** 2 > 4 * n * m + m * m:
+                return (n, w, "outside the support")
+        bound = isqrt(4 * n * m + m * m)
+        for r in range(-bound, bound + 1):
+            key = (4 * n * m - r * r, r % (2 * m))
+            c = poly.coefficient(2 * r)
+            if seen.setdefault(key, c) != c:
+                return (n, r, key)
+    return None
+
+
+def ramanujan_delta(count):
+    """q * prod_{n>=1} (1 - q^n)^24 through q^(count-1), in plain integers."""
+    product = [1] + [0] * (count - 1)
+    for n in range(1, count):
+        for _ in range(24):
+            for k in range(count - 1, n - 1, -1):
+                product[k] -= product[k - n]
+    return [0] + product[: count - 1]
+
+
+@pytest.fixture(scope="module")
+def bundle30():
+    return make_bundle(30, 90)
+
+
+@pytest.mark.parametrize(
+    "text, index",
+    [("A", 1), ("B", 1), ("A*B - 3*E4*A^2", 2), ("B^2*E6", 2), ("A^3*E4^2", 3)],
+)
+def test_eichler_zagier_invariance_through_q30(bundle30, text, index):
+    series = evaluate(parse_element(text), bundle30)
+    assert series.q_order == 30
+    assert eichler_zagier_violation(series, index) is None
+
+
+def test_eichler_zagier_oracle_flags_a_corrupted_coefficient(bundle30):
+    coeffs = list(bundle30.b.coeffs)
+    coeffs[17] = coeffs[17] + LaurentPolyW({4: 1})
+    assert eichler_zagier_violation(QSeries(coeffs), 1) is not None
+
+
+def test_delta_matches_ramanujan_product_through_q30(bundle30):
+    tau = ramanujan_delta(31)
+    assert tau[:4] == [0, 1, -24, 252]
+    delta = delta_series(bundle30)
+    assert [dict(delta.coefficient(n).items()) for n in range(31)] == [
+        {0: t} if t else {} for t in tau
+    ]
