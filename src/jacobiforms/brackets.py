@@ -22,7 +22,7 @@ from math import factorial
 from .elements import (
     BigradedElement,
     InternalInvariantError,
-    ZERO,
+    linear_combination,
     membership,
 )
 from .derivations import (
@@ -66,29 +66,24 @@ class BracketFamily:
         return bracket_n(self, n, f, g)
 
 
-def _bracket_homog(d: Derivation, c: Fraction, n: int, f, k, p, g, l, q) -> BigradedElement:
-    top_f = k + c * p + n - 1
-    top_g = l + c * q + n - 1
-    total = ZERO
-    for r in range(n + 1):
-        coeff = gbinom(top_f, n - r) * gbinom(top_g, r)
-        if r & 1:
-            coeff = -coeff
-        if coeff:
-            total = total + coeff * (iterate(d, r, f) * iterate(d, n - r, g))
-    return total
+def _bracket_terms(d: Derivation, c: Fraction, n: int, f: BigradedElement, g: BigradedElement):
+    """(coefficient, D^r(f_i) * D^(n-r)(g_j)) for every r and every pair of
+    homogeneous components f_i of f and g_j of g."""
+    for (k, p), fc in f.homogeneous_components().items():
+        for (l, q), gc in g.homogeneous_components().items():
+            top_f = k + c * p + n - 1
+            top_g = l + c * q + n - 1
+            for r in range(n + 1):
+                coeff = gbinom(top_f, n - r) * gbinom(top_g, r)
+                if coeff:
+                    yield (-coeff if r & 1 else coeff), iterate(d, r, fc) * iterate(d, n - r, gc)
 
 
 def bracket_n(family: BracketFamily, n: int, f: BigradedElement, g: BigradedElement) -> BigradedElement:
     """n-th bracket of the family, bilinear over homogeneous components."""
     if n < 0:
         raise ValueError("bracket order must be nonnegative")
-    d, c = family.derivation, family.c
-    total = ZERO
-    for (k, p), fc in f.homogeneous_components().items():
-        for (l, q), gc in g.homogeneous_components().items():
-            total = total + _bracket_homog(d, c, n, fc, k, p, gc, l, q)
-    return total
+    return linear_combination(_bracket_terms(family.derivation, family.c, n, f, g))
 
 
 def cm_bracket(v: Derivation, mu, n: int, f: BigradedElement, g: BigradedElement) -> BigradedElement:
@@ -100,17 +95,16 @@ def cm_bracket(v: Derivation, mu, n: int, f: BigradedElement, g: BigradedElement
     if n < 0:
         raise ValueError("bracket order must be nonnegative")
     w = EulerWeighting(Fraction(mu))
-    total = ZERO
-    for _, fc in f.homogeneous_components().items():
-        for _, gc in g.homogeneous_components().items():
-            acc = ZERO
-            for r in range(n + 1):
-                left = iterate(v, r, pochhammer_apply(w, n - r, fc, shift=r))
-                right = iterate(v, n - r, pochhammer_apply(w, r, gc, shift=n - r))
-                coeff = Fraction((-1) ** r, factorial(r) * factorial(n - r))
-                acc = acc + coeff * (left * right)
-            total = total + acc
-    return total
+    return linear_combination(
+        (
+            Fraction((-1) ** r, factorial(r) * factorial(n - r)),
+            iterate(v, r, pochhammer_apply(w, n - r, fc, shift=r))
+            * iterate(v, n - r, pochhammer_apply(w, r, gc, shift=n - r)),
+        )
+        for fc in f.homogeneous_components().values()
+        for gc in g.homogeneous_components().values()
+        for r in range(n + 1)
+    )
 
 
 def star_truncated(family: BracketFamily, order: int, f: BigradedElement, g: BigradedElement) -> list[BigradedElement]:
@@ -122,21 +116,13 @@ def rc_classical(n: int, f: BigradedElement, g: BigradedElement) -> BigradedElem
     """Classical n-th Rankin-Cohen bracket of two modular elements.
 
     Derivatives are taken with the q-derivative transported into the
-    index-zero subalgebra; the combination is guaranteed to land back in
+    index-zero subalgebra (rc_localized(0, 0), independent of the Serre
+    derivation src() uses); the combination is guaranteed to land back in
     C[E4, E6], and a result outside it is an implementation bug.
     """
     if not membership(f, "M") or not membership(g, "M"):
         raise ValueError("classical brackets are defined on modular elements")
-    d = partial_u(0)
-    total = ZERO
-    for (k, _), fc in f.homogeneous_components().items():
-        for (l, _), gc in g.homogeneous_components().items():
-            for i in range(n + 1):
-                coeff = gbinom(Fraction(k + n - 1), n - i) * gbinom(Fraction(l + n - 1), i)
-                if i & 1:
-                    coeff = -coeff
-                if coeff:
-                    total = total + coeff * (iterate(d, i, fc) * iterate(d, n - i, gc))
+    total = bracket_n(rc_localized(0, 0), n, f, g)
     if not membership(total, "M"):
         raise InternalInvariantError(
             f"classical bracket escaped the modular subalgebra: {total}"

@@ -34,6 +34,8 @@ from .elements import (
     Monomial,
     ZERO,
     generator_partial,
+    linear_combination,
+    rescaled,
 )
 from .derivations import Derivation, make_derivation, serre_ab
 
@@ -210,16 +212,13 @@ class PoissonBracket:
         return -self._values[(j, i)]
 
     def __call__(self, f: BigradedElement, g: BigradedElement) -> BigradedElement:
-        total = ZERO
         partials_f = [generator_partial(f, s) for s in range(4)]
         partials_g = [generator_partial(g, s) for s in range(4)]
-        for (i, j), value in self._values.items():
-            if value.is_zero:
-                continue
-            coeff = partials_f[i] * partials_g[j] - partials_f[j] * partials_g[i]
-            if not coeff.is_zero:
-                total = total + coeff * value
-        return total
+        return linear_combination(
+            (1, (partials_f[i] * partials_g[j] - partials_f[j] * partials_g[i]) * value)
+            for (i, j), value in self._values.items()
+            if value
+        )
 
 
 def bracket_from_params(p: PoissonParams) -> PoissonBracket:
@@ -335,10 +334,7 @@ class ScalingAutomorphism:
             raise ValueError("scaling factors must be nonzero")
 
     def __call__(self, f: BigradedElement) -> BigradedElement:
-        out = ZERO
-        for m, c in f.terms().items():
-            out = out + BigradedElement({m: c * self.lam ** m.a * self.mu ** m.b})
-        return out
+        return rescaled(f, lambda m: self.lam ** m[2] * self.mu ** m[3])
 
 
 def iso_condition(a, b, a2, b2, lam, mu) -> bool:

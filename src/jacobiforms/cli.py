@@ -5,12 +5,14 @@ All numbers on the command line are exact rationals written p/q; nothing is
 ever parsed as floating point.  Output is deterministic for a fixed
 configuration and seed.  Exit codes: 0 all checks passed, 1 a check failed,
 2 usage error, 3 an internal invariant was violated.  expand accepts
-truncation orders 0 <= N <= 200 and windows 1 <= G <= 1000.
+truncation orders 0 <= N <= 200 and windows 1 <= G <= 1000; deriv accepts
+powers 0 <= power <= 300.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import random
 import sys
@@ -18,6 +20,7 @@ from fractions import Fraction
 
 from . import brackets, classifier, derivations, qseries, verifier
 from .elements import (
+    BidegreeError,
     BigradedElement,
     InternalInvariantError,
     ParseError,
@@ -48,7 +51,7 @@ def _rational_list(text: str) -> list[Fraction]:
 def _element(text: str, allow_f2: bool) -> BigradedElement:
     try:
         return parse_element(text, allow_f2=allow_f2)
-    except ParseError as exc:
+    except (ParseError, BidegreeError) as exc:
         raise UsageError(f"bad element {text!r}: {exc}")
 
 
@@ -77,48 +80,34 @@ def _emit_reports(reports, as_json: bool, argv=None) -> bool:
     return ok
 
 
-# ----------------------------------------------------------------- families
+# ------------------------------------------------- families and derivations
 
-_FAMILY_ARITY = {"accol": 3, "orc": 1, "src": 0, "crochet": 2, "scal": 2, "Crochet": 2}
+# Name -> builder; a builder's positional parameters are the values the
+# name takes.  "Crochet" is rc_localized, distinct from "crochet".
+_FAMILIES = {
+    "accol": brackets.accol,
+    "orc": brackets.orc,
+    "src": brackets.src,
+    "crochet": brackets.crochet,
+    "scal": brackets.scal,
+    "Crochet": brackets.rc_localized,
+}
 
-
-def _family(name: str, params: list[Fraction]) -> brackets.BracketFamily:
-    if name not in _FAMILY_ARITY:
-        raise UsageError(f"unknown family {name!r}")
-    if len(params) != _FAMILY_ARITY[name]:
-        raise UsageError(f"family {name} takes {_FAMILY_ARITY[name]} parameters, got {len(params)}")
-    builders = {
-        "accol": brackets.accol,
-        "orc": brackets.orc,
-        "src": lambda: brackets.src(),
-        "crochet": brackets.crochet,
-        "scal": brackets.scal,
-        "Crochet": brackets.rc_localized,
-    }
-    return builders[name](*params)
-
-
-_DERIVATION_ARITY = {
-    "serre": 0,
-    "oberdieck": 0,
-    "sharp": 0,
-    "flat": 0,
-    "pi": 0,
-    "d_alpha": 1,
-    "delta_beta": 1,
-    "partial_u": 1,
-    "serre_ab": 2,
+_DERIVATIONS = {
+    name: getattr(derivations, name)
+    for name in ("serre", "oberdieck", "sharp", "flat", "pi", "d_alpha", "delta_beta", "partial_u", "serre_ab")
 }
 
 
-def _derivation(name: str, params: list[Fraction]) -> derivations.Derivation:
-    if name not in _DERIVATION_ARITY:
-        raise UsageError(f"unknown derivation {name!r}")
-    if len(params) != _DERIVATION_ARITY[name]:
-        raise UsageError(
-            f"derivation {name} takes {_DERIVATION_ARITY[name]} parameters, got {len(params)}"
-        )
-    return getattr(derivations, name)(*params)
+def _build(kind: str, table: dict, name: str, params: list[Fraction]):
+    """The named family or derivation, checking the parameter count."""
+    if name not in table:
+        raise UsageError(f"unknown {kind} {name!r}")
+    builder = table[name]
+    arity = len(inspect.signature(builder).parameters)
+    if len(params) != arity:
+        raise UsageError(f"{kind} {name} takes {arity} parameters, got {len(params)}")
+    return builder(*params)
 
 
 # -------------------------------------------------------------- subcommands
@@ -129,6 +118,18 @@ def _derivation(name: str, params: list[Fraction]) -> derivations.Derivation:
 MAX_Q_ORDER = 200
 MAX_WINDOW = 1000
 
+# Named expand targets -> series at truncation order N and window G.
+_EXPANSIONS = {
+    "E2": lambda n, window: qseries.eisenstein(2, n),
+    "E4": lambda n, window: qseries.eisenstein(4, n),
+    "E6": lambda n, window: qseries.eisenstein(6, n),
+    "A": lambda n, window: qseries.theta_quotient_A(n),
+    "B": qseries.b_series,
+    "J1": qseries.j1_series,
+    "J2": lambda n, window: qseries.j2_series(n),
+    "Delta": lambda n, window: Fraction(1, 1728) * (qseries.eisenstein(4, n) ** 3 - qseries.eisenstein(6, n) ** 2),
+}
+
 
 def _cmd_expand(args) -> int:
     n, window = args.N, args.G
@@ -136,35 +137,18 @@ def _cmd_expand(args) -> int:
         raise UsageError(f"--N must be between 0 and {MAX_Q_ORDER}, got {n}")
     if not 1 <= window <= MAX_WINDOW:
         raise UsageError(f"--G must be between 1 and {MAX_WINDOW}, got {window}")
-    named = {"E2", "E4", "E6", "A", "B", "J1", "J2", "Delta"}
+    f = None
     if args.what == "element":
         if not args.element:
             raise UsageError("--what element requires --element")
         f = _element(args.element, args.allow_f2)
-        try:
+    try:
+        if f is None:
+            series = _EXPANSIONS[args.what](n, window)
+        else:
             series = qseries.evaluate(f, qseries.make_bundle(n, window))
-        except ValueError as exc:  # a window too small for N, or negative A exponents
-            raise UsageError(str(exc)) from exc
-    elif args.what in named:
-        if args.what == "J1":
-            series = qseries.j1_series(n, window)
-        elif args.what == "J2":
-            series = qseries.j2_series(n)
-        elif args.what == "E2":
-            series = qseries.eisenstein(2, n)
-        elif args.what in ("E4", "E6"):
-            series = qseries.eisenstein(int(args.what[1]), n)
-        elif args.what == "A":
-            series = qseries.theta_quotient_A(n)
-        elif args.what == "B":
-            try:
-                series = qseries.b_series(n, window)
-            except qseries.WindowError as exc:
-                raise UsageError(str(exc)) from exc
-        else:  # Delta
-            series = Fraction(1, 1728) * (qseries.eisenstein(4, n) ** 3 - qseries.eisenstein(6, n) ** 2)
-    else:
-        raise UsageError(f"unknown expansion target {args.what!r}")
+    except ValueError as exc:  # a window too small for N, or negative A exponents
+        raise UsageError(str(exc)) from exc
     if args.json:
         payload = {
             str(order): [
@@ -183,21 +167,33 @@ def _cmd_expand(args) -> int:
 
 def _cmd_bracket(args) -> int:
     params = _rational_list(args.params) if args.params else []
+    if args.n < 0:
+        raise UsageError(f"--n must be nonnegative, got {args.n}")
     f = _element(args.f, args.allow_f2)
     g = _element(args.g, args.allow_f2)
     if args.family == "rc":
         if len(params):
             raise UsageError("family rc takes no parameters")
-        value = brackets.rc_classical(args.n, f, g)
+        try:
+            value = brackets.rc_classical(args.n, f, g)
+        except ValueError as exc:  # an input outside C[E4, E6]
+            raise UsageError(str(exc)) from exc
     else:
-        value = brackets.bracket_n(_family(args.family, params), args.n, f, g)
+        value = brackets.bracket_n(_build("family", _FAMILIES, args.family, params), args.n, f, g)
     _emit_element(value, args.json)
     return 0
 
 
+# Largest --power deriv accepts; the iterate memo recurses once per power,
+# and Python's default recursion limit is reached near 500.
+MAX_POWER = 300
+
+
 def _cmd_deriv(args) -> int:
     params = _rational_list(args.param) if args.param else []
-    d = _derivation(args.name, params)
+    if not 0 <= args.power <= MAX_POWER:
+        raise UsageError(f"--power must be between 0 and {MAX_POWER}, got {args.power}")
+    d = _build("derivation", _DERIVATIONS, args.name, params)
     f = _element(args.input, args.allow_f2)
     value = derivations.iterate(d, args.power, f)
     _emit_element(value, args.json)
@@ -211,7 +207,7 @@ def _cmd_verify(args) -> int:
     if args.suite in ("associativity", "poisson", "bidegree", "stability"):
         if not args.family:
             raise UsageError(f"suite {args.suite} requires --family")
-        fam = _family(args.family, params)
+        fam = _build("family", _FAMILIES, args.family, params)
         tag = f"{args.family}[{','.join(str(p) for p in params)}]"
         weight_cap = args.weight_cap if args.weight_cap is not None else 8
         index_cap = args.index_cap if args.index_cap is not None else 2
@@ -326,14 +322,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("expand", parents=[common], help="q-expansions of the generators")
-    p.add_argument("--what", required=True, choices=["E2", "E4", "E6", "A", "B", "J1", "J2", "Delta", "element"])
+    p.add_argument("--what", required=True, choices=[*_EXPANSIONS, "element"])
     p.add_argument("--element", default=None)
     p.add_argument("--N", type=int, default=10)
     p.add_argument("--G", type=int, default=24)
     p.set_defaults(func=_cmd_expand)
 
     p = sub.add_parser("bracket", parents=[common], help="evaluate one bracket of a family")
-    p.add_argument("--family", required=True, choices=sorted(_FAMILY_ARITY) + ["rc"])
+    p.add_argument("--family", required=True, choices=sorted(_FAMILIES) + ["rc"])
     p.add_argument("--params", default="")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--f", required=True)
@@ -341,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bracket)
 
     p = sub.add_parser("deriv", parents=[common], help="apply a named derivation")
-    p.add_argument("--name", required=True, choices=sorted(_DERIVATION_ARITY))
+    p.add_argument("--name", required=True, choices=sorted(_DERIVATIONS))
     p.add_argument("--param", default="")
     p.add_argument("--input", required=True)
     p.add_argument("--power", type=int, default=1)
@@ -349,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common], help="run a verification suite")
     p.add_argument("--suite", required=True, choices=["associativity", "poisson", "bidegree", "stability", "vinset"])
-    p.add_argument("--family", default=None, choices=sorted(_FAMILY_ARITY))
+    p.add_argument("--family", default=None, choices=sorted(_FAMILIES))
     p.add_argument("--params", default="")
     p.add_argument("--nmax", type=int, default=3)
     p.add_argument("--pairs", type=int, default=50)

@@ -10,8 +10,9 @@ weighted F2-multiplication, and the transport of d/dq through F2 <-> E2.
 
 Sums of derivations and scalar multiples are taken image-wise.  The
 commutator of two admissible derivations raises the weight by four, so it
-is returned as a plain (unchecked) Derivation; only `make_derivation`
-enforces admissibility.
+is returned as a plain (unchecked) Derivation.  `make_derivation` and
+`BracketFamily` enforce admissibility, both through the one check behind
+`Derivation.is_admissible`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,9 @@ from .elements import (
     BidegreeError,
     BigradedElement,
     ZERO,
+    bidegree,
     leibniz_apply,
+    rescaled,
 )
 
 ADMISSIBLE_IMAGE_BIDEGREES = (Bidegree(6, 0), Bidegree(8, 0), Bidegree(0, 1), Bidegree(2, 1))
@@ -50,12 +53,7 @@ class Derivation:
         return (self.on_e4, self.on_e6, self.on_a, self.on_b)
 
     def is_admissible(self) -> bool:
-        for img, expected in zip(self.images, ADMISSIBLE_IMAGE_BIDEGREES):
-            if img.is_zero:
-                continue
-            if not img.is_homogeneous or img.bidegree() != expected:
-                return False
-        return True
+        return _misfit(self.images) is None
 
     def __call__(self, f: BigradedElement) -> BigradedElement:
         return leibniz_apply(f, self.images)
@@ -68,18 +66,22 @@ class Derivation:
         return Derivation(*(c * x for x in self.images))
 
 
+def _misfit(images) -> str | None:
+    """Why the generator images do not fit an index-preserving
+    weight-raising derivation, naming the first misfit; None if they fit."""
+    for name, img, expected in zip(GENERATOR_NAMES, images, ADMISSIBLE_IMAGE_BIDEGREES):
+        if img and (not img.is_homogeneous or img.bidegree() != expected):
+            return f"image of {name} must be homogeneous of bidegree {tuple(expected)}, got {img}"
+    return None
+
+
 def make_derivation(on_e4, on_e6, on_a, on_b) -> Derivation:
     """Checked constructor: the images must fit an index-preserving
     weight-raising derivation."""
     images = (on_e4, on_e6, on_a, on_b)
-    for name, img, expected in zip(GENERATOR_NAMES, images, ADMISSIBLE_IMAGE_BIDEGREES):
-        if img.is_zero:
-            continue
-        if not img.is_homogeneous or img.bidegree() != expected:
-            raise BidegreeError(
-                f"image of {name} must be homogeneous of bidegree {tuple(expected)}, "
-                f"got {img}"
-            )
+    misfit = _misfit(images)
+    if misfit:
+        raise BidegreeError(misfit)
     return Derivation(*images)
 
 
@@ -120,10 +122,13 @@ class EulerWeighting:
         object.__setattr__(self, "mu", Fraction(self.mu))
 
     def __call__(self, f: BigradedElement) -> BigradedElement:
-        out = ZERO
-        for deg, comp in f.homogeneous_components().items():
-            out = out + (deg.weight + self.mu * deg.index) * comp
-        return out
+        mu = self.mu
+
+        def factor(m):
+            weight, index = bidegree(m)
+            return weight + mu * index
+
+        return rescaled(f, factor)
 
 
 def euler_commutator_check(d: Derivation, mu) -> bool:

@@ -64,6 +64,13 @@ def _check_monomial(m: Monomial) -> None:
         raise BidegreeError(f"exponents of E4, E6, B must be nonnegative, got {tuple(m)}")
 
 
+def _over_common_denominator(coeffs: dict):
+    """Integer numerators over the least common denominator of rational
+    coefficients."""
+    den = math.lcm(*(c.denominator for c in coeffs.values()))
+    return {m: c.numerator * (den // c.denominator) for m, c in coeffs.items()}, den
+
+
 def _normalized(num: dict, den: int):
     """Reduce an integer term dict over a common denominator to lowest terms."""
     if not num:
@@ -85,20 +92,13 @@ class BigradedElement:
     __slots__ = ("_num", "_den", "_hash")
 
     def __init__(self, terms: Mapping | None = None):
-        num: dict = {}
-        den = 1
-        if terms:
-            coeffs = {}
-            for m, c in terms.items():
-                m = Monomial(*m)
-                _check_monomial(m)
-                c = Fraction(c)
-                if c:
-                    coeffs[m] = coeffs.get(m, Fraction(0)) + c
-            for c in coeffs.values():
-                den = den * c.denominator // math.gcd(den, c.denominator)
-            num = {m: c.numerator * (den // c.denominator) for m, c in coeffs.items() if c}
-        self._num, self._den = _normalized(num, den)
+        coeffs: dict = {}
+        for m, c in (terms or {}).items():
+            m = Monomial(*m)
+            _check_monomial(m)
+            coeffs[m] = coeffs.get(m, 0) + Fraction(c)
+        num, den = _over_common_denominator(coeffs)
+        self._num, self._den = _normalized({m: c for m, c in num.items() if c}, den)
         self._hash = None
 
     @classmethod
@@ -152,13 +152,7 @@ class BigradedElement:
             other = constant(other)
         if not isinstance(other, BigradedElement):
             return NotImplemented
-        g = math.gcd(self._den, other._den)
-        sa = other._den // g
-        sb = self._den // g
-        num = {m: c * sa for m, c in self._num.items()}
-        for m, c in other._num.items():
-            num[m] = num.get(m, 0) + c * sb
-        return BigradedElement._raw(num, self._den * sa)
+        return linear_combination(((1, self), (1, other)))
 
     __radd__ = __add__
 
@@ -170,14 +164,14 @@ class BigradedElement:
             other = constant(other)
         if not isinstance(other, BigradedElement):
             return NotImplemented
-        return self + (-other)
+        return linear_combination(((1, self), (-1, other)))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self._scaled(other)
+            return linear_combination(((other, self),))
         if not isinstance(other, BigradedElement):
             return NotImplemented
         num: dict = {}
@@ -191,19 +185,12 @@ class BigradedElement:
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self._scaled(other)
+            return linear_combination(((other, self),))
         return NotImplemented
-
-    def _scaled(self, c: Scalar):
-        c = Fraction(c)
-        if not c:
-            return ZERO
-        num = {m: v * c.numerator for m, v in self._num.items()}
-        return BigradedElement._raw(num, self._den * c.denominator)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self._scaled(Fraction(1) / Fraction(other))
+            return linear_combination(((1 / Fraction(other), self),))
         return NotImplemented
 
     def __pow__(self, n: int):
@@ -282,6 +269,38 @@ def constant(c: Scalar) -> BigradedElement:
     return BigradedElement({Monomial(0, 0, 0, 0): c})
 
 
+def linear_combination(pairs) -> BigradedElement:
+    """Sum of coeff * element over (coeff, element) pairs, normalised once.
+
+    The terms are consumed one at a time into one dict of integer
+    numerators over a common denominator that grows as needed, and the sum
+    is reduced to lowest terms once, at the end.  This is the one place
+    that decides how a sum of elements is normalised.
+    """
+    num: dict = {}
+    den = 1
+    for c, el in pairs:
+        if not (c and el._num):
+            continue
+        d = c.denominator * el._den
+        if den % d:  # grow the common denominator and rescale the sum so far
+            grown = math.lcm(den, d)
+            num = {m: v * (grown // den) for m, v in num.items()}
+            den = grown
+        scale = c.numerator * (den // d)
+        get = num.get
+        for m, v in el._num.items():
+            num[m] = get(m, 0) + scale * v
+    return BigradedElement._raw(num, den)
+
+
+def rescaled(f: BigradedElement, factor) -> BigradedElement:
+    """f with the coefficient of each monomial m multiplied by factor(m),
+    in one pass over the monomials."""
+    num, den = _over_common_denominator({m: c * factor(m) for m, c in f._num.items()})
+    return BigradedElement._raw(num, f._den * den)
+
+
 def generator_partial(f: BigradedElement, slot: int) -> BigradedElement:
     """Formal partial derivative with respect to generator number slot.
 
@@ -306,10 +325,7 @@ def leibniz_apply(f: BigradedElement, images) -> BigradedElement:
     power rule c*e*x^{e-1}*image handles negative A exponents, which forces
     the localization rule D(A^-1) = -A^-2 D(A).
     """
-    l = 1
-    for img in images:
-        d = img._den
-        l = l // math.gcd(l, d) * d
+    l = math.lcm(*(img._den for img in images))
     out: dict = {}
     get = out.get
     for m, cf in f._num.items():

@@ -21,6 +21,7 @@ from .elements import (
     GENERATOR_NAMES,
     BigradedElement,
     ZERO,
+    linear_combination,
     membership,
     monomial,
 )
@@ -67,10 +68,7 @@ def random_homogeneous(rng: random.Random, weight_cap: int = 8, index_cap: int =
         coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in component]
         if any(coeffs):
             break
-    total = ZERO
-    for c, el in zip(coeffs, component):
-        total = total + c * el
-    return total
+    return linear_combination(zip(coeffs, component))
 
 
 def _witness(identity: str, inputs: dict, lhs, rhs) -> dict:
@@ -101,11 +99,8 @@ def check_associativity(
             for k, h in enumerate(basis):
                 gh = left_cache[(j, k)]
                 for n in range(1, n_max + 1):
-                    lhs = ZERO
-                    rhs = ZERO
-                    for r in range(n + 1):
-                        lhs = lhs + mu(n - r, fg[r], h)
-                        rhs = rhs + mu(n - r, f, gh[r])
+                    lhs = linear_combination((1, mu(n - r, fg[r], h)) for r in range(n + 1))
+                    rhs = linear_combination((1, mu(n - r, f, gh[r])) for r in range(n + 1))
                     if lhs != rhs:
                         return failing(
                             claim,

@@ -191,22 +191,38 @@ def test_unknown_arguments_exit_2(capsys):
     assert run(capsys, "expand", "--what", "XX")[0] == 2
 
 
-BAD_EXPAND_SIZES = {
-    "negative-N": ["--what", "A", "--N", "-1"],
-    "B-window-too-small": ["--what", "B", "--G", "2"],
-    "B-window-too-small-at-N5": ["--what", "B", "--N", "5", "--G", "3"],
-    "element-window-too-small": ["--what", "element", "--element", "A", "--N", "5", "--G", "3"],
-    "negative-A-exponent": ["--what", "element", "--element", "B*A^-1"],
-    "huge-N": ["--what", "E4", "--N", "100000000"],
-    "N-above-limit": ["--what", "E4", "--N", "201"],
-    "zero-window": ["--what", "J1", "--G", "0"],
-    "G-above-limit": ["--what", "J1", "--G", "1001"],
+BAD_INPUTS = {
+    "negative-N": ["expand", "--what", "A", "--N", "-1"],
+    "B-window-too-small": ["expand", "--what", "B", "--G", "2"],
+    "B-window-too-small-at-N5": ["expand", "--what", "B", "--N", "5", "--G", "3"],
+    "element-window-too-small": ["expand", "--what", "element", "--element", "A", "--N", "5", "--G", "3"],
+    "negative-A-exponent": ["expand", "--what", "element", "--element", "B*A^-1"],
+    "huge-N": ["expand", "--what", "E4", "--N", "100000000"],
+    "N-above-limit": ["expand", "--what", "E4", "--N", "201"],
+    "zero-window": ["expand", "--what", "J1", "--G", "0"],
+    "G-above-limit": ["expand", "--what", "J1", "--G", "1001"],
+    "expand-negative-B-exponent": ["expand", "--what", "element", "--element", "B^-1"],
+    "bracket-negative-n": ["bracket", "--family", "orc", "--params", "1", "--n", "-1", "--f", "A", "--g", "B"],
+    "bracket-rc-negative-n": ["bracket", "--family", "rc", "--n", "-1", "--f", "E4", "--g", "E6"],
+    "bracket-rc-not-modular": ["bracket", "--family", "rc", "--n", "1", "--f", "A", "--g", "E4"],
+    "bracket-negative-B-exponent": ["bracket", "--family", "src", "--n", "1", "--f", "B^-1", "--g", "E4"],
+    "bracket-family-arity": ["bracket", "--family", "orc", "--params", "1,2", "--n", "1", "--f", "B", "--g", "E4"],
+    "deriv-negative-power": ["deriv", "--name", "serre", "--input", "E4", "--power", "-1"],
+    "deriv-power-above-limit": ["deriv", "--name", "serre", "--input", "E4", "--power", "301"],
+    "deriv-negative-B-exponent": ["deriv", "--name", "serre", "--input", "B^-1"],
+    "deriv-arity": ["deriv", "--name", "serre_ab", "--param", "1", "--input", "B"],
+    "verify-needs-family": ["verify", "--suite", "associativity", "--nmax", "1"],
+    "verify-bad-rational": ["verify", "--suite", "vinset", "--u", "x"],
+    "classify-wrong-count": ["classify", "--params", "1,2"],
+    "iso-wrong-count": ["iso", "--from", "1,2", "--to", "1,2,3"],
+    "scan-bad-rational": ["scan-conjecture", "--u", "q"],
 }
 
 
-@pytest.mark.parametrize("argv", BAD_EXPAND_SIZES.values(), ids=BAD_EXPAND_SIZES.keys())
+@pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
 def test_expand_bad_sizes_are_usage_errors(capsys, argv):
-    code, out, err = run(capsys, "expand", *argv)
+    # every subcommand, not only expand: input errors exit 2 with an error line
+    code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
@@ -217,6 +233,13 @@ def test_expand_bad_sizes_are_usage_errors(capsys, argv):
 )
 def test_expand_size_limits_are_inclusive(capsys, argv):
     assert run(capsys, "expand", *argv)[0] == 0
+
+
+@pytest.mark.parametrize("power", ["0", "300"])
+def test_deriv_power_limit_is_inclusive(capsys, power):
+    code, out, _ = run(capsys, "deriv", "--name", "serre", "--input", "E4", "--power", power)
+    assert code == 0
+    assert out.strip()
 
 
 def test_negative_rationals_via_equals_form(capsys):

@@ -13,10 +13,12 @@ from jacobiforms import (
     BigradedElement,
     E4,
     E6,
+    EulerWeighting,
     F2,
     Monomial,
     ONE,
     ParseError,
+    ScalingAutomorphism,
     ZERO,
     bidegree,
     format_element,
@@ -26,6 +28,7 @@ from jacobiforms import (
     parse_element,
     to_json_dict,
 )
+from jacobiforms.elements import linear_combination
 
 
 def test_generator_bidegrees():
@@ -185,3 +188,49 @@ def test_membership_multiplicative(f, g):
 def test_format_parse_round_trip(f):
     assert parse_element(format_element(f)) == f
     assert format_element(parse_element(format_element(f))) == format_element(f)
+
+
+def _fold(pairs):
+    total = ZERO
+    for c, el in pairs:
+        total = total + c * el
+    return total
+
+
+@settings(max_examples=150)
+@given(st.lists(st.tuples(coeffs, elements), max_size=6))
+def test_linear_combination_matches_fold_of_add_and_scale(pairs):
+    # the strategy covers empty input, zero coefficients, mixed denominators
+    # and negative A exponents; appending the negated sum forces cancellation
+    value = linear_combination(pairs)
+    assert value == _fold(pairs)
+    assert linear_combination(pairs + [(-1, value)]) == ZERO
+
+
+def test_linear_combination_edge_cases():
+    assert linear_combination([]) == ZERO
+    assert linear_combination([(0, E4), (F(3, 2), ZERO)]) == ZERO
+    assert linear_combination([(F(1, 2), A_INV), (F(-1, 3), A_INV)]) == F(1, 6) * A_INV
+    assert linear_combination([(F(2, 3), E4 - B), (F(2, 3), B)]) == F(2, 3) * E4
+    assert linear_combination(iter([(1, E4), (1, E6)])) == E4 + E6
+
+
+def _componentwise_weighting(mu, f):
+    total = ZERO
+    for deg, comp in f.homogeneous_components().items():
+        total = total + (deg.weight + mu * deg.index) * comp
+    return total
+
+
+def _termwise_scaling(lam, mu, f):
+    total = ZERO
+    for m, c in f.terms().items():
+        total = total + BigradedElement({m: c * lam ** m.a * mu ** m.b})
+    return total
+
+
+@settings(max_examples=100)
+@given(elements, coeffs, coeffs.filter(bool), coeffs.filter(bool))
+def test_one_pass_rescalings_match_componentwise_reference(f, mu, lam, nu):
+    assert EulerWeighting(mu)(f) == _componentwise_weighting(mu, f)
+    assert ScalingAutomorphism(lam, nu)(f) == _termwise_scaling(lam, nu, f)
