@@ -7,9 +7,12 @@ Its n-th bracket on homogeneous pieces of bidegrees (k, p) and (l, q) is
 
 extended bilinearly over homogeneous components.  Binomials use the falling
 factorial so rational and negative tops (c is a free parameter; A has weight
--2) need no special casing.  The same sequence is also computable in the
-Connes-Moscovici Pochhammer form, kept as an independent route for
-cross-checking.
+-2) need no special casing; the binomials a component contributes are
+memoised as one row per (bidegree, c, n).  Every product D^r(f) D^(n-r)(g)
+is expanded straight into one integer sum (`linear_combination`), so a
+bracket builds no element per product.  The same sequence is also
+computable in the Connes-Moscovici Pochhammer form, kept as an independent
+route for cross-checking.
 """
 
 from __future__ import annotations
@@ -66,17 +69,25 @@ class BracketFamily:
         return bracket_n(self, n, f, g)
 
 
+@lru_cache(maxsize=1 << 14)
+def _binomial_row(k: int, p: int, c: Fraction, n: int) -> tuple[Fraction, ...]:
+    """gbinom(k + c*p + n - 1, j) for j = 0..n: the binomials the n-th
+    bracket takes from a component of bidegree (k, p)."""
+    top = k + c * p + n - 1
+    return tuple(gbinom(top, j) for j in range(n + 1))
+
+
 def _bracket_terms(d: Derivation, c: Fraction, n: int, f: BigradedElement, g: BigradedElement):
-    """(coefficient, D^r(f_i) * D^(n-r)(g_j)) for every r and every pair of
+    """(coefficient, D^r(f_i), D^(n-r)(g_j)) for every r and every pair of
     homogeneous components f_i of f and g_j of g."""
-    for (k, p), fc in f.homogeneous_components().items():
-        for (l, q), gc in g.homogeneous_components().items():
-            top_f = k + c * p + n - 1
-            top_g = l + c * q + n - 1
+    f_parts = [(_binomial_row(k, p, c, n), fc) for (k, p), fc in f.homogeneous_components().items()]
+    g_parts = [(_binomial_row(l, q, c, n), gc) for (l, q), gc in g.homogeneous_components().items()]
+    for row_f, fc in f_parts:
+        for row_g, gc in g_parts:
             for r in range(n + 1):
-                coeff = gbinom(top_f, n - r) * gbinom(top_g, r)
+                coeff = row_f[n - r] * row_g[r]
                 if coeff:
-                    yield (-coeff if r & 1 else coeff), iterate(d, r, fc) * iterate(d, n - r, gc)
+                    yield (-coeff if r & 1 else coeff), iterate(d, r, fc), iterate(d, n - r, gc)
 
 
 def bracket_n(family: BracketFamily, n: int, f: BigradedElement, g: BigradedElement) -> BigradedElement:
@@ -98,8 +109,8 @@ def cm_bracket(v: Derivation, mu, n: int, f: BigradedElement, g: BigradedElement
     return linear_combination(
         (
             Fraction((-1) ** r, factorial(r) * factorial(n - r)),
-            iterate(v, r, pochhammer_apply(w, n - r, fc, shift=r))
-            * iterate(v, n - r, pochhammer_apply(w, r, gc, shift=n - r)),
+            iterate(v, r, pochhammer_apply(w, n - r, fc, shift=r)),
+            iterate(v, n - r, pochhammer_apply(w, r, gc, shift=n - r)),
         )
         for fc in f.homogeneous_components().values()
         for gc in g.homogeneous_components().values()
@@ -175,3 +186,4 @@ def mu1(family: BracketFamily):
 
 def clear_caches() -> None:
     gbinom.cache_clear()
+    _binomial_row.cache_clear()

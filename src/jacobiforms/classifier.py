@@ -198,26 +198,26 @@ class PoissonBracket:
 
     values maps ordered generator index pairs (i, j) with i < j in the
     order (E4, E6, A, B); the bracket of two elements is
-    sum_{i<j} (df/dx_i dg/dx_j - df/dx_j dg/dx_i) {x_i, x_j}.
+    sum_i df/dx_i * (sum_j dg/dx_j * {x_i, x_j}), with {x_j, x_i} = -{x_i, x_j}.
     """
 
     def __init__(self, values: dict[tuple[int, int], BigradedElement]):
-        self._values = {pair: values.get(pair, ZERO) for pair in combinations(range(4), 2)}
+        table = [[ZERO] * 4 for _ in range(4)]
+        for i, j in combinations(range(4), 2):
+            value = values.get((i, j), ZERO)
+            table[i][j], table[j][i] = value, -value
+        self._table = tuple(tuple(row) for row in table)
 
     def pair(self, i: int, j: int) -> BigradedElement:
-        if i == j:
-            return ZERO
-        if i < j:
-            return self._values[(i, j)]
-        return -self._values[(j, i)]
+        return self._table[i][j]
 
     def __call__(self, f: BigradedElement, g: BigradedElement) -> BigradedElement:
         partials_f = [generator_partial(f, s) for s in range(4)]
         partials_g = [generator_partial(g, s) for s in range(4)]
         return linear_combination(
-            (1, (partials_f[i] * partials_g[j] - partials_f[j] * partials_g[i]) * value)
-            for (i, j), value in self._values.items()
-            if value
+            (1, df, linear_combination((1, dg, value) for dg, value in zip(partials_g, row)))
+            for df, row in zip(partials_f, self._table)
+            if df
         )
 
 

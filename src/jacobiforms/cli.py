@@ -184,8 +184,8 @@ def _cmd_bracket(args) -> int:
     return 0
 
 
-# Largest --power deriv accepts; the iterate memo recurses once per power,
-# and Python's default recursion limit is reached near 500.
+# Largest --power deriv accepts; each power is one more application of the
+# derivation, and the terms of a power grow with it.
 MAX_POWER = 300
 
 
@@ -200,7 +200,16 @@ def _cmd_deriv(args) -> int:
     return 0
 
 
+def _check_nonnegative(args, *names: str) -> None:
+    """Reject a negative size option: it would make the checks vacuous."""
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and value < 0:
+            raise UsageError(f"--{name.replace('_', '-')} must be nonnegative, got {value}")
+
+
 def _cmd_verify(args) -> int:
+    _check_nonnegative(args, "nmax", "pairs", "weight_cap", "index_cap")
     params = _rational_list(args.params) if args.params else []
     rng = random.Random(args.seed)
     reports = []
@@ -293,6 +302,7 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    _check_nonnegative(args, "nmax", "weight_cap", "index_cap")
     u_values = _rational_list(args.u)
     report = verifier.scan_conjecture(u_values, args.nmax, args.weight_cap, args.index_cap)
     if report.witness is not None and getattr(args, "_argv", None):

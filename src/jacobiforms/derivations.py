@@ -96,10 +96,18 @@ def _iterate(d: Derivation, r: int, f: BigradedElement) -> BigradedElement:
     return d(_iterate(d, r - 1, f))
 
 
+# _iterate recurses once per power down to the nearest memoized one, so
+# a deep power is reached through memoized powers at most this far apart.
+_ITERATE_STRIDE = 256
+
+
 def iterate(d: Derivation, r: int, f: BigradedElement) -> BigradedElement:
     """r-fold application of d; iterate(d, 0, f) is f."""
     if r < 0:
         raise ValueError("iteration count must be nonnegative")
+    if r > _ITERATE_STRIDE:
+        for s in range(_ITERATE_STRIDE, r, _ITERATE_STRIDE):
+            _iterate(d, s, f)
     return _iterate(d, r, f)
 
 

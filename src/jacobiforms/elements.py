@@ -11,7 +11,9 @@ dictionary comparison.
 Coefficients are exact rationals.  Internally an element keeps integer
 numerators over one shared positive denominator, which keeps the hot
 arithmetic paths in machine integers; the public API speaks Fraction.
-All values are immutable after construction.
+Sums and products of elements are folded into one integer accumulator by
+`linear_combination` and normalised once; `+`, `-` and `*` are one-term
+or two-term calls of it.  All values are immutable after construction.
 """
 
 from __future__ import annotations
@@ -126,10 +128,10 @@ class BigradedElement:
         return Fraction(self._num.get(tuple(m), 0), self._den)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = constant(other)
         if not isinstance(other, BigradedElement):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = constant(other)
         return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
@@ -148,10 +150,10 @@ class BigradedElement:
     # -------------------------------------------------------------- arithmetic
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = constant(other)
         if not isinstance(other, BigradedElement):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = constant(other)
         return linear_combination(((1, self), (1, other)))
 
     __radd__ = __add__
@@ -160,28 +162,21 @@ class BigradedElement:
         return BigradedElement._raw({m: -c for m, c in self._num.items()}, self._den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = constant(other)
         if not isinstance(other, BigradedElement):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = constant(other)
         return linear_combination(((1, self), (-1, other)))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, BigradedElement):
+            return linear_combination(((1, self, other),))
         if isinstance(other, (int, Fraction)):
             return linear_combination(((other, self),))
-        if not isinstance(other, BigradedElement):
-            return NotImplemented
-        num: dict = {}
-        get = num.get
-        for m1, c1 in self._num.items():
-            i1, j1, k1, l1 = m1
-            for m2, c2 in other._num.items():
-                key = (i1 + m2[0], j1 + m2[1], k1 + m2[2], l1 + m2[3])
-                num[key] = get(key, 0) + c1 * c2
-        return BigradedElement._raw(num, self._den * other._den)
+        return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -220,11 +215,16 @@ class BigradedElement:
     # ----------------------------------------------------------------- grading
 
     def homogeneous_components(self) -> dict[Bidegree, "BigradedElement"]:
+        """The homogeneous pieces by bidegree, in bidegree order; a
+        homogeneous element is its own single piece, not a copy."""
         buckets: dict = {}
         for m, c in self._num.items():
-            buckets.setdefault(bidegree(m), {})[m] = c
+            # (weight, index) as in bidegree(), without a Bidegree per monomial
+            buckets.setdefault((4 * m[0] + 6 * m[1] - 2 * m[2], m[2] + m[3]), {})[m] = c
+        if len(buckets) == 1:
+            return {Bidegree(*d): self for d in buckets}
         return {
-            d: BigradedElement._raw(num, self._den)
+            Bidegree(*d): BigradedElement._raw(num, self._den)
             for d, num in sorted(buckets.items())
         }
 
@@ -269,28 +269,44 @@ def constant(c: Scalar) -> BigradedElement:
     return BigradedElement({Monomial(0, 0, 0, 0): c})
 
 
-def linear_combination(pairs) -> BigradedElement:
-    """Sum of coeff * element over (coeff, element) pairs, normalised once.
+def linear_combination(terms) -> BigradedElement:
+    """Sum of coeff * x over (coeff, x) terms and of coeff * x * y over
+    (coeff, x, y) terms, normalised once.
 
     The terms are consumed one at a time into one dict of integer
-    numerators over a common denominator that grows as needed, and the sum
-    is reduced to lowest terms once, at the end.  This is the one place
-    that decides how a sum of elements is normalised.
+    numerators over a common denominator that grows as needed; a product is
+    expanded straight into that dict, never built as an element of its
+    own.  The sum is reduced to lowest terms once, at the end.  This is the
+    one place that decides how sums and products of elements are
+    normalised.
     """
     num: dict = {}
+    get = num.get
     den = 1
-    for c, el in pairs:
-        if not (c and el._num):
+    for term in terms:
+        c, x = term[0], term[1]
+        y = term[2] if len(term) == 3 else None
+        if not (c and x._num) or (y is not None and not y._num):
             continue
-        d = c.denominator * el._den
+        d = c.denominator * x._den
+        if y is not None:
+            d *= y._den
         if den % d:  # grow the common denominator and rescale the sum so far
             grown = math.lcm(den, d)
             num = {m: v * (grown // den) for m, v in num.items()}
+            get = num.get
             den = grown
         scale = c.numerator * (den // d)
-        get = num.get
-        for m, v in el._num.items():
-            num[m] = get(m, 0) + scale * v
+        if y is None:
+            for m, v in x._num.items():
+                num[m] = get(m, 0) + scale * v
+            continue
+        y_items = y._num.items()
+        for (i, j, k, l), v in x._num.items():
+            sv = scale * v
+            for m, w in y_items:
+                key = (i + m[0], j + m[1], k + m[2], l + m[3])
+                num[key] = get(key, 0) + sv * w
     return BigradedElement._raw(num, den)
 
 

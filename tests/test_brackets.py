@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import jacobiforms
 from jacobiforms import (
     A,
     B,
@@ -23,7 +24,7 @@ from jacobiforms import (
     src,
     star_truncated,
 )
-from jacobiforms.brackets import BracketFamily
+from jacobiforms.brackets import BracketFamily, _binomial_row
 from jacobiforms.derivations import Derivation
 from jacobiforms.verifier import random_homogeneous
 
@@ -109,14 +110,31 @@ def test_sign_symmetry(rng):
 
 
 def test_bilinear_extension_over_components():
-    fam = orc(F(1))
     f = E4 + A          # mixed bidegrees
     g = B + E6
-    total = sum(
-        (bracket_n(fam, 2, fc, gc) for fc in (E4, A) for gc in (B, E6)),
-        start=ZERO,
-    )
-    assert bracket_n(fam, 2, f, g) == total
+    for fam in (orc(F(1)), accol(F(1, 2), F(-1, 3), F(7, 5))):
+        for n in range(4):
+            total = sum(
+                (bracket_n(fam, n, fc, gc) for fc in (E4, A) for gc in (B, E6)),
+                start=ZERO,
+            )
+            assert bracket_n(fam, n, f, g) == total
+            assert bracket_n(fam, n, f, E6) == bracket_n(fam, n, E4, E6) + bracket_n(fam, n, A, E6)
+
+
+def test_binomial_rows_are_the_bracket_binomials():
+    jacobiforms.clear_caches()
+    assert _binomial_row.cache_info().currsize == 0
+    fam = accol(F(1, 2), F(-1, 3), F(7, 5))
+    parts = (E4 + A).homogeneous_components() | (B + E6).homogeneous_components()
+    for n in range(5):
+        bracket_n(fam, n, E4 + A, B + E6)
+        for k, p in parts:
+            row = _binomial_row(k, p, fam.c, n)
+            assert row == tuple(gbinom(k + fam.c * p + n - 1, j) for j in range(n + 1))
+    assert _binomial_row.cache_info().currsize == 5 * len(parts)
+    jacobiforms.clear_caches()
+    assert _binomial_row.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize(

@@ -216,6 +216,13 @@ BAD_INPUTS = {
     "classify-wrong-count": ["classify", "--params", "1,2"],
     "iso-wrong-count": ["iso", "--from", "1,2", "--to", "1,2,3"],
     "scan-bad-rational": ["scan-conjecture", "--u", "q"],
+    "verify-negative-nmax": ["verify", "--suite", "associativity", "--family", "accol", "--params", "1,1,0", "--nmax", "-1"],
+    "verify-negative-pairs": ["verify", "--suite", "bidegree", "--family", "src", "--pairs", "-1"],
+    "verify-negative-weight-cap": ["verify", "--suite", "poisson", "--family", "src", "--weight-cap", "-4"],
+    "verify-negative-index-cap": ["verify", "--suite", "poisson", "--family", "src", "--index-cap", "-1"],
+    "scan-negative-nmax": ["scan-conjecture", "--u", "0", "--nmax", "-1"],
+    "scan-negative-weight-cap": ["scan-conjecture", "--u", "0", "--weight-cap", "-4"],
+    "scan-negative-index-cap": ["scan-conjecture", "--u", "0", "--index-cap", "-1"],
 }
 
 

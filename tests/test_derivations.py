@@ -180,6 +180,11 @@ def test_iterate():
         iterate(serre(), -1, E4)
 
 
+def test_iterate_at_any_depth():
+    # deeper than one recursion of the memo can reach
+    assert iterate(flat(), 1000, A) == ZERO
+
+
 def test_commutator_basic():
     d = oberdieck()
     zero = zero_derivation()

@@ -91,6 +91,7 @@ def test_homogeneous_components():
     # both monomials share bidegree (4, 1): a single component
     f = E4 * B + E6 * A
     assert f.homogeneous_components() == {Bidegree(4, 1): f}
+    assert f.homogeneous_components()[Bidegree(4, 1)] is f
     assert f.is_homogeneous
 
 
@@ -207,12 +208,42 @@ def test_linear_combination_matches_fold_of_add_and_scale(pairs):
     assert linear_combination(pairs + [(-1, value)]) == ZERO
 
 
+def _reference_sum(terms):
+    """Sum of coeff * x [* y] written out on Fraction coefficient dicts."""
+    total: dict = {}
+    for coeff, *factors in terms:
+        product = {Monomial(0, 0, 0, 0): F(coeff)}
+        for factor in factors:
+            expanded: dict = {}
+            for m1, c1 in product.items():
+                for m2, c2 in factor.terms().items():
+                    m = Monomial(*(a + b for a, b in zip(m1, m2)))
+                    expanded[m] = expanded.get(m, F(0)) + c1 * c2
+            product = expanded
+        for m, c in product.items():
+            total[m] = total.get(m, F(0)) + c
+    return {m: c for m, c in total.items() if c}
+
+
+@settings(max_examples=100)
+@given(st.lists(st.one_of(st.tuples(coeffs, elements, elements), st.tuples(coeffs, elements)), max_size=6))
+def test_linear_combination_expands_products_exactly(terms):
+    # mixed denominators, zero factors and coefficients, negative A
+    # exponents, and terms of both lengths in one sum
+    value = linear_combination(terms)
+    assert value.terms() == _reference_sum(terms)
+    negated = [(-coeff, *factors) for coeff, *factors in terms]
+    assert linear_combination(terms + negated) == ZERO
+
+
 def test_linear_combination_edge_cases():
     assert linear_combination([]) == ZERO
     assert linear_combination([(0, E4), (F(3, 2), ZERO)]) == ZERO
     assert linear_combination([(F(1, 2), A_INV), (F(-1, 3), A_INV)]) == F(1, 6) * A_INV
     assert linear_combination([(F(2, 3), E4 - B), (F(2, 3), B)]) == F(2, 3) * E4
     assert linear_combination(iter([(1, E4), (1, E6)])) == E4 + E6
+    assert linear_combination([(F(1, 2), A, A_INV), (F(-1, 2), ONE)]) == ZERO
+    assert linear_combination([(3, E4, ZERO), (F(1, 3), B, E6), (1, E6)]) == F(1, 3) * B * E6 + E6
 
 
 def _componentwise_weighting(mu, f):
