@@ -10,14 +10,18 @@ is therefore pinned by ten scalars:
 
 The Jacobi identity reduces to thirteen scalar relations among the ten
 parameters, whose solution set is the union of six families A, B, C1, C2,
-D, E.  Family B is exactly the locus of brackets with a Rankin-Cohen shape
-kappa(f) f d(g) - kappa(g) g d(f); this module extracts that (kappa, d)
-pair, and also decides when two of the derivation-built deformations are
-conjugate under the automorphisms fixing E4, E6 and scaling A and B.
+D, E, one table of row builders whose signatures name each row's free
+parameters.  A bracket given by the ten scalars is a biderivation, evaluated
+as two derivation applications.  Family B is exactly the locus of brackets
+with a Rankin-Cohen shape kappa(f) f d(g) - kappa(g) g d(f); this module
+extracts that (kappa, d) pair, and also decides when two of the
+derivation-built deformations are conjugate under the automorphisms fixing
+E4, E6 and scaling A and B.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -33,8 +37,7 @@ from .elements import (
     InternalInvariantError,
     Monomial,
     ZERO,
-    generator_partial,
-    linear_combination,
+    leibniz_apply,
     rescaled,
 )
 from .derivations import Derivation, make_derivation, serre_ab
@@ -162,31 +165,31 @@ class FamilyLabel:
         return dict(self.free)
 
 
-def _matches(p: PoissonParams, row: PoissonParams) -> bool:
-    return p.as_tuple() == row.as_tuple()
+# Atlas rows in label order.  The free names of a row are its builder's
+# positional parameters, each named as the PoissonParams field it sets.
+_ATLAS = {"A": family_a, "B": family_b, "C1": family_c1, "C2": family_c2, "D": family_d, "E": family_e}
 
 
 def classify(p: PoissonParams) -> list[FamilyLabel]:
     """All atlas rows the tuple fits; empty when the relations fail.
 
-    Rows may overlap at boundary parameter values; every match is returned
-    rather than arbitrating.
+    Each row is rebuilt from the tuple's values of its free names; a row
+    whose builder excludes those values does not fit.  Rows may overlap at
+    boundary parameter values; every match is returned rather than
+    arbitrating.
     """
     if not is_admissible(p):
         return []
     labels = []
-    if p.gamma != 0 and _matches(p, family_a(p.gamma, p.epsilon)):
-        labels.append(FamilyLabel("A", (("gamma", p.gamma), ("epsilon", p.epsilon))))
-    if _matches(p, family_b(p.gamma, p.lam, p.epsilon)):
-        labels.append(FamilyLabel("B", (("gamma", p.gamma), ("lam", p.lam), ("epsilon", p.epsilon))))
-    if p.gamma != 0 and _matches(p, family_c1(p.gamma)):
-        labels.append(FamilyLabel("C1", (("gamma", p.gamma),)))
-    if p.lam != 0 and _matches(p, family_c2(p.lam)):
-        labels.append(FamilyLabel("C2", (("lam", p.lam),)))
-    if _matches(p, family_d(p.epsilon, p.eta)):
-        labels.append(FamilyLabel("D", (("epsilon", p.epsilon), ("eta", p.eta))))
-    if p.alpha != p.epsilon + Fraction(2, 3) and _matches(p, family_e(p.alpha, p.epsilon)):
-        labels.append(FamilyLabel("E", (("alpha", p.alpha), ("epsilon", p.epsilon))))
+    for name, build in _ATLAS.items():
+        keys = inspect.signature(build).parameters
+        values = [getattr(p, key) for key in keys]
+        try:
+            row = build(*values)
+        except ValueError:
+            continue
+        if p == row:
+            labels.append(FamilyLabel(name, tuple(zip(keys, values))))
     return labels
 
 
@@ -197,8 +200,10 @@ class PoissonBracket:
     """Biderivation extension of generator-pair values.
 
     values maps ordered generator index pairs (i, j) with i < j in the
-    order (E4, E6, A, B); the bracket of two elements is
-    sum_i df/dx_i * (sum_j dg/dx_j * {x_i, x_j}), with {x_j, x_i} = -{x_i, x_j}.
+    order (E4, E6, A, B), with {x_j, x_i} = -{x_i, x_j}.  The bracket of two
+    elements is two derivation applications: row i of the table is the
+    derivation x_j -> {x_i, x_j}, which takes g to {x_i, g}, and the
+    derivation with those images takes f to sum_i df/dx_i * {x_i, g}.
     """
 
     def __init__(self, values: dict[tuple[int, int], BigradedElement]):
@@ -212,13 +217,7 @@ class PoissonBracket:
         return self._table[i][j]
 
     def __call__(self, f: BigradedElement, g: BigradedElement) -> BigradedElement:
-        partials_f = [generator_partial(f, s) for s in range(4)]
-        partials_g = [generator_partial(g, s) for s in range(4)]
-        return linear_combination(
-            (1, df, linear_combination((1, dg, value) for dg, value in zip(partials_g, row)))
-            for df, row in zip(partials_f, self._table)
-            if df
-        )
+        return leibniz_apply(f, [leibniz_apply(g, row) for row in self._table])
 
 
 def bracket_from_params(p: PoissonParams) -> PoissonBracket:

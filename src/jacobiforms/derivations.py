@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .elements import (
     A,
@@ -51,6 +51,14 @@ class Derivation:
     @property
     def images(self):
         return (self.on_e4, self.on_e6, self.on_a, self.on_b)
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self.images)
+
+    def __hash__(self) -> int:
+        # hashed once per instance: every _iterate memo lookup hashes its derivation
+        return self._hash
 
     def is_admissible(self) -> bool:
         return _misfit(self.images) is None

@@ -317,23 +317,6 @@ def rescaled(f: BigradedElement, factor) -> BigradedElement:
     return BigradedElement._raw(num, f._den * den)
 
 
-def generator_partial(f: BigradedElement, slot: int) -> BigradedElement:
-    """Formal partial derivative with respect to generator number slot.
-
-    Slots are 0:E4, 1:E6, 2:A, 3:B; the power rule also covers negative
-    A exponents.
-    """
-    out: dict = {}
-    for m, c in f._num.items():
-        e = m[slot]
-        if e:
-            mm = list(m)
-            mm[slot] -= 1
-            key = tuple(mm)
-            out[key] = out.get(key, 0) + c * e
-    return BigradedElement._raw(out, f._den)
-
-
 def leibniz_apply(f: BigradedElement, images) -> BigradedElement:
     """Apply the derivation with the given generator images to f.
 

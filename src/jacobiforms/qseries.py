@@ -5,10 +5,12 @@ polynomial in w, where w^2 = xi is the elliptic variable (half-integer
 xi powers hide in the theta factors, so w keeps everything polynomial).
 
 A series stores one row per power of q, a dict {w exponent: integer
-numerator}, over one positive denominator shared by all rows and reduced
-once per operation, as BigradedElement stores its terms.  All series
-arithmetic runs on these integers; coefficient(n) builds a LaurentPolyW
-of Fractions from a row on demand.
+numerator}, over one positive denominator shared by all rows, as
+BigradedElement stores its terms.  All series arithmetic runs on these
+integers; coefficient(n) builds a LaurentPolyW of Fractions from a row on
+demand.  As for elements, sums and products of series are folded into one
+set of integer rows by `combination` and normalised once; `+`, `-`, `*`
+and the evaluation maps are calls of it.
 
 Most series are Exact: every stored coefficient is the true one and the
 support is genuinely finite.  The elliptic-zeta series J1 is the one
@@ -31,10 +33,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb, gcd, isqrt, lcm
+from operator import mul
 
 from .elements import (
+    GENERATOR_NAMES,
     BigradedElement,
     InternalInvariantError,
     membership,
@@ -153,10 +157,11 @@ def format_wpoly(poly: LaurentPolyW) -> str:
 # ---------------------------------------------------------------- the series
 
 
-def _accumulate(acc: dict, row1: dict, row2: dict) -> None:
-    """acc += row1 * row2, for rows of integer numerators."""
+def _accumulate(acc: dict, row1: dict, row2: dict, scale: int = 1) -> None:
+    """acc += scale * row1 * row2, for rows of integer numerators."""
     get = acc.get
     for r1, c1 in row1.items():
+        c1 *= scale
         for r2, c2 in row2.items():
             r = r1 + r2
             acc[r] = get(r, 0) + c1 * c2
@@ -222,45 +227,26 @@ class QSeries:
         return max((abs(r) for row in self._rows for r in row), default=0)
 
     def __neg__(self):
-        return QSeries._raw([{r: -c for r, c in row.items()} for row in self._rows], self._den, self.window)
+        return combination(((-1, self),), self.q_order)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = constant_series(other, self.q_order)
-        g = gcd(self._den, other._den)
-        s1, s2 = other._den // g, self._den // g  # scale both rows to the lcm
-        rows = []
-        for row1, row2 in zip(self._rows, other._rows):  # the shorter q order
-            row = {r: c * s1 for r, c in row1.items()}
-            get = row.get
-            for r, c in row2.items():
-                row[r] = get(r, 0) + c * s2
-            rows.append(row)
-        return QSeries._raw(rows, self._den * s1, _min_window(self.window, other.window))
+        return combination(((1, self), (1, other)), min(self.q_order, other.q_order))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-other)
+        if isinstance(other, (int, Fraction)):
+            other = constant_series(other, self.q_order)
+        return combination(((1, self), (-1, other)), min(self.q_order, other.q_order))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            rows = [{r: v * c.numerator for r, v in row.items()} for row in self._rows]
-            return QSeries._raw(rows, self._den * c.denominator, self.window if c else None)
+            return combination(((other, self),), self.q_order)
         if not isinstance(other, QSeries):
             return NotImplemented
-        window = _product_window(self, other)
-        order = min(self.q_order, other.q_order)
-        right = other._rows
-        out = [{} for _ in range(order + 1)]
-        for n1, row1 in enumerate(self._rows[: order + 1]):
-            if not row1:
-                continue
-            for n2 in range(order + 1 - n1):
-                if right[n2]:
-                    _accumulate(out[n1 + n2], row1, right[n2])
-        return QSeries._raw(out, self._den * other._den, window)
+        return combination(((1, self, other),), min(self.q_order, other.q_order))
 
     __rmul__ = __mul__
 
@@ -352,6 +338,53 @@ def _product_window(left: QSeries, right: QSeries):
             f"window {windowed.window} too small for a factor of width {finite.w_width()}"
         )
     return window
+
+
+def combination(terms, q_order: int) -> QSeries:
+    """Sum of coeff * x over (coeff, x) terms and of coeff * x * y over
+    (coeff, x, y) terms through q^q_order, normalised once: the one place
+    that decides how sums and products of series are normalised and what
+    their window is.
+
+    Terms are summed into integer rows over a common denominator that grows
+    as needed; a product is expanded straight into those rows.  The window
+    is settled once per term: x.window, or that of x * y, which raises
+    WindowError as a product would.  A zero coefficient skips its term.
+    """
+    rows = [{} for _ in range(q_order + 1)]
+    den = 1
+    window = None
+    for term in terms:
+        c, x = term[0], term[1]
+        y = term[2] if len(term) == 3 else None
+        if not c:
+            continue
+        if min(s.q_order for s in term[1:]) < q_order:
+            raise WindowError(f"a term does not reach q^{q_order}")
+        d = c.denominator * x._den
+        if y is None:
+            window = _min_window(window, x.window)
+        else:
+            window = _min_window(window, _product_window(x, y))
+            d *= y._den
+        if den % d:  # grow the common denominator and rescale the rows so far
+            grown = lcm(den, d)
+            rows = [{r: v * (grown // den) for r, v in row.items()} for row in rows]
+            den = grown
+        scale = c.numerator * (den // d)
+        if y is None:
+            for acc, row in zip(rows, x._rows):
+                get = acc.get
+                for r, v in row.items():
+                    acc[r] = get(r, 0) + scale * v
+            continue
+        right = y._rows
+        for n1, row1 in enumerate(x._rows[: q_order + 1]):
+            if row1:
+                for n2 in range(q_order + 1 - n1):
+                    if right[n2]:
+                        _accumulate(rows[n1 + n2], row1, right[n2], scale)
+    return QSeries._raw(rows, den, window)
 
 
 def constant_series(value, q_order: int) -> QSeries:
@@ -545,15 +578,13 @@ class JacobiSeriesBundle:
 def oberdieck_series(f: QSeries, k, p, bundle: JacobiSeriesBundle) -> QSeries:
     """Fourier-side weight-raising operator:
     dtau(f) - (k/12) f E2 - J1 dz(f) + p J2 f."""
-    k = Fraction(k)
-    p = Fraction(p)
-    total = f.dtau()
-    total = total - Fraction(k, 12) * (f * bundle.e2)
-    dzf = f.dz()
-    total = total - bundle.j1 * dzf
-    if p:
-        total = total + p * (bundle.j2 * f)
-    return total
+    terms = (
+        (1, f.dtau()),
+        (-Fraction(k, 12), f, bundle.e2),
+        (-1, bundle.j1, f.dz()),
+        (Fraction(p), bundle.j2, f),
+    )
+    return combination(terms, min(f.q_order, bundle.q_order))
 
 
 def _bundle_without_b(q_order: int, window: int) -> JacobiSeriesBundle:
@@ -636,6 +667,15 @@ def _generator_power(bundle: JacobiSeriesBundle, name: str, exponent: int) -> QS
     return result
 
 
+def _substituted_terms(f: BigradedElement, factors, q_order: int):
+    """Terms of combination that evaluate f, with the product of the series
+    factors(m) in place of each monomial m: (c, x) or (c, x, y); of three or
+    more factors, all but the last are multiplied first."""
+    for m, c in f.terms().items():
+        *head, last = factors(m) or [constant_series(1, q_order)]
+        yield (c, reduce(mul, head), last) if head else (c, last)
+
+
 def evaluate(f: BigradedElement, bundle: JacobiSeriesBundle) -> QSeries:
     """Substitution homomorphism C[E4,E6,A,B] -> exact q-series.
 
@@ -644,14 +684,11 @@ def evaluate(f: BigradedElement, bundle: JacobiSeriesBundle) -> QSeries:
     """
     if not membership(f, "Jtilde"):
         raise ValueError("element has negative A exponents; clear them before evaluating")
-    total = constant_series(0, bundle.q_order)
-    for m, c in f.terms().items():
-        term = constant_series(c, bundle.q_order)
-        for name, e in zip(("E4", "E6", "A", "B"), m):
-            if e:
-                term = term * _generator_power(bundle, name, e)
-        total = total + term
-    return total
+
+    def factors(m):
+        return [_generator_power(bundle, name, e) for name, e in zip(GENERATOR_NAMES, m) if e]
+
+    return combination(_substituted_terms(f, factors, bundle.q_order), bundle.q_order)
 
 
 def evaluate_quasimodular(f: BigradedElement, bundle: JacobiSeriesBundle) -> QSeries:
@@ -663,19 +700,16 @@ def evaluate_quasimodular(f: BigradedElement, bundle: JacobiSeriesBundle) -> QSe
     """
     if not membership(f, "Q"):
         raise ValueError("element is not a polynomial in E4, E6, F2")
-    total = constant_series(0, bundle.q_order)
-    for m, c in f.terms().items():
-        term = constant_series(c, bundle.q_order)
-        for name, e in (("E4", m.e4), ("E6", m.e6), ("E2", m.b)):
-            if e:
-                base = bundle.e2 if name == "E2" else bundle.generator_series()[name]
-                term = term * base ** e
-        total = total + term
-    return total
+
+    def factors(m):
+        return [base ** e for base, e in zip((bundle.e4, bundle.e6, bundle.e2), (m.e4, m.e6, m.b)) if e]
+
+    return combination(_substituted_terms(f, factors, bundle.q_order), bundle.q_order)
 
 
 def delta_series(bundle: JacobiSeriesBundle) -> QSeries:
-    return Fraction(1, 1728) * (bundle.e4 ** 3 - bundle.e6 ** 2)
+    e4, e6 = bundle.e4, bundle.e6
+    return combination(((Fraction(1, 1728), e4 * e4, e4), (Fraction(-1, 1728), e6, e6)), bundle.q_order)
 
 
 def clear_caches() -> None:

@@ -2,8 +2,9 @@
 
 Every identity checked here is multilinear in the inputs, so checking it
 on a monomial spanning set within weight/index caps is conclusive within
-those caps.  Checks report pass/fail rather than raising; a failed report
-always carries a reproducible witness with the inputs and both sides.
+those caps.  Checks report pass/fail rather than raising: each check
+yields its failures as witnesses, and a failed report carries the first,
+with the inputs and both sides.
 """
 
 from __future__ import annotations
@@ -75,6 +76,12 @@ def _witness(identity: str, inputs: dict, lhs, rhs) -> dict:
     return {"identity": identity, "inputs": inputs, "lhs": lhs, "rhs": rhs}
 
 
+def _first_witness(claim: str, witnesses, params: dict) -> VerificationReport:
+    """Fail the claim with the first witness its check yields, else pass."""
+    witness = next(witnesses, None)
+    return failing(claim, witness, params) if witness else passing(claim, params)
+
+
 def check_associativity(
     family: BracketFamily,
     n_max: int,
@@ -93,26 +100,20 @@ def check_associativity(
     for i, f in enumerate(basis):
         for j, g in enumerate(basis):
             left_cache[(i, j)] = [mu(r, f, g) for r in range(n_max + 1)]
-    for i, f in enumerate(basis):
-        for j, g in enumerate(basis):
-            fg = left_cache[(i, j)]
-            for k, h in enumerate(basis):
-                gh = left_cache[(j, k)]
-                for n in range(1, n_max + 1):
-                    lhs = linear_combination((1, mu(n - r, fg[r], h)) for r in range(n + 1))
-                    rhs = linear_combination((1, mu(n - r, f, gh[r])) for r in range(n + 1))
-                    if lhs != rhs:
-                        return failing(
-                            claim,
-                            _witness(
-                                "associativity",
-                                {"f": f, "g": g, "h": h, "n": n},
-                                lhs,
-                                rhs,
-                            ),
-                            params,
-                        )
-    return passing(claim, params)
+
+    def witnesses():
+        for i, f in enumerate(basis):
+            for j, g in enumerate(basis):
+                fg = left_cache[(i, j)]
+                for k, h in enumerate(basis):
+                    gh = left_cache[(j, k)]
+                    for n in range(1, n_max + 1):
+                        lhs = linear_combination((1, mu(n - r, fg[r], h)) for r in range(n + 1))
+                        rhs = linear_combination((1, mu(n - r, f, gh[r])) for r in range(n + 1))
+                        if lhs != rhs:
+                            yield _witness("associativity", {"f": f, "g": g, "h": h, "n": n}, lhs, rhs)
+
+    return _first_witness(claim, witnesses(), params)
 
 
 def check_poisson(
@@ -126,22 +127,25 @@ def check_poisson(
     basis = list(GENERATORS) if basis is None else basis
     params = dict(params or {})
     params["basis_size"] = len(basis)
-    for f in basis:
-        for g in basis:
-            lhs, rhs = mu1(f, g), -mu1(g, f)
-            if lhs != rhs:
-                return failing(claim, _witness("skew-symmetry", {"f": f, "g": g}, lhs, rhs), params)
-    for f in basis:
-        for g in basis:
-            for h in basis:
-                lhs = mu1(f * g, h)
-                rhs = f * mu1(g, h) + mu1(f, h) * g
+
+    def witnesses():
+        for f in basis:
+            for g in basis:
+                lhs, rhs = mu1(f, g), -mu1(g, f)
                 if lhs != rhs:
-                    return failing(claim, _witness("leibniz", {"f": f, "g": g, "h": h}, lhs, rhs), params)
-                jac = mu1(f, mu1(g, h)) + mu1(g, mu1(h, f)) + mu1(h, mu1(f, g))
-                if jac != ZERO:
-                    return failing(claim, _witness("jacobi", {"f": f, "g": g, "h": h}, jac, ZERO), params)
-    return passing(claim, params)
+                    yield _witness("skew-symmetry", {"f": f, "g": g}, lhs, rhs)
+        for f in basis:
+            for g in basis:
+                for h in basis:
+                    lhs = mu1(f * g, h)
+                    rhs = linear_combination(((1, f, mu1(g, h)), (1, mu1(f, h), g)))
+                    if lhs != rhs:
+                        yield _witness("leibniz", {"f": f, "g": g, "h": h}, lhs, rhs)
+                    jac = linear_combination((1, mu1(x, mu1(y, z))) for x, y, z in ((f, g, h), (g, h, f), (h, f, g)))
+                    if jac != ZERO:
+                        yield _witness("jacobi", {"f": f, "g": g, "h": h}, jac, ZERO)
+
+    return _first_witness(claim, witnesses(), params)
 
 
 def check_bidegree_law(
@@ -151,22 +155,20 @@ def check_bidegree_law(
     claim: str = "bracket.bidegree",
 ) -> VerificationReport:
     """Homogeneous (k,p) x (l,q) inputs land in (k+l+2n, p+q)."""
-    params = {"n_max": n_max, "pairs": len(pairs)}
-    for f, g in pairs:
-        kf, pf = f.bidegree()
-        kg, pg = g.bidegree()
-        for n in range(n_max + 1):
-            value = bracket_n(family, n, f, g)
-            if value.is_zero:
-                continue
-            expected = (kf + kg + 2 * n, pf + pg)
-            if not value.is_homogeneous or tuple(value.bidegree()) != expected:
-                return failing(
-                    claim,
-                    _witness("bidegree", {"f": f, "g": g, "n": n, "expected": expected}, value, None),
-                    params,
-                )
-    return passing(claim, params)
+
+    def witnesses():
+        for f, g in pairs:
+            kf, pf = f.bidegree()
+            kg, pg = g.bidegree()
+            for n in range(n_max + 1):
+                value = bracket_n(family, n, f, g)
+                if value.is_zero:
+                    continue
+                expected = (kf + kg + 2 * n, pf + pg)
+                if not value.is_homogeneous or tuple(value.bidegree()) != expected:
+                    yield _witness("bidegree", {"f": f, "g": g, "n": n, "expected": expected}, value, None)
+
+    return _first_witness(claim, witnesses(), {"n_max": n_max, "pairs": len(pairs)})
 
 
 def check_stability(
@@ -186,18 +188,17 @@ def check_stability(
     for f in basis:
         if not membership(f, algebra):
             raise ValueError("stability basis must lie inside the subalgebra")
+
+    def witnesses():
+        for f in basis:
+            for g in basis:
+                for n in range(n_max + 1):
+                    value = bracket_n(family, n, f, g)
+                    if not membership(value, algebra):
+                        yield _witness("stability", {"f": f, "g": g, "n": n, "algebra": algebra}, value, None)
+
     params = {"algebra": algebra, "n_max": n_max, "basis_size": len(basis)}
-    for f in basis:
-        for g in basis:
-            for n in range(n_max + 1):
-                value = bracket_n(family, n, f, g)
-                if not membership(value, algebra):
-                    return failing(
-                        claim,
-                        _witness("stability", {"f": f, "g": g, "n": n, "algebra": algebra}, value, None),
-                        params,
-                    )
-    return passing(claim, params)
+    return _first_witness(claim, witnesses(), params)
 
 
 # ------------------------------------------------------------ stability line
@@ -229,71 +230,45 @@ def check_vinset(u_values, claim: str = "stability-line") -> list[VerificationRe
     """
     u_values = [Fraction(u) for u in u_values]
     gens = dict(zip(GENERATOR_NAMES, GENERATORS))
-    reports = []
 
-    displays_params = {"u": u_values}
-    witness = None
-    for u in u_values:
-        v_samples = [12 * u + 1, Fraction(0), Fraction(2)]
-        for v in dict.fromkeys(v_samples):
-            family = rc_localized(u, v)
-            for (fn, gn), expected in _vinset_closed_forms(u, v).items():
-                got = bracket_n(family, 1, gens[fn], gens[gn])
-                if got != expected:
-                    witness = _witness("closed-form", {"f": fn, "g": gn, "u": u, "v": v}, got, expected)
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    reports.append(
-        failing(f"{claim}.displays", witness, displays_params)
-        if witness
-        else passing(f"{claim}.displays", displays_params)
-    )
+    def displays():
+        for u in u_values:
+            for v in dict.fromkeys([12 * u + 1, Fraction(0), Fraction(2)]):
+                family = rc_localized(u, v)
+                for (fn, gn), expected in _vinset_closed_forms(u, v).items():
+                    got = bracket_n(family, 1, gens[fn], gens[gn])
+                    if got != expected:
+                        yield _witness("closed-form", {"f": fn, "g": gn, "u": u, "v": v}, got, expected)
 
-    grid_params = {"u": u_values, "v": "12u+1, 0, 1, 2"}
-    witness = None
-    for u in u_values:
-        on_line = 12 * u + 1
-        for v in [on_line, Fraction(0), Fraction(1), Fraction(2)]:
-            family = rc_localized(u, v)
-            stable = check_stability(family, "Jtilde", 1).passed
-            if stable != (v == on_line):
-                witness = _witness("iff", {"u": u, "v": v, "stable": stable}, None, None)
-                break
-        if witness:
-            break
-    reports.append(
-        failing(f"{claim}.iff", witness, grid_params) if witness else passing(f"{claim}.iff", grid_params)
-    )
+    def iff():
+        for u in u_values:
+            on_line = 12 * u + 1
+            for v in [on_line, Fraction(0), Fraction(1), Fraction(2)]:
+                stable = check_stability(rc_localized(u, v), "Jtilde", 1).passed
+                if stable != (v == on_line):
+                    yield _witness("iff", {"u": u, "v": v, "stable": stable}, None, None)
 
     # On the line the bracket is the Serre-extension family at (1/12, -1/12)
     # with index weight v itself; -v/3 is the epsilon of the shape
     # factorization, not the index weight, and does not match.
+    def line_identity():
+        for u in u_values:
+            v = 12 * u + 1
+            local = rc_localized(u, v)
+            reference = accol(Fraction(1, 12), Fraction(-1, 12), v)
+            for f in GENERATORS:
+                for g in GENERATORS:
+                    lhs = bracket_n(local, 1, f, g)
+                    rhs = bracket_n(reference, 1, f, g)
+                    if lhs != rhs:
+                        yield _witness("line-identity", {"f": f, "g": g, "u": u}, lhs, rhs)
+
     ident_params = {"u": u_values, "a": Fraction(1, 12), "b": Fraction(-1, 12), "c": "12u+1"}
-    witness = None
-    for u in u_values:
-        v = 12 * u + 1
-        local = rc_localized(u, v)
-        reference = accol(Fraction(1, 12), Fraction(-1, 12), v)
-        for f in GENERATORS:
-            for g in GENERATORS:
-                lhs = bracket_n(local, 1, f, g)
-                rhs = bracket_n(reference, 1, f, g)
-                if lhs != rhs:
-                    witness = _witness("line-identity", {"f": f, "g": g, "u": u}, lhs, rhs)
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    reports.append(
-        failing(f"{claim}.line-identity", witness, ident_params)
-        if witness
-        else passing(f"{claim}.line-identity", ident_params)
-    )
-    return reports
+    return [
+        _first_witness(f"{claim}.displays", displays(), {"u": u_values}),
+        _first_witness(f"{claim}.iff", iff(), {"u": u_values, "v": "12u+1, 0, 1, 2"}),
+        _first_witness(f"{claim}.line-identity", line_identity(), ident_params),
+    ]
 
 
 def scan_conjecture(
@@ -373,15 +348,14 @@ def series_consistency(
     derivation = oberdieck() if derivation is None else derivation
     if elements is None:
         elements = [E4, E6, A, B, E4 * A, A * B]
+
+    def witnesses():
+        for f in elements:
+            k, p = f.bidegree()
+            symbolic = evaluate(derivation(f), bundle)
+            analytic = oberdieck_series(evaluate(f, bundle), k, p, bundle)
+            if not symbolic.agrees_with(analytic, q_through=bundle.q_order):
+                yield _witness("series-consistency", {"f": f, "weight": k, "index": p}, None, None)
+
     params = {"q_order": bundle.q_order, "window": bundle.window, "elements": [str(f) for f in elements]}
-    for f in elements:
-        k, p = f.bidegree()
-        symbolic = evaluate(derivation(f), bundle)
-        analytic = oberdieck_series(evaluate(f, bundle), k, p, bundle)
-        if not symbolic.agrees_with(analytic, q_through=bundle.q_order):
-            return failing(
-                claim,
-                _witness("series-consistency", {"f": f, "weight": k, "index": p}, None, None),
-                params,
-            )
-    return passing(claim, params)
+    return _first_witness(claim, witnesses(), params)

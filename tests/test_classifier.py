@@ -5,10 +5,13 @@ import pytest
 
 from jacobiforms import (
     A,
+    A_INV,
     B,
     E4,
     E6,
     GENERATORS,
+    ZERO,
+    BigradedElement,
     PoissonParams,
     ScalingAutomorphism,
     accol,
@@ -24,6 +27,7 @@ from jacobiforms import (
     family_e,
     iso_condition,
     modular_isomorphic,
+    monomial_basis,
     mu1,
     normal_form,
     orc,
@@ -98,6 +102,30 @@ def test_off_manifold_tuple_fails_jacobi():
     report = check_poisson(bracket_from_params(bad))
     assert not report.passed
     assert report.witness["identity"] == "jacobi"
+
+
+def partial(f, slot):
+    """Formal partial derivative of f by generator number slot (E4, E6, A, B)."""
+    terms = {}
+    for m, c in f.terms().items():
+        if m[slot]:
+            lowered = tuple(e - (i == slot) for i, e in enumerate(m))
+            terms[lowered] = terms.get(lowered, 0) + m[slot] * c
+    return BigradedElement(terms)
+
+
+def test_poisson_bracket_is_the_partial_derivative_formula():
+    # {f, g} = sum_{i,j} df/dx_i * dg/dx_j * {x_i, x_j}, written out term by term
+    basis = monomial_basis(4, 1)
+    inputs = [E4 * A_INV - 3 * B * A_INV ** 2] + basis + [f * g for f in basis for g in basis[::3]]
+    off_manifold = PoissonParams.of(1, 2, 3, 4, 5, 6, 7, 8, 9, F(1, 10))
+    for row in (family_b(2, F(-1, 3), F(5, 7)), family_a(3, F(1, 2)), off_manifold):
+        bracket = bracket_from_params(row)
+        for f, g in itertools.product(inputs[::2], inputs[::3]):
+            expected = ZERO
+            for i, j in itertools.product(range(4), repeat=2):
+                expected = expected + partial(f, i) * partial(g, j) * bracket.pair(i, j)
+            assert bracket(f, g) == expected, (str(f), str(g))
 
 
 def test_bracket_from_params_zero_tuple():

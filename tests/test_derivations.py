@@ -26,11 +26,13 @@ from jacobiforms import (
     partial_u,
     pi,
     pochhammer_apply,
+    rc_localized,
     serre,
     serre_ab,
     sharp,
     zero_derivation,
 )
+from jacobiforms.derivations import _iterate
 
 BUILTINS = {
     "serre": serre(),
@@ -183,6 +185,19 @@ def test_iterate():
 def test_iterate_at_any_depth():
     # deeper than one recursion of the memo can reach
     assert iterate(flat(), 1000, A) == ZERO
+
+
+def test_equal_derivations_hash_alike_and_share_the_iterate_memo():
+    d1 = rc_localized(1, 13).derivation
+    d2 = rc_localized(1, 13).derivation
+    assert d1 is not d2 and d1 == d2
+    assert hash(rc_localized(1, 13).derivation) == hash(rc_localized(1, 13).derivation)
+    f = E4 * A + B ** 2
+    iterate(d1, 2, f)
+    before = _iterate.cache_info()
+    iterate(d2, 2, f)
+    after = _iterate.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 def test_commutator_basic():

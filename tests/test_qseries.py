@@ -29,7 +29,7 @@ from jacobiforms import (
     sigma,
     theta_quotient_A,
 )
-from jacobiforms.qseries import LaurentPolyW, QSeries, constant_series, format_wpoly
+from jacobiforms.qseries import LaurentPolyW, QSeries, combination, constant_series, format_wpoly
 
 
 def wpoly(xi_pairs):
@@ -398,6 +398,49 @@ def test_window_too_small_for_a_factor_is_refused():
     with pytest.raises(WindowError):
         wide * narrow
     assert (narrow * QSeries([{2: 1}])).window == 1
+
+
+coefficients = st.one_of(st.just(0), rationals)
+fold_terms = st.lists(
+    st.one_of(st.tuples(coefficients, series()), st.tuples(coefficients, series(), series())), max_size=3
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fold_terms, st.integers(0, 4))
+def test_combination_matches_fraction_reference(terms, empty_order):
+    # the q order of a sum or product is the least q order among its operands
+    order = min((s.q_order for term in terms for s in term[1:]), default=empty_order)
+    expected = [{} for _ in range(order + 1)]
+    window, raises = None, False
+    for c, *factors in terms:
+        if not c:
+            continue  # a zero coefficient contributes neither rows nor a window
+        if len(factors) == 1:
+            (x,) = factors
+            rows, term_window = rows_of(x), x.window
+        else:
+            x, y = factors
+            term_window, term_raises = ref_window_of_product(x, y, rows_of(x), rows_of(y))
+            raises = raises or term_raises
+            rows = ref_mul(rows_of(x), rows_of(y))
+        window = lesser(window, term_window)
+        expected = ref_add(expected, [{r: v * c for r, v in row.items()} for row in rows[: order + 1]])
+    if raises:
+        with pytest.raises(WindowError):
+            combination(terms, order)
+        return
+    result = combination(terms, order)
+    assert rows_of(result) == ref_clean(expected)
+    assert result.window == window and result.q_order == order
+    assert result == QSeries(expected, window)  # the same rows over the same least denominator
+    with pytest.raises(WindowError):
+        combination(terms + [(1, constant_series(1, order))], order + 1)
+
+
+def test_combination_of_no_terms_is_the_exact_zero():
+    assert combination([], 3) == constant_series(0, 3)
+    assert combination([(0, j1_series(3, 4))], 3).is_exact
 
 
 # ------------------------------------------------- oracles at any truncation

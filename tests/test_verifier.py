@@ -168,6 +168,27 @@ def test_vinset_reports():
     assert all(r.passed for r in reports)
 
 
+def test_vinset_displays_fail_with_the_wrong_closed_form(monkeypatch):
+    from jacobiforms import verifier
+
+    closed_forms = verifier._vinset_closed_forms
+
+    def one_wrong(u, v):
+        forms = closed_forms(u, v)
+        forms[("A", "B")] = forms[("A", "B")] + B ** 2
+        return forms
+
+    monkeypatch.setattr(verifier, "_vinset_closed_forms", one_wrong)
+    displays, iff, line_identity = check_vinset([F(0), F(1, 12)])
+    assert not displays.passed and iff.passed and line_identity.passed
+    assert displays.witness == {
+        "identity": "closed-form",
+        "inputs": {"f": "A", "g": "B", "u": F(0), "v": F(1)},
+        "lhs": closed_forms(F(0), F(1))[("A", "B")],
+        "rhs": one_wrong(F(0), F(1))[("A", "B")],
+    }
+
+
 def test_vinset_line_identity_value_of_c():
     # on the line the matching index weight is v itself, not -v/3
     u = F(1)
