@@ -24,6 +24,7 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from .elements import (
@@ -204,20 +205,26 @@ class PoissonBracket:
     elements is two derivation applications: row i of the table is the
     derivation x_j -> {x_i, x_j}, which takes g to {x_i, g}, and the
     derivation with those images takes f to sum_i df/dx_i * {x_i, g}.
+
+    The images {x_i, g} of the 1024 most recent second arguments g are
+    memoised per instance, so brackets with a common second argument apply
+    the table to it once.  The memo holds the table, not the bracket, and
+    is freed with it.
     """
 
     def __init__(self, values: dict[tuple[int, int], BigradedElement]):
-        table = [[ZERO] * 4 for _ in range(4)]
+        rows = [[ZERO] * 4 for _ in range(4)]
         for i, j in combinations(range(4), 2):
             value = values.get((i, j), ZERO)
-            table[i][j], table[j][i] = value, -value
-        self._table = tuple(tuple(row) for row in table)
+            rows[i][j], rows[j][i] = value, -value
+        table = self._table = tuple(tuple(row) for row in rows)
+        self._images = lru_cache(maxsize=1 << 10)(lambda g: tuple(leibniz_apply(g, row) for row in table))
 
     def pair(self, i: int, j: int) -> BigradedElement:
         return self._table[i][j]
 
     def __call__(self, f: BigradedElement, g: BigradedElement) -> BigradedElement:
-        return leibniz_apply(f, [leibniz_apply(g, row) for row in self._table])
+        return leibniz_apply(f, self._images(g))
 
 
 def bracket_from_params(p: PoissonParams) -> PoissonBracket:

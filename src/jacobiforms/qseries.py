@@ -241,6 +241,11 @@ class QSeries:
             other = constant_series(other, self.q_order)
         return combination(((1, self), (-1, other)), min(self.q_order, other.q_order))
 
+    def __rsub__(self, other):
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return combination(((1, constant_series(other, self.q_order)), (-1, self)), self.q_order)
+
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return combination(((other, self),), self.q_order)

@@ -123,27 +123,41 @@ def check_poisson(
     params: dict | None = None,
 ) -> VerificationReport:
     """Skew-symmetry, Leibniz in each argument and the Jacobi identity for
-    a bilinear first bracket, over basis tuples."""
+    a bilinear first bracket, over basis tuples.
+
+    Each distinct identity is checked once.  The bracket of two basis
+    elements is computed once, into a table.  Skew-symmetry at (i, j) is
+    the one at (j, i), and Leibniz at (i, j, k) the one at (j, i, k)
+    (f*g = g*f), so both are checked for i <= j only; the Jacobi sum is
+    the same for the three rotations of (i, j, k), so it is checked for
+    the smallest.  Every skipped copy comes later in the loop order than
+    the copy checked, so the first witness is that of the loop over all
+    ordered tuples.
+    """
     basis = list(GENERATORS) if basis is None else basis
     params = dict(params or {})
     params["basis_size"] = len(basis)
+    table = [[mu1(f, g) for g in basis] for f in basis]
 
     def witnesses():
-        for f in basis:
-            for g in basis:
-                lhs, rhs = mu1(f, g), -mu1(g, f)
+        for i, f in enumerate(basis):
+            for j in range(i, len(basis)):
+                lhs, rhs = table[i][j], -table[j][i]
                 if lhs != rhs:
-                    yield _witness("skew-symmetry", {"f": f, "g": g}, lhs, rhs)
-        for f in basis:
-            for g in basis:
-                for h in basis:
-                    lhs = mu1(f * g, h)
-                    rhs = linear_combination(((1, f, mu1(g, h)), (1, mu1(f, h), g)))
-                    if lhs != rhs:
-                        yield _witness("leibniz", {"f": f, "g": g, "h": h}, lhs, rhs)
-                    jac = linear_combination((1, mu1(x, mu1(y, z))) for x, y, z in ((f, g, h), (g, h, f), (h, f, g)))
-                    if jac != ZERO:
-                        yield _witness("jacobi", {"f": f, "g": g, "h": h}, jac, ZERO)
+                    yield _witness("skew-symmetry", {"f": f, "g": basis[j]}, lhs, rhs)
+        for i, f in enumerate(basis):
+            for j, g in enumerate(basis):
+                for k, h in enumerate(basis):
+                    if i <= j:
+                        lhs = mu1(f * g, h)
+                        rhs = linear_combination(((1, f, table[j][k]), (1, table[i][k], g)))
+                        if lhs != rhs:
+                            yield _witness("leibniz", {"f": f, "g": g, "h": h}, lhs, rhs)
+                    if (i, j, k) <= (j, k, i) and (i, j, k) <= (k, i, j):
+                        rotations = ((i, j, k), (j, k, i), (k, i, j))
+                        jac = linear_combination((1, mu1(basis[x], table[y][z])) for x, y, z in rotations)
+                        if jac != ZERO:
+                            yield _witness("jacobi", {"f": f, "g": g, "h": h}, jac, ZERO)
 
     return _first_witness(claim, witnesses(), params)
 
@@ -288,6 +302,7 @@ def scan_conjecture(
     """
     u_values = [Fraction(u) for u in u_values]
     basis = monomial_basis(weight_cap, index_cap)
+    names = [str(f) for f in basis]
     params = {
         "u": u_values,
         "n_max": n_max,
@@ -299,12 +314,12 @@ def scan_conjecture(
     for u in u_values:
         v = 12 * u + 1
         family = rc_localized(u, v)
-        for f in basis:
-            for g in basis:
+        for f, f_name in zip(basis, names):
+            for g, g_name in zip(basis, names):
                 for n in range(n_max + 1):
                     value = bracket_n(family, n, f, g)
                     inside = membership(value, "Jtilde")
-                    rows.append((u, v, n, str(f), str(g), inside))
+                    rows.append((u, v, n, f_name, g_name, inside))
                     if not inside:
                         return VerificationReport(
                             claim,

@@ -128,6 +128,20 @@ def test_poisson_bracket_is_the_partial_derivative_formula():
             assert bracket(f, g) == expected, (str(f), str(g))
 
 
+def test_poisson_bracket_memo_is_per_instance():
+    # two brackets with different tables, called in turn on the same second
+    # arguments, each give their own partial-derivative formula
+    brackets = [bracket_from_params(family_b(2, F(-1, 3), F(5, 7))), bracket_from_params(family_c2(F(3)))]
+    basis = monomial_basis(4, 1)
+    for g in basis + [E4 * A - B]:
+        for f in basis[::2]:
+            for bracket in brackets:
+                expected = ZERO
+                for i, j in itertools.product(range(4), repeat=2):
+                    expected = expected + partial(f, i) * partial(g, j) * bracket.pair(i, j)
+                assert bracket(f, g) == expected, (str(f), str(g))
+
+
 def test_bracket_from_params_zero_tuple():
     bracket = bracket_from_params(PoissonParams.of(*([0] * 10)))
     assert bracket(E4, E6) == -2 * E4 ** 3 + 2 * E6 ** 2

@@ -131,6 +131,18 @@ def test_dz_j2_equals_twice_dtau_j1(bundle):
     assert bundle.j2.dz().agrees_with(2 * bundle.j1.dtau())
 
 
+def test_scalar_minus_series():
+    s = eisenstein(4, 3)
+    assert 1 - s == -(s - 1)
+    half = F(1, 2) - s
+    assert half == -(s - F(1, 2))
+    assert half.coefficient(0) == LaurentPolyW({0: F(-1, 2)})
+    windowed = j1_series(4, 10)
+    assert (2 - windowed).window == windowed.window
+    with pytest.raises(TypeError):
+        1.5 - s
+
+
 def test_window_arithmetic():
     exact = theta_quotient_A(4)          # width 6 at this order
     windowed = j1_series(4, 10)

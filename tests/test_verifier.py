@@ -1,7 +1,11 @@
+import json
+import random
 from fractions import Fraction as F
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from jacobiforms import (
     A,
@@ -10,7 +14,9 @@ from jacobiforms import (
     E6,
     GENERATORS,
     ZERO,
+    PoissonParams,
     accol,
+    bracket_from_params,
     bracket_n,
     check_associativity,
     check_bidegree_law,
@@ -18,6 +24,12 @@ from jacobiforms import (
     check_stability,
     check_vinset,
     crochet,
+    family_a,
+    family_b,
+    family_c1,
+    family_c2,
+    family_d,
+    family_e,
     membership,
     monomial_basis,
     mu1,
@@ -28,6 +40,8 @@ from jacobiforms import (
     scan_conjecture,
 )
 from jacobiforms.derivations import Derivation
+from jacobiforms.elements import linear_combination, rescaled
+from jacobiforms.verifier import _first_witness, _witness
 
 
 def test_monomial_basis_is_deterministic_and_capped():
@@ -113,6 +127,96 @@ def test_poisson_jacobi_on_triple():
         start=ZERO,
     )
     assert jac == ZERO
+
+
+def _poisson_all_ordered_tuples(mu1, basis):
+    """check_poisson as one loop over all ordered pairs and triples,
+    recomputing every bracket: the reference the deduplicated check must
+    reproduce report for report."""
+    params = {"basis_size": len(basis)}
+
+    def witnesses():
+        for f in basis:
+            for g in basis:
+                lhs, rhs = mu1(f, g), -mu1(g, f)
+                if lhs != rhs:
+                    yield _witness("skew-symmetry", {"f": f, "g": g}, lhs, rhs)
+        for f in basis:
+            for g in basis:
+                for h in basis:
+                    lhs = mu1(f * g, h)
+                    rhs = linear_combination(((1, f, mu1(g, h)), (1, mu1(f, h), g)))
+                    if lhs != rhs:
+                        yield _witness("leibniz", {"f": f, "g": g, "h": h}, lhs, rhs)
+                    jac = linear_combination((1, mu1(x, mu1(y, z))) for x, y, z in ((f, g, h), (g, h, f), (h, f, g)))
+                    if jac != ZERO:
+                        yield _witness("jacobi", {"f": f, "g": g, "h": h}, jac, ZERO)
+
+    return _first_witness("first-bracket.poisson", witnesses(), params)
+
+
+_ROW_BUILDERS = [(family_a, 2), (family_b, 3), (family_c1, 1), (family_c2, 1), (family_d, 2), (family_e, 2)]
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def _poisson_params(draw):
+    """An atlas row, or with equal odds ten free values (almost surely off the manifold)."""
+    if draw(st.booleans()):
+        return PoissonParams.of(*draw(st.lists(_small, min_size=10, max_size=10)))
+    build, arity = draw(st.sampled_from(_ROW_BUILDERS))
+    try:
+        return build(*draw(st.lists(_small.filter(bool), min_size=arity, max_size=arity)))
+    except ValueError:  # a value the family excludes
+        reject()
+
+
+def _weight(f):
+    return rescaled(f, lambda m: 4 * m[0] + 6 * m[1] - 2 * m[2])
+
+
+@st.composite
+def _first_brackets(draw):
+    """A candidate bracket: a PoissonBracket, or one plus a bilinear term
+    that is symmetric (breaks skew-symmetry) or a skew non-derivation
+    (breaks Leibniz)."""
+    bracket = bracket_from_params(draw(_poisson_params()))
+    kind = draw(st.sampled_from(["bracket", "symmetric", "not-leibniz"]))
+    c = draw(_small.filter(bool))
+    if kind == "symmetric":
+        return lambda f, g: bracket(f, g) + c * rescaled(f * g, lambda m: m[3])
+    if kind == "not-leibniz":
+        return lambda f, g: bracket(f, g) + c * (_weight(f) * g - f * _weight(g))
+    return bracket
+
+
+@settings(max_examples=60, deadline=None)
+@given(_first_brackets(), st.integers(0, 2**32 - 1), st.integers(1, 6))
+def test_poisson_report_equals_the_all_ordered_tuples_loop(mu1, seed, size):
+    # shuffled bases with repeated elements, so that equal elements sit at
+    # different indices
+    rng = random.Random(seed)
+    basis = [rng.choice(monomial_basis(4, 1)) for _ in range(size)]
+    expected = _poisson_all_ordered_tuples(mu1, basis).to_json_dict()
+    got = check_poisson(mu1, basis).to_json_dict()
+    assert json.dumps(got, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+def test_poisson_brackets_each_basis_pair_once_and_each_identity_once():
+    bracket = bracket_from_params(family_b(2, F(-1, 3), F(5, 7)))
+    calls = []
+
+    def counting(f, g):
+        calls.append((f, g))
+        return bracket(f, g)
+
+    basis = monomial_basis(4, 1)
+    n = len(basis)
+    assert n == 7
+    assert check_poisson(counting, basis).passed
+    # n^2 table entries, n^2(n+1)/2 Leibniz left sides, 3 per Jacobi
+    # necklace of which there are (n^3 + 2n)/3
+    assert len(calls) == n * n + n * n * (n + 1) // 2 + n ** 3 + 2 * n == 602
 
 
 def test_bidegree_law_report(rng):
@@ -212,6 +316,13 @@ def test_scan_conjecture_small():
     assert report.details
     assert all(row[-1] for row in report.details)
     assert report.params["pairs"] == len(monomial_basis(8, 2)) ** 2
+
+
+def test_scan_conjecture_rows_name_their_monomials():
+    report = scan_conjecture([F(0)], 1, 4, 1)
+    basis = monomial_basis(4, 1)
+    expected = [(str(f), str(g)) for f in basis for g in basis for _ in range(2)]
+    assert [(row[3], row[4]) for row in report.details] == expected
 
 
 def test_scan_conjecture_reports_escape_for_off_line_value():
