@@ -55,6 +55,7 @@ from .brackets import (
     BracketFamily,
     accol,
     bracket_n,
+    bracket_sum,
     cm_bracket,
     crochet,
     gbinom,

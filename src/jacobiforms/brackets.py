@@ -7,12 +7,15 @@ Its n-th bracket on homogeneous pieces of bidegrees (k, p) and (l, q) is
 
 extended bilinearly over homogeneous components.  Binomials use the falling
 factorial so rational and negative tops (c is a free parameter; A has weight
--2) need no special casing; the binomials a component contributes are
-memoised as one row per (bidegree, c, n).  Every product D^r(f) D^(n-r)(g)
-is expanded straight into one integer sum (`linear_combination`), so a
-bracket builds no element per product.  The same sequence is also
-computable in the Connes-Moscovici Pochhammer form, kept as an independent
-route for cross-checking.
+-2) need no special casing.  Every binomial in a row of the n-th bracket is
+an integer over D(c, n) = den(c)^n * n!, because gbinom(T/d, j) has a
+denominator dividing d^j * j!; so the rows are memoised as integers, one
+per (bidegree, c, n), each term's coefficient is an integer product, and a
+bracket (or a signed sum of brackets, `bracket_sum`) is one integer sum
+(`linear_combination`) divided once by D(c, n)^2.  No element is built per
+product.  The same sequence is also computable in the Connes-Moscovici
+Pochhammer form, in Fractions and without the integer rows, kept as an
+independent route for cross-checking.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import factorial
 
 from .elements import (
@@ -77,24 +81,43 @@ def _binomial_row(k: int, p: int, c: Fraction, n: int) -> tuple[Fraction, ...]:
     return tuple(gbinom(top, j) for j in range(n + 1))
 
 
-def _bracket_terms(d: Derivation, c: Fraction, n: int, f: BigradedElement, g: BigradedElement):
-    """(coefficient, D^r(f_i), D^(n-r)(g_j)) for every r and every pair of
-    homogeneous components f_i of f and g_j of g."""
-    f_parts = [(_binomial_row(k, p, c, n), fc) for (k, p), fc in f.homogeneous_components().items()]
-    g_parts = [(_binomial_row(l, q, c, n), gc) for (l, q), gc in g.homogeneous_components().items()]
+@lru_cache(maxsize=1 << 14)
+def _integer_row(k: int, p: int, c_num: int, c_den: int, n: int) -> tuple[int, ...]:
+    """_binomial_row(k, p, c, n) times D(c, n) = c_den^n * n!, keyed on
+    integers only."""
+    scale = c_den ** n * factorial(n)
+    return tuple(int(b * scale) for b in _binomial_row(k, p, Fraction(c_num, c_den), n))
+
+
+def _bracket_terms(d: Derivation, c: Fraction, n: int, f: BigradedElement, g: BigradedElement, scale: int):
+    """(scale * D(c, n)^2 * coefficient, D^r(f_i), D^(n-r)(g_j)) for every r
+    and every pair of homogeneous components f_i of f and g_j of g."""
+    f_parts = [(_integer_row(k, p, c.numerator, c.denominator, n), fc) for (k, p), fc in f._components()]
+    g_parts = [(_integer_row(l, q, c.numerator, c.denominator, n), gc) for (l, q), gc in g._components()]
     for row_f, fc in f_parts:
         for row_g, gc in g_parts:
             for r in range(n + 1):
-                coeff = row_f[n - r] * row_g[r]
+                coeff = scale * row_f[n - r] * row_g[r]
                 if coeff:
                     yield (-coeff if r & 1 else coeff), iterate(d, r, fc), iterate(d, n - r, gc)
 
 
+def bracket_sum(family: BracketFamily, terms) -> BigradedElement:
+    """sum_i s_i * mu_{n_i}(x_i, y_i) over (s_i, n_i, x_i, y_i) terms with
+    integer s_i, as one integer sum divided once by D(c, max n_i)^2."""
+    terms = list(terms)
+    if any(n < 0 for _, n, _, _ in terms):
+        raise ValueError("bracket order must be nonnegative")
+    c = family.c
+    scale = {n: c.denominator ** n * factorial(n) for _, n, _, _ in terms}  # D(c, n)
+    top = max(scale.values(), default=1)
+    parts = (_bracket_terms(family.derivation, c, n, x, y, s * (top // scale[n]) ** 2) for s, n, x, y in terms)
+    return linear_combination(chain.from_iterable(parts), top * top)
+
+
 def bracket_n(family: BracketFamily, n: int, f: BigradedElement, g: BigradedElement) -> BigradedElement:
     """n-th bracket of the family, bilinear over homogeneous components."""
-    if n < 0:
-        raise ValueError("bracket order must be nonnegative")
-    return linear_combination(_bracket_terms(family.derivation, family.c, n, f, g))
+    return bracket_sum(family, ((1, n, f, g),))
 
 
 def cm_bracket(v: Derivation, mu, n: int, f: BigradedElement, g: BigradedElement) -> BigradedElement:
@@ -187,3 +210,4 @@ def mu1(family: BracketFamily):
 def clear_caches() -> None:
     gbinom.cache_clear()
     _binomial_row.cache_clear()
+    _integer_row.cache_clear()

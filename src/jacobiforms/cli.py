@@ -5,8 +5,9 @@ All numbers on the command line are exact rationals written p/q; nothing is
 ever parsed as floating point.  Output is deterministic for a fixed
 configuration and seed.  Exit codes: 0 all checks passed, 1 a check failed,
 2 usage error, 3 an internal invariant was violated.  expand accepts
-truncation orders 0 <= N <= 200 and windows 1 <= G <= 1000; deriv accepts
-powers 0 <= power <= 300.
+truncation orders 0 <= N <= 200, windows 1 <= G <= 1000 and element
+exponents of size at most 8; deriv accepts powers 0 <= power <= 300; verify
+and scan-conjecture bound their sizes by VERIFY_LIMITS and SCAN_LIMITS.
 """
 
 from __future__ import annotations
@@ -115,8 +116,10 @@ def _build(kind: str, table: dict, name: str, params: list[Fraction]):
 
 # Largest truncation order and window expand accepts; a series product costs
 # about N^2 times the squared row width, so larger values run for minutes.
+# The row width grows with the index, so --element exponents are bounded too.
 MAX_Q_ORDER = 200
 MAX_WINDOW = 1000
+MAX_ELEMENT_EXPONENT = 8
 
 # Named expand targets -> series at truncation order N and window G.
 _EXPANSIONS = {
@@ -142,6 +145,8 @@ def _cmd_expand(args) -> int:
         if not args.element:
             raise UsageError("--what element requires --element")
         f = _element(args.element, args.allow_f2)
+        if any(abs(e) > MAX_ELEMENT_EXPONENT for m in f.terms() for e in m):
+            raise UsageError(f"--element exponents must be at most {MAX_ELEMENT_EXPONENT} in size, got {args.element!r}")
     try:
         if f is None:
             series = _EXPANSIONS[args.what](n, window)
@@ -200,16 +205,23 @@ def _cmd_deriv(args) -> int:
     return 0
 
 
-def _check_nonnegative(args, *names: str) -> None:
-    """Reject a negative size option: it would make the checks vacuous."""
-    for name in names:
+# Largest sizes verify and scan-conjecture accept: one at its bound, the
+# others at their defaults, runs in at most about a minute and a half (README).
+VERIFY_LIMITS = {"nmax": 16, "pairs": 1000, "weight_cap": 12, "index_cap": 3}
+SCAN_LIMITS = {"nmax": 12, "weight_cap": 32, "index_cap": 6}
+
+
+def _check_sizes(args, limits: dict) -> None:
+    """Reject a size option above its bound, or negative: that would make
+    the checks vacuous."""
+    for name, limit in limits.items():
         value = getattr(args, name)
-        if value is not None and value < 0:
-            raise UsageError(f"--{name.replace('_', '-')} must be nonnegative, got {value}")
+        if value is not None and not 0 <= value <= limit:
+            raise UsageError(f"--{name.replace('_', '-')} must be between 0 and {limit}, got {value}")
 
 
 def _cmd_verify(args) -> int:
-    _check_nonnegative(args, "nmax", "pairs", "weight_cap", "index_cap")
+    _check_sizes(args, VERIFY_LIMITS)
     params = _rational_list(args.params) if args.params else []
     rng = random.Random(args.seed)
     reports = []
@@ -302,7 +314,7 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    _check_nonnegative(args, "nmax", "weight_cap", "index_cap")
+    _check_sizes(args, SCAN_LIMITS)
     u_values = _rational_list(args.u)
     report = verifier.scan_conjecture(u_values, args.nmax, args.weight_cap, args.index_cap)
     if report.witness is not None and getattr(args, "_argv", None):

@@ -12,8 +12,10 @@ Coefficients are exact rationals.  Internally an element keeps integer
 numerators over one shared positive denominator, which keeps the hot
 arithmetic paths in machine integers; the public API speaks Fraction.
 Sums and products of elements are folded into one integer accumulator by
-`linear_combination` and normalised once; `+`, `-` and `*` are one-term
-or two-term calls of it.  All values are immutable after construction.
+`linear_combination`, divided by an optional integer and normalised once;
+`+`, `-` and `*` are one-term or two-term calls of it.  All values are
+immutable after construction, so an element caches its split into
+homogeneous components (its bidegree, when it is homogeneous).
 """
 
 from __future__ import annotations
@@ -91,7 +93,7 @@ def _normalized(num: dict, den: int):
 class BigradedElement:
     """A finite rational combination of monomials in E4, E6, A^{+-1}, B."""
 
-    __slots__ = ("_num", "_den", "_hash")
+    __slots__ = ("_num", "_den", "_hash", "_split")
 
     def __init__(self, terms: Mapping | None = None):
         coeffs: dict = {}
@@ -101,14 +103,14 @@ class BigradedElement:
             coeffs[m] = coeffs.get(m, 0) + Fraction(c)
         num, den = _over_common_denominator(coeffs)
         self._num, self._den = _normalized({m: c for m, c in num.items() if c}, den)
-        self._hash = None
+        self._hash = self._split = None
 
     @classmethod
     def _raw(cls, num: dict, den: int) -> "BigradedElement":
         # trusted path: integer coefficients, monomials already legal
         el = cls.__new__(cls)
         el._num, el._den = _normalized({m: c for m, c in num.items() if c}, den)
-        el._hash = None
+        el._hash = el._split = None
         return el
 
     # ------------------------------------------------------------------ basics
@@ -214,30 +216,39 @@ class BigradedElement:
 
     # ----------------------------------------------------------------- grading
 
+    def _components(self) -> tuple:
+        """(Bidegree, piece) pairs in bidegree order; a homogeneous element
+        is its own single piece.  The split is cached in _split, for a
+        homogeneous element as its Bidegree alone, so no element refers to
+        itself."""
+        split = self._split
+        if split is None:
+            buckets: dict = {}
+            for m, c in self._num.items():
+                # (weight, index) as in bidegree(), without a Bidegree per monomial
+                buckets.setdefault((4 * m[0] + 6 * m[1] - 2 * m[2], m[2] + m[3]), {})[m] = c
+            parts = sorted(buckets.items())
+            if len(parts) == 1:
+                split = self._split = Bidegree(*parts[0][0])
+            else:
+                split = self._split = tuple((Bidegree(*d), BigradedElement._raw(num, self._den)) for d, num in parts)
+        return ((split, self),) if type(split) is Bidegree else split
+
     def homogeneous_components(self) -> dict[Bidegree, "BigradedElement"]:
-        """The homogeneous pieces by bidegree, in bidegree order; a
-        homogeneous element is its own single piece, not a copy."""
-        buckets: dict = {}
-        for m, c in self._num.items():
-            # (weight, index) as in bidegree(), without a Bidegree per monomial
-            buckets.setdefault((4 * m[0] + 6 * m[1] - 2 * m[2], m[2] + m[3]), {})[m] = c
-        if len(buckets) == 1:
-            return {Bidegree(*d): self for d in buckets}
-        return {
-            Bidegree(*d): BigradedElement._raw(num, self._den)
-            for d, num in sorted(buckets.items())
-        }
+        """The homogeneous pieces by bidegree, in bidegree order, in a new
+        dict on each call; a homogeneous element is its own single piece."""
+        return dict(self._components())
 
     @property
     def is_homogeneous(self) -> bool:
-        return len({bidegree(m) for m in self._num}) <= 1
+        return len(self._components()) <= 1
 
     def bidegree(self) -> Bidegree:
         """Bidegree of a nonzero homogeneous element."""
-        degs = {bidegree(m) for m in self._num}
-        if len(degs) != 1:
+        parts = self._components()
+        if len(parts) != 1:
             raise ValueError("element is zero or not homogeneous")
-        return degs.pop()
+        return parts[0][0]
 
 
 _MEMBERSHIP = {
@@ -269,9 +280,10 @@ def constant(c: Scalar) -> BigradedElement:
     return BigradedElement({Monomial(0, 0, 0, 0): c})
 
 
-def linear_combination(terms) -> BigradedElement:
+def linear_combination(terms, divisor: int = 1) -> BigradedElement:
     """Sum of coeff * x over (coeff, x) terms and of coeff * x * y over
-    (coeff, x, y) terms, normalised once.
+    (coeff, x, y) terms, divided by the positive integer divisor and
+    normalised once.
 
     The terms are consumed one at a time into one dict of integer
     numerators over a common denominator that grows as needed; a product is
@@ -307,7 +319,7 @@ def linear_combination(terms) -> BigradedElement:
             for m, w in y_items:
                 key = (i + m[0], j + m[1], k + m[2], l + m[3])
                 num[key] = get(key, 0) + sv * w
-    return BigradedElement._raw(num, den)
+    return BigradedElement._raw(num, den * divisor)
 
 
 def rescaled(f: BigradedElement, factor) -> BigradedElement:

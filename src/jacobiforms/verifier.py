@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .brackets import BracketFamily, accol, bracket_n, rc_localized
+from .brackets import BracketFamily, accol, bracket_n, bracket_sum, rc_localized
 from .elements import (
     A,
     B,
@@ -89,29 +89,31 @@ def check_associativity(
     claim: str = "deformation.associativity",
 ) -> VerificationReport:
     """sum_r mu_{n-r}(mu_r(f,g),h) = sum_r mu_{n-r}(f,mu_r(g,h)) for all
-    n <= n_max over ordered basis triples."""
+    n <= n_max over ordered basis triples.
+
+    Each identity is one bracket_sum of the lhs brackets minus the rhs
+    brackets, tested against zero; the sides are summed alone only for a
+    witness."""
     basis = list(GENERATORS) if basis is None else basis
     params = {"n_max": n_max, "c": family.c, "basis_size": len(basis)}
-    left_cache: dict = {}
-
-    def mu(r, f, g):
-        return bracket_n(family, r, f, g)
-
-    for i, f in enumerate(basis):
-        for j, g in enumerate(basis):
-            left_cache[(i, j)] = [mu(r, f, g) for r in range(n_max + 1)]
+    inner = {
+        (i, j): [bracket_n(family, r, f, g) for r in range(n_max + 1)]
+        for i, f in enumerate(basis)
+        for j, g in enumerate(basis)
+    }
 
     def witnesses():
         for i, f in enumerate(basis):
             for j, g in enumerate(basis):
-                fg = left_cache[(i, j)]
+                fg = inner[(i, j)]
                 for k, h in enumerate(basis):
-                    gh = left_cache[(j, k)]
+                    gh = inner[(j, k)]
                     for n in range(1, n_max + 1):
-                        lhs = linear_combination((1, mu(n - r, fg[r], h)) for r in range(n + 1))
-                        rhs = linear_combination((1, mu(n - r, f, gh[r])) for r in range(n + 1))
-                        if lhs != rhs:
-                            yield _witness("associativity", {"f": f, "g": g, "h": h, "n": n}, lhs, rhs)
+                        lhs = [(1, n - r, fg[r], h) for r in range(n + 1)]
+                        rhs = [(1, n - r, f, gh[r]) for r in range(n + 1)]
+                        if bracket_sum(family, lhs + [(-1, m, x, y) for _, m, x, y in rhs]) != ZERO:
+                            sides = bracket_sum(family, lhs), bracket_sum(family, rhs)
+                            yield _witness("associativity", {"f": f, "g": g, "h": h, "n": n}, *sides)
 
     return _first_witness(claim, witnesses(), params)
 

@@ -1,7 +1,10 @@
 import itertools
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import jacobiforms
 from jacobiforms import (
@@ -13,10 +16,13 @@ from jacobiforms import (
     ZERO,
     accol,
     bracket_n,
+    bracket_sum,
     cm_bracket,
     crochet,
     gbinom,
+    iterate,
     membership,
+    monomial,
     orc,
     rc_classical,
     rc_localized,
@@ -24,7 +30,7 @@ from jacobiforms import (
     src,
     star_truncated,
 )
-from jacobiforms.brackets import BracketFamily, _binomial_row
+from jacobiforms.brackets import BracketFamily, _binomial_row, _integer_row
 from jacobiforms.derivations import Derivation
 from jacobiforms.verifier import random_homogeneous
 
@@ -135,6 +141,70 @@ def test_binomial_rows_are_the_bracket_binomials():
     assert _binomial_row.cache_info().currsize == 5 * len(parts)
     jacobiforms.clear_caches()
     assert _binomial_row.cache_info().currsize == 0
+
+
+# Index weights with denominators 1, 4, 5, 12 and 1000, so that D(c, n)
+# takes on large prime-power factors.
+INDEX_WEIGHTS = [F(0), F(-3, 4), F(7, 5), F(1, 12), F(997, 1000)]
+
+
+def test_integer_rows_are_the_binomial_rows_over_the_row_denominator():
+    for c in INDEX_WEIGHTS:
+        for n in range(6):
+            denominator = c.denominator ** n * factorial(n)
+            for k in range(-6, 9):
+                for p in range(-2, 4):
+                    row = _integer_row(k, p, c.numerator, c.denominator, n)
+                    assert all(type(x) is int for x in row)
+                    assert tuple(F(x, denominator) for x in row) == _binomial_row(k, p, c, n)
+
+
+def test_clear_caches_empties_the_integer_rows():
+    bracket_n(accol(1, 2, F(7, 5)), 2, E4 + A, B)
+    assert _integer_row.cache_info().currsize > 0
+    jacobiforms.clear_caches()
+    assert _integer_row.cache_info().currsize == 0
+
+
+def _reference_bracket(family, n, f, g):
+    """The bracket formula in Fraction arithmetic: gbinom per pair of
+    components, iterate for the powers of D, the terms summed with +."""
+    d, c = family.derivation, family.c
+    total = ZERO
+    for (k, p), fc in f.homogeneous_components().items():
+        for (l, q), gc in g.homogeneous_components().items():
+            for r in range(n + 1):
+                coeff = (-1) ** r * gbinom(k + c * p + n - 1, n - r) * gbinom(l + c * q + n - 1, r)
+                total = total + coeff * iterate(d, r, fc) * iterate(d, n - r, gc)
+    return total
+
+
+_coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+# a few monomials of mixed bidegrees, negative powers of A included
+_elements = st.lists(
+    st.tuples(_coefficients, st.integers(0, 2), st.integers(0, 1), st.integers(-2, 2), st.integers(0, 2)),
+    min_size=1,
+    max_size=3,
+).map(lambda terms: sum((c * monomial(*m) for c, *m in terms), start=ZERO))
+_families = st.builds(
+    lambda build, p, c: build(p, c),
+    st.sampled_from([lambda p, c: accol(p, -2 * p, c), crochet, scal, rc_localized]),
+    st.fractions(min_value=-2, max_value=2, max_denominator=6),
+    st.sampled_from(INDEX_WEIGHTS),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_families, st.integers(0, 5), _elements, _elements)
+def test_bracket_matches_the_fraction_reference(family, n, f, g):
+    assert bracket_n(family, n, f, g) == _reference_bracket(family, n, f, g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_families, st.lists(st.tuples(st.integers(-2, 2), st.integers(0, 4), _elements, _elements), max_size=4))
+def test_bracket_sum_is_the_sum_of_its_brackets(family, terms):
+    expected = sum((s * bracket_n(family, n, x, y) for s, n, x, y in terms), start=ZERO)
+    assert bracket_sum(family, terms) == expected
 
 
 @pytest.mark.parametrize(

@@ -223,6 +223,15 @@ BAD_INPUTS = {
     "scan-negative-nmax": ["scan-conjecture", "--u", "0", "--nmax", "-1"],
     "scan-negative-weight-cap": ["scan-conjecture", "--u", "0", "--weight-cap", "-4"],
     "scan-negative-index-cap": ["scan-conjecture", "--u", "0", "--index-cap", "-1"],
+    "expand-exponent-above-limit": ["expand", "--what", "element", "--element", "A^20*B^20", "--N", "200"],
+    "expand-E4-exponent-above-limit": ["expand", "--what", "element", "--element", "E4 + E4^9"],
+    "verify-nmax-above-limit": ["verify", "--suite", "associativity", "--family", "src", "--nmax", "17"],
+    "verify-pairs-above-limit": ["verify", "--suite", "bidegree", "--family", "src", "--pairs", "1001"],
+    "verify-weight-cap-above-limit": ["verify", "--suite", "poisson", "--family", "src", "--weight-cap", "13"],
+    "verify-index-cap-above-limit": ["verify", "--suite", "poisson", "--family", "src", "--index-cap", "4"],
+    "scan-nmax-above-limit": ["scan-conjecture", "--u", "0", "--nmax", "13"],
+    "scan-weight-cap-above-limit": ["scan-conjecture", "--u", "0", "--weight-cap", "33"],
+    "scan-index-cap-above-limit": ["scan-conjecture", "--u", "0", "--index-cap", "7"],
 }
 
 
@@ -247,6 +256,31 @@ def test_deriv_power_limit_is_inclusive(capsys, power):
     code, out, _ = run(capsys, "deriv", "--name", "serre", "--input", "E4", "--power", power)
     assert code == 0
     assert out.strip()
+
+
+def test_expand_element_exponent_limit_is_inclusive(capsys):
+    code, out, _ = run(capsys, "expand", "--what", "element", "--element", "E4^8*E6^8*A^8*B^8", "--N", "0")
+    assert code == 0
+    assert out.strip()
+
+
+# each size option at its bound, the others small enough for a quick run
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "associativity", "--family", "src", "--nmax", "16"],
+        ["verify", "--suite", "bidegree", "--family", "src", "--nmax", "0", "--pairs", "1000"],
+        ["verify", "--suite", "bidegree", "--family", "src", "--pairs", "2", "--weight-cap", "12", "--index-cap", "3"],
+        ["scan-conjecture", "--u", "0", "--nmax", "12", "--weight-cap", "0", "--index-cap", "0"],
+        ["scan-conjecture", "--u", "0", "--nmax", "0", "--weight-cap", "32", "--index-cap", "0"],
+        ["scan-conjecture", "--u", "0", "--nmax", "0", "--weight-cap", "0", "--index-cap", "6"],
+    ],
+    ids=["verify-nmax-16", "verify-pairs-1000", "verify-caps-12-3", "scan-nmax-12", "scan-weight-cap-32", "scan-index-cap-6"],
+)
+def test_verify_and_scan_size_limits_are_inclusive(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert "[PASS]" in out
 
 
 def test_negative_rationals_via_equals_form(capsys):

@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction as F
 
 import pytest
@@ -93,6 +94,34 @@ def test_homogeneous_components():
     assert f.homogeneous_components() == {Bidegree(4, 1): f}
     assert f.homogeneous_components()[Bidegree(4, 1)] is f
     assert f.is_homogeneous
+
+
+def test_homogeneous_components_are_a_new_dict_on_each_call():
+    for f in (E4 + A, E4 * B + E6 * A, ZERO):
+        first = f.homogeneous_components()
+        expected = dict(first)
+        first.clear()
+        first[Bidegree(0, 0)] = ONE
+        assert f.homogeneous_components() == expected
+
+
+def test_cached_bidegree_split_holds_no_reference_to_its_element():
+    # the split is cached on the element; a cycle through it would keep
+    # elements alive until a garbage collection
+    for f in (E4 * A, E4 + A, ZERO):
+        f.homogeneous_components(), f.is_homogeneous
+        seen, frontier = [], gc.get_referents(f)
+        while frontier:
+            seen += frontier
+            frontier = [x for y in frontier if isinstance(y, tuple) for x in gc.get_referents(y)]
+        assert all(x is not f for x in seen)
+    assert (E4 * A).bidegree() == Bidegree(2, 1) and not (E4 + A).is_homogeneous and ZERO.is_homogeneous
+
+
+def test_linear_combination_divides_by_its_divisor():
+    assert linear_combination([(3, E4), (F(1, 2), A, B)], 6) == F(1, 2) * E4 + F(1, 12) * A * B
+    assert linear_combination([(4, E4, E6)], 2) == 2 * E4 * E6
+    assert linear_combination([], 5) == ZERO
 
 
 def test_membership():

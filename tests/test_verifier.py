@@ -94,6 +94,63 @@ def test_associativity_negative_control():
     assert lhs == witness["lhs"] and rhs == witness["rhs"] and lhs != rhs
 
 
+def _associativity_reference(family, n_max, basis=None):
+    """check_associativity as it was before its fold per identity: lhs and
+    rhs built as sums of bracket_n and compared, in the same loop order."""
+    basis = list(GENERATORS) if basis is None else basis
+    params = {"n_max": n_max, "c": family.c, "basis_size": len(basis)}
+    inner = {
+        (i, j): [bracket_n(family, r, f, g) for r in range(n_max + 1)]
+        for i, f in enumerate(basis)
+        for j, g in enumerate(basis)
+    }
+
+    def witnesses():
+        for i, f in enumerate(basis):
+            for j, g in enumerate(basis):
+                for k, h in enumerate(basis):
+                    for n in range(1, n_max + 1):
+                        lhs = linear_combination((1, bracket_n(family, n - r, inner[(i, j)][r], h)) for r in range(n + 1))
+                        rhs = linear_combination((1, bracket_n(family, n - r, f, inner[(j, k)][r])) for r in range(n + 1))
+                        if lhs != rhs:
+                            yield _witness("associativity", {"f": f, "g": g, "h": h, "n": n}, lhs, rhs)
+
+    return _first_witness("deformation.associativity", witnesses(), params)
+
+
+_FOUR_KINDS = [accol(1, F(-1, 2), F(7, 5)), crochet(F(1, 3), 2), scal(F(-1, 6), F(1, 12)), rc_localized(F(1, 12), 2)]
+
+
+def _same_report(got, expected):
+    assert json.dumps(got.to_json_dict(), sort_keys=True) == json.dumps(expected.to_json_dict(), sort_keys=True)
+
+
+@pytest.mark.parametrize("family", _FOUR_KINDS, ids=["accol", "crochet", "scal", "rc_localized"])
+def test_associativity_report_equals_the_sum_of_brackets_loop(family):
+    for n_max, basis in ((3, None), (2, monomial_basis(4, 1))):
+        got = check_associativity(family, n_max, basis)
+        assert got.passed
+        _same_report(got, _associativity_reference(family, n_max, basis))
+
+
+def test_associativity_witness_equals_the_sum_of_brackets_loop(monkeypatch):
+    # binomial rows off by one in one entry: still integers over D(c, n),
+    # but no longer an associative deformation
+    from jacobiforms import brackets, clear_caches
+
+    true_row = brackets._binomial_row
+    clear_caches()
+    monkeypatch.setattr(brackets, "_binomial_row", lambda k, p, c, n: tuple(b + (j == 1) for j, b in enumerate(true_row(k, p, c, n))))
+    try:
+        for family in _FOUR_KINDS:
+            got = check_associativity(family, 2)
+            assert not got.passed and got.witness["identity"] == "associativity"
+            _same_report(got, _associativity_reference(family, 2))
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+
+
 @pytest.mark.parametrize("mu", [F(0), F(1), F(-3)])
 def test_poisson_for_oberdieck_family(mu):
     assert check_poisson(mu1(orc(mu))).passed
