@@ -73,10 +73,10 @@ class BracketFamily:
         return bracket_n(self, n, f, g)
 
 
-@lru_cache(maxsize=1 << 14)
 def _binomial_row(k: int, p: int, c: Fraction, n: int) -> tuple[Fraction, ...]:
     """gbinom(k + c*p + n - 1, j) for j = 0..n: the binomials the n-th
-    bracket takes from a component of bidegree (k, p)."""
+    bracket takes from a component of bidegree (k, p).  Not memoised: it is
+    reached only on a miss of _integer_row."""
     top = k + c * p + n - 1
     return tuple(gbinom(top, j) for j in range(n + 1))
 
@@ -89,17 +89,25 @@ def _integer_row(k: int, p: int, c_num: int, c_den: int, n: int) -> tuple[int, .
     return tuple(int(b * scale) for b in _binomial_row(k, p, Fraction(c_num, c_den), n))
 
 
-def _bracket_terms(d: Derivation, c: Fraction, n: int, f: BigradedElement, g: BigradedElement, scale: int):
+def _powers(d: Derivation, x: BigradedElement, order: int) -> list:
+    """(bidegree, [D^0(x_i), ..., D^order(x_i)]) for every homogeneous
+    component x_i of x."""
+    return [(kp, [iterate(d, r, xc) for r in range(order + 1)]) for kp, xc in x._components()]
+
+
+def _bracket_terms(c: Fraction, n: int, f_parts: list, g_parts: list, scale: int):
     """(scale * D(c, n)^2 * coefficient, D^r(f_i), D^(n-r)(g_j)) for every r
-    and every pair of homogeneous components f_i of f and g_j of g."""
-    f_parts = [(_integer_row(k, p, c.numerator, c.denominator, n), fc) for (k, p), fc in f._components()]
-    g_parts = [(_integer_row(l, q, c.numerator, c.denominator, n), gc) for (l, q), gc in g._components()]
-    for row_f, fc in f_parts:
-        for row_g, gc in g_parts:
+    and every pair of homogeneous components f_i of f and g_j of g, read
+    from their _powers: the bracket formula, written once."""
+    c_num, c_den = c.numerator, c.denominator
+    g_rows = [(_integer_row(l, q, c_num, c_den, n), g_pow) for (l, q), g_pow in g_parts]
+    for (k, p), f_pow in f_parts:
+        row_f = _integer_row(k, p, c_num, c_den, n)
+        for row_g, g_pow in g_rows:
             for r in range(n + 1):
                 coeff = scale * row_f[n - r] * row_g[r]
                 if coeff:
-                    yield (-coeff if r & 1 else coeff), iterate(d, r, fc), iterate(d, n - r, gc)
+                    yield (-coeff if r & 1 else coeff), f_pow[r], g_pow[n - r]
 
 
 def bracket_sum(family: BracketFamily, terms) -> BigradedElement:
@@ -108,16 +116,28 @@ def bracket_sum(family: BracketFamily, terms) -> BigradedElement:
     terms = list(terms)
     if any(n < 0 for _, n, _, _ in terms):
         raise ValueError("bracket order must be nonnegative")
-    c = family.c
+    d, c = family.derivation, family.c
     scale = {n: c.denominator ** n * factorial(n) for _, n, _, _ in terms}  # D(c, n)
     top = max(scale.values(), default=1)
-    parts = (_bracket_terms(family.derivation, c, n, x, y, s * (top // scale[n]) ** 2) for s, n, x, y in terms)
+    parts = (_bracket_terms(c, n, _powers(d, x, n), _powers(d, y, n), s * (top // scale[n]) ** 2) for s, n, x, y in terms)
     return linear_combination(chain.from_iterable(parts), top * top)
 
 
 def bracket_n(family: BracketFamily, n: int, f: BigradedElement, g: BigradedElement) -> BigradedElement:
     """n-th bracket of the family, bilinear over homogeneous components."""
     return bracket_sum(family, ((1, n, f, g),))
+
+
+def star_truncated(family: BracketFamily, order: int, f: BigradedElement, g: BigradedElement) -> list[BigradedElement]:
+    """mu_0(f, g), ..., mu_order(f, g), the coefficients of hbar^0..hbar^order
+    of the star product f * g: the powers of D of each component are read
+    once for all orders, and each order is one integer sum."""
+    d, c = family.derivation, family.c
+    f_parts, g_parts = _powers(d, f, order), _powers(d, g, order)
+    return [
+        linear_combination(_bracket_terms(c, n, f_parts, g_parts, 1), (c.denominator ** n * factorial(n)) ** 2)
+        for n in range(order + 1)
+    ]
 
 
 def cm_bracket(v: Derivation, mu, n: int, f: BigradedElement, g: BigradedElement) -> BigradedElement:
@@ -139,11 +159,6 @@ def cm_bracket(v: Derivation, mu, n: int, f: BigradedElement, g: BigradedElement
         for gc in g.homogeneous_components().values()
         for r in range(n + 1)
     )
-
-
-def star_truncated(family: BracketFamily, order: int, f: BigradedElement, g: BigradedElement) -> list[BigradedElement]:
-    """Coefficients of hbar^0..hbar^order of the star product f * g."""
-    return [bracket_n(family, j, f, g) for j in range(order + 1)]
 
 
 def rc_classical(n: int, f: BigradedElement, g: BigradedElement) -> BigradedElement:
@@ -209,5 +224,4 @@ def mu1(family: BracketFamily):
 
 def clear_caches() -> None:
     gbinom.cache_clear()
-    _binomial_row.cache_clear()
     _integer_row.cache_clear()

@@ -7,7 +7,8 @@ configuration and seed.  Exit codes: 0 all checks passed, 1 a check failed,
 2 usage error, 3 an internal invariant was violated.  expand accepts
 truncation orders 0 <= N <= 200, windows 1 <= G <= 1000 and element
 exponents of size at most 8; deriv accepts powers 0 <= power <= 300; verify
-and scan-conjecture bound their sizes by VERIFY_LIMITS and SCAN_LIMITS.
+and scan-conjecture bound their sizes by VERIFY_LIMITS and SCAN_LIMITS, and
+the associativity suite its basis size times nmax by MAX_ASSOCIATIVITY_SIZE.
 """
 
 from __future__ import annotations
@@ -209,6 +210,10 @@ def _cmd_deriv(args) -> int:
 # others at their defaults, runs in at most about a minute and a half (README).
 VERIFY_LIMITS = {"nmax": 16, "pairs": 1000, "weight_cap": 12, "index_cap": 3}
 SCAN_LIMITS = {"nmax": 12, "weight_cap": 32, "index_cap": 6}
+# Sizes multiply: the associativity suite costs about (basis size * nmax)^3,
+# so that product is bounded too, at the 53 monomials of --index-cap 3 times
+# the default --nmax 3.  The Poisson suite ignores --nmax.
+MAX_ASSOCIATIVITY_SIZE = 53 * 3
 
 
 def _check_sizes(args, limits: dict) -> None:
@@ -235,6 +240,11 @@ def _cmd_verify(args) -> int:
         capped = args.weight_cap is not None or args.index_cap is not None
         basis = verifier.monomial_basis(weight_cap, index_cap) if capped else None
         if args.suite == "associativity":
+            size = len(basis or verifier.GENERATORS)
+            if size * args.nmax > MAX_ASSOCIATIVITY_SIZE:
+                raise UsageError(
+                    f"associativity needs basis size * --nmax <= {MAX_ASSOCIATIVITY_SIZE}, got {size} * {args.nmax}"
+                )
             reports.append(
                 verifier.check_associativity(fam, args.nmax, basis, claim=f"associativity.{tag}")
             )
@@ -322,8 +332,11 @@ def _cmd_scan(args) -> int:
     if args.json:
         print(json.dumps(report.to_json_dict(), sort_keys=True))
     else:
+        last_u = last_v = prefix = None
         for u, v, n, f, g, inside in report.details or []:
-            print(f"u={u} v={v} n={n} f=({f}) g=({g}) in_Jtilde={str(inside).lower()}")
+            if u is not last_u or v is not last_v:  # the rows of one u share its u and v
+                last_u, last_v, prefix = u, v, f"u={u} v={v}"
+            print(f"{prefix} n={n} f=({f}) g=({g}) in_Jtilde={str(inside).lower()}")
         print(f"[{report.status.upper():4s}] {report.claim}")
     return 0 if report.passed else 1
 

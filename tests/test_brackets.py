@@ -130,7 +130,7 @@ def test_bilinear_extension_over_components():
 
 def test_binomial_rows_are_the_bracket_binomials():
     jacobiforms.clear_caches()
-    assert _binomial_row.cache_info().currsize == 0
+    assert _integer_row.cache_info().currsize == 0
     fam = accol(F(1, 2), F(-1, 3), F(7, 5))
     parts = (E4 + A).homogeneous_components() | (B + E6).homogeneous_components()
     for n in range(5):
@@ -138,9 +138,9 @@ def test_binomial_rows_are_the_bracket_binomials():
         for k, p in parts:
             row = _binomial_row(k, p, fam.c, n)
             assert row == tuple(gbinom(k + fam.c * p + n - 1, j) for j in range(n + 1))
-    assert _binomial_row.cache_info().currsize == 5 * len(parts)
+    assert _integer_row.cache_info().currsize == 5 * len(parts)
     jacobiforms.clear_caches()
-    assert _binomial_row.cache_info().currsize == 0
+    assert _integer_row.cache_info().currsize == 0
 
 
 # Index weights with denominators 1, 4, 5, 12 and 1000, so that D(c, n)
@@ -198,6 +198,37 @@ _families = st.builds(
 @given(_families, st.integers(0, 5), _elements, _elements)
 def test_bracket_matches_the_fraction_reference(family, n, f, g):
     assert bracket_n(family, n, f, g) == _reference_bracket(family, n, f, g)
+
+
+_parameters = st.fractions(min_value=-2, max_value=2, max_denominator=6)
+_index_weights = st.sampled_from(INDEX_WEIGHTS)
+# every named family kind, each with rational parameters where it has any
+_named_families = st.one_of(
+    st.builds(accol, _parameters, _parameters, _index_weights),
+    st.builds(orc, _index_weights),
+    st.just(src()),
+    st.builds(crochet, _parameters, _index_weights),
+    st.builds(scal, _parameters, _index_weights),
+    st.builds(rc_localized, _parameters, _index_weights),
+)
+# elements with at least two homogeneous components
+_inhomogeneous = st.tuples(_elements, _elements).map(lambda xy: xy[0] + xy[1]).filter(lambda x: len(x.homogeneous_components()) > 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_named_families, st.integers(0, 5), _inhomogeneous, _inhomogeneous)
+def test_swapping_the_arguments_multiplies_the_bracket_by_its_order_sign(family, n, f, g):
+    # mu_n(g, f) = (-1)^n mu_n(f, g): scan_conjecture computes each
+    # unordered pair once on the strength of it
+    assert bracket_n(family, n, g, f) == (-1) ** n * bracket_n(family, n, f, g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_named_families, st.integers(0, 5), _inhomogeneous, _inhomogeneous)
+def test_star_truncated_is_the_list_of_brackets(family, order, f, g):
+    got = star_truncated(family, order, f, g)
+    assert got == [bracket_n(family, n, f, g) for n in range(order + 1)]
+    assert got == [_reference_bracket(family, n, f, g) for n in range(order + 1)]
 
 
 @settings(max_examples=40, deadline=None)

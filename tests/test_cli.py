@@ -232,6 +232,14 @@ BAD_INPUTS = {
     "scan-nmax-above-limit": ["scan-conjecture", "--u", "0", "--nmax", "13"],
     "scan-weight-cap-above-limit": ["scan-conjecture", "--u", "0", "--weight-cap", "33"],
     "scan-index-cap-above-limit": ["scan-conjecture", "--u", "0", "--index-cap", "7"],
+    # 53 monomials at caps (8, 3), 16 at (4, 2), 84 at (12, 3): basis size * nmax of 212, 160, 1344
+    "verify-associativity-size-above-limit": ["verify", "--suite", "associativity", "--family", "src", "--index-cap", "3", "--nmax", "4"],
+    "verify-associativity-size-just-above-limit": [
+        "verify", "--suite", "associativity", "--family", "src", "--weight-cap", "4", "--index-cap", "2", "--nmax", "10",
+    ],
+    "verify-associativity-every-size-at-its-limit": [
+        "verify", "--suite", "associativity", "--family", "src", "--weight-cap", "12", "--index-cap", "3", "--nmax", "16",
+    ],
 }
 
 
@@ -281,6 +289,27 @@ def test_verify_and_scan_size_limits_are_inclusive(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert "[PASS]" in out
+
+
+@pytest.mark.parametrize(
+    "caps, nmax, size",
+    [(["--index-cap", "3"], "3", 53), (["--weight-cap", "4", "--index-cap", "2"], "9", 16), (["--weight-cap", "12", "--index-cap", "3"], "0", 84)],
+    ids=["53x3", "16x9", "84x0"],
+)
+def test_verify_associativity_size_limit_is_inclusive(capsys, monkeypatch, caps, nmax, size):
+    # the check itself would run for about a minute at 53 x 3; the bound is
+    # what is tested, so the suite is replaced by a stub that records its sizes
+    from jacobiforms import verifier
+    from jacobiforms.report import passing
+
+    seen = []
+    monkeypatch.setattr(
+        verifier, "check_associativity", lambda family, n_max, basis, claim: seen.append((len(basis), n_max)) or passing(claim)
+    )
+    code, out, _ = run(capsys, "verify", "--suite", "associativity", "--family", "src", *caps, "--nmax", nmax)
+    assert code == 0
+    assert "[PASS]" in out
+    assert seen == [(size, int(nmax))]
 
 
 def test_negative_rationals_via_equals_form(capsys):

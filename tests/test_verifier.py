@@ -41,6 +41,7 @@ from jacobiforms import (
 )
 from jacobiforms.derivations import Derivation
 from jacobiforms.elements import linear_combination, rescaled
+from jacobiforms.report import VerificationReport
 from jacobiforms.verifier import _first_witness, _witness
 
 
@@ -380,6 +381,77 @@ def test_scan_conjecture_rows_name_their_monomials():
     basis = monomial_basis(4, 1)
     expected = [(str(f), str(g)) for f in basis for g in basis for _ in range(2)]
     assert [(row[3], row[4]) for row in report.details] == expected
+
+
+def _scan_reference(u_values, n_max, weight_cap, index_cap, claim="conjecture.scan"):
+    """scan_conjecture as it was before it read each unordered pair once:
+    bracket_n for every ordered pair and every order, in the same loop
+    order, with the basis and the family built by verifier's functions."""
+    from jacobiforms import verifier
+
+    u_values = [F(u) for u in u_values]
+    basis = verifier.monomial_basis(weight_cap, index_cap)
+    names = [str(f) for f in basis]
+    params = {"u": u_values, "n_max": n_max, "weight_cap": weight_cap, "index_cap": index_cap, "pairs": len(basis) ** 2}
+    rows = []
+    for u in u_values:
+        v = 12 * u + 1
+        family = verifier.rc_localized(u, v)
+        for f, f_name in zip(basis, names):
+            for g, g_name in zip(basis, names):
+                for n in range(n_max + 1):
+                    value = bracket_n(family, n, f, g)
+                    inside = membership(value, "Jtilde")
+                    rows.append((u, v, n, f_name, g_name, inside))
+                    if not inside:
+                        witness = _witness("scan", {"u": u, "v": v, "f": f, "g": g, "n": n}, value, None)
+                        return VerificationReport(claim, "fail", witness, params, rows)
+        for v_off in (F(0), F(1), F(2)):
+            if v_off == v:
+                continue
+            off = verifier.rc_localized(u, v_off)
+            if not any(not membership(bracket_n(off, 1, B, g), "Jtilde") for g in (E4, E6)):
+                witness = _witness("negative-direction", {"u": u, "v": v_off}, None, None)
+                return VerificationReport(claim, "fail", witness, params, rows)
+    return VerificationReport(claim, "pass", None, params, rows)
+
+
+def _same_scan(got, expected):
+    _same_report(got, expected)
+    assert got.details == expected.details
+
+
+@pytest.mark.parametrize(
+    "u_values, n_max, weight_cap, index_cap",
+    [([F(0), F(1, 12)], 2, 6, 2), ([F(-2), F(7, 5)], 4, 4, 1), ([F(-1, 6)], 0, 8, 0), ([F(1)], 3, 0, 3)],
+    ids=["caps-6-2", "nmax-4", "nmax-0", "weight-cap-0"],
+)
+def test_scan_report_equals_the_loop_over_ordered_pairs(u_values, n_max, weight_cap, index_cap):
+    got = scan_conjecture(u_values, n_max, weight_cap, index_cap)
+    assert got.passed
+    _same_scan(got, _scan_reference(u_values, n_max, weight_cap, index_cap))
+
+
+@pytest.mark.parametrize("reordered", [False, True], ids=["monomial-basis", "E4-before-B"])
+def test_scan_witness_equals_the_loop_over_ordered_pairs(monkeypatch, reordered):
+    # move v off the stability line at the second u only, so that the first
+    # u's rows are complete and the second u fails part way, after rows
+    # read from the flags of swapped pairs.  On the monomial basis the first
+    # escape is mu_2(B, B); with E4 ahead of B it is mu_1(E4, B), an
+    # off-diagonal pair of odd order, whose witness has the sign of the
+    # pair's own order of arguments
+    from jacobiforms import brackets, verifier
+
+    moved = F(1, 12)
+    monkeypatch.setattr(verifier, "rc_localized", lambda u, v: brackets.rc_localized(u, v + (u == moved)))
+    if reordered:
+        monkeypatch.setattr(verifier, "monomial_basis", lambda weight_cap, index_cap: [E4, B, E6, A])
+    got = scan_conjecture([F(0), moved], 2, 6, 2)
+    expected = _scan_reference([F(0), moved], 2, 6, 2)
+    assert not got.passed and got.witness["identity"] == "scan"
+    assert got.witness["inputs"]["u"] == moved
+    assert (got.witness["inputs"]["n"], got.witness["inputs"]["f"] == E4) == ((1, True) if reordered else (2, False))
+    _same_scan(got, expected)
 
 
 def test_scan_conjecture_reports_escape_for_off_line_value():
