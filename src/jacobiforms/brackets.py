@@ -9,13 +9,15 @@ extended bilinearly over homogeneous components.  Binomials use the falling
 factorial so rational and negative tops (c is a free parameter; A has weight
 -2) need no special casing.  Every binomial in a row of the n-th bracket is
 an integer over D(c, n) = den(c)^n * n!, because gbinom(T/d, j) has a
-denominator dividing d^j * j!; so the rows are memoised as integers, one
-per (bidegree, c, n), each term's coefficient is an integer product, and a
-bracket (or a signed sum of brackets, `bracket_sum`) is one integer sum
-(`linear_combination`) divided once by D(c, n)^2.  No element is built per
-product.  The same sequence is also computable in the Connes-Moscovici
-Pochhammer form, in Fractions and without the integer rows, kept as an
-independent route for cross-checking.
+denominator dividing d^j * j!; so each row is memoised as integers, read
+straight from `gbinom` once per (bidegree, c, n), each term's coefficient
+is an integer product, and a bracket (or a signed sum of brackets,
+`bracket_sum`) is one integer sum (`linear_combination`) divided once by
+D(c, n)^2.  The powers D^r of a component are its memoised power sequence
+(`derivations.power_sequence`).  No element is built per product.  The
+same sequence is also computable in the Connes-Moscovici Pochhammer form,
+in Fractions and without the integer rows, kept as an independent route
+for cross-checking.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .derivations import (
     iterate,
     partial_u,
     pochhammer_apply,
+    power_sequence,
     serre_ab,
 )
 
@@ -69,30 +72,21 @@ class BracketFamily:
         if not self.derivation.is_admissible():
             raise ValueError("bracket families require an admissible derivation")
 
-    def bracket(self, n: int, f: BigradedElement, g: BigradedElement) -> BigradedElement:
-        return bracket_n(self, n, f, g)
-
-
-def _binomial_row(k: int, p: int, c: Fraction, n: int) -> tuple[Fraction, ...]:
-    """gbinom(k + c*p + n - 1, j) for j = 0..n: the binomials the n-th
-    bracket takes from a component of bidegree (k, p).  Not memoised: it is
-    reached only on a miss of _integer_row."""
-    top = k + c * p + n - 1
-    return tuple(gbinom(top, j) for j in range(n + 1))
-
 
 @lru_cache(maxsize=1 << 14)
 def _integer_row(k: int, p: int, c_num: int, c_den: int, n: int) -> tuple[int, ...]:
-    """_binomial_row(k, p, c, n) times D(c, n) = c_den^n * n!, keyed on
-    integers only."""
+    """gbinom(k + c*p + n - 1, j) for j = 0..n, the binomials the n-th
+    bracket takes from a component of bidegree (k, p), times
+    D(c, n) = c_den^n * n!: integers, keyed on integers only."""
+    top = k + Fraction(c_num, c_den) * p + n - 1
     scale = c_den ** n * factorial(n)
-    return tuple(int(b * scale) for b in _binomial_row(k, p, Fraction(c_num, c_den), n))
+    return tuple(int(gbinom(top, j) * scale) for j in range(n + 1))
 
 
 def _powers(d: Derivation, x: BigradedElement, order: int) -> list:
-    """(bidegree, [D^0(x_i), ..., D^order(x_i)]) for every homogeneous
-    component x_i of x."""
-    return [(kp, [iterate(d, r, xc) for r in range(order + 1)]) for kp, xc in x._components()]
+    """(bidegree, [D^0(x_i), ..., D^order(x_i), ...]) for every homogeneous
+    component x_i of x: the memoised power sequence of each component."""
+    return [(kp, power_sequence(d, order, xc)) for kp, xc in x._components()]
 
 
 def _bracket_terms(c: Fraction, n: int, f_parts: list, g_parts: list, scale: int):

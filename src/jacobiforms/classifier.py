@@ -11,12 +11,14 @@ is therefore pinned by ten scalars:
 The Jacobi identity reduces to thirteen scalar relations among the ten
 parameters, whose solution set is the union of six families A, B, C1, C2,
 D, E, one table of row builders whose signatures name each row's free
-parameters.  A bracket given by the ten scalars is a biderivation, evaluated
-as two derivation applications.  Family B is exactly the locus of brackets
-with a Rankin-Cohen shape kappa(f) f d(g) - kappa(g) g d(f); this module
-extracts that (kappa, d) pair, and also decides when two of the
-derivation-built deformations are conjugate under the automorphisms fixing
-E4, E6 and scaling A and B.
+parameters.  One shape table, the display above, both builds the bracket
+of ten scalars and reads the ten scalars off a first bracket.  A bracket
+given by the ten scalars is a biderivation, evaluated as two derivation
+applications.  Family B is exactly the locus of brackets with a
+Rankin-Cohen shape kappa(f) f d(g) - kappa(g) g d(f); this module extracts
+that (kappa, d) pair, and also decides when two of the derivation-built
+deformations are conjugate under the automorphisms fixing E4, E6 and
+scaling A and B.
 """
 
 from __future__ import annotations
@@ -200,8 +202,9 @@ def classify(p: PoissonParams) -> list[FamilyLabel]:
 class PoissonBracket:
     """Biderivation extension of generator-pair values.
 
-    values maps ordered generator index pairs (i, j) with i < j in the
-    order (E4, E6, A, B), with {x_j, x_i} = -{x_i, x_j}.  The bracket of two
+    values maps generator index pairs (i, j), i != j, in the order
+    (E4, E6, A, B) to {x_i, x_j}, with {x_j, x_i} = -{x_i, x_j}; a pair
+    given in neither order brackets to zero.  The bracket of two
     elements is two derivation applications: row i of the table is the
     derivation x_j -> {x_i, x_j}, which takes g to {x_i, g}, and the
     derivation with those images takes f to sum_i df/dx_i * {x_i, g}.
@@ -214,8 +217,7 @@ class PoissonBracket:
 
     def __init__(self, values: dict[tuple[int, int], BigradedElement]):
         rows = [[ZERO] * 4 for _ in range(4)]
-        for i, j in combinations(range(4), 2):
-            value = values.get((i, j), ZERO)
+        for (i, j), value in values.items():
             rows[i][j], rows[j][i] = value, -value
         table = self._table = tuple(tuple(row) for row in rows)
         self._images = lru_cache(maxsize=1 << 10)(lambda g: tuple(leibniz_apply(g, row) for row in table))
@@ -227,6 +229,20 @@ class PoissonBracket:
         return leibniz_apply(f, self._images(g))
 
 
+# The admissible shape of a first bracket on the generator pairs (x_i, x_j),
+# indexed in the order (E4, E6, A, B): {E4, E6} is the first classical
+# Rankin-Cohen bracket, and each other pair is two parameters times fixed
+# monomials, as in the module docstring.
+_MODULAR_PAIR = -2 * E4 ** 3 + 2 * E6 ** 2
+_SHAPE = {
+    (2, 0): (("alpha", Monomial(0, 1, 1, 0)), ("gamma", Monomial(1, 0, 0, 1))),  # {A, E4}: E6*A, E4*B
+    (2, 1): (("beta", Monomial(2, 0, 1, 0)), ("delta", Monomial(0, 1, 0, 1))),  # {A, E6}: E4^2*A, E6*B
+    (3, 0): (("lam", Monomial(2, 0, 1, 0)), ("epsilon", Monomial(0, 1, 0, 1))),  # {B, E4}: E4^2*A, E6*B
+    (3, 1): (("mu", Monomial(1, 1, 1, 0)), ("theta", Monomial(2, 0, 0, 1))),  # {B, E6}: E4*E6*A, E4^2*B
+    (2, 3): (("xi", Monomial(1, 0, 2, 0)), ("eta", Monomial(0, 0, 0, 2))),  # {A, B}: E4*A^2, B^2
+}
+
+
 def bracket_from_params(p: PoissonParams) -> PoissonBracket:
     """The candidate bracket with the ten generator-pair coefficients of p.
 
@@ -234,26 +250,10 @@ def bracket_from_params(p: PoissonParams) -> PoissonBracket:
     satisfies the Jacobi identity exactly when relations_residual(p) is
     all zero.
     """
-    e4, e6, a, b = range(4)
-    return PoissonBracket(
-        {
-            (e4, e6): -2 * E4 ** 3 + 2 * E6 ** 2,
-            (e4, a): -(p.alpha * E6 * A + p.gamma * E4 * B),
-            (e4, b): -(p.lam * E4 ** 2 * A + p.epsilon * E6 * B),
-            (e6, a): -(p.beta * E4 ** 2 * A + p.delta * E6 * B),
-            (e6, b): -(p.mu * E4 * E6 * A + p.theta * E4 ** 2 * B),
-            (a, b): p.xi * E4 * A ** 2 + p.eta * B ** 2,
-        }
-    )
-
-
-_SHAPE_MONOMIALS = {
-    ("A", "E4"): (Monomial(0, 1, 1, 0), Monomial(1, 0, 0, 1)),      # E6*A, E4*B
-    ("A", "E6"): (Monomial(2, 0, 1, 0), Monomial(0, 1, 0, 1)),      # E4^2*A, E6*B
-    ("B", "E4"): (Monomial(2, 0, 1, 0), Monomial(0, 1, 0, 1)),
-    ("B", "E6"): (Monomial(1, 1, 1, 0), Monomial(2, 0, 0, 1)),      # E4*E6*A, E4^2*B
-    ("A", "B"): (Monomial(1, 0, 2, 0), Monomial(0, 0, 0, 2)),       # E4*A^2, B^2
-}
+    values = {(0, 1): _MODULAR_PAIR}
+    for pair, shape in _SHAPE.items():
+        values[pair] = BigradedElement({m: getattr(p, name) for name, m in shape})
+    return PoissonBracket(values)
 
 
 def params_from_mu1(mu1) -> PoissonParams:
@@ -263,18 +263,16 @@ def params_from_mu1(mu1) -> PoissonParams:
     admissible shape (the bracket then does not preserve C[E4,E6,A,B]) or
     when the modular pair value is not the first Rankin-Cohen bracket.
     """
-    gens = dict(zip(GENERATOR_NAMES, GENERATORS))
-    if mu1(gens["E4"], gens["E6"]) != -2 * E4 ** 3 + 2 * E6 ** 2:
+    if mu1(E4, E6) != _MODULAR_PAIR:
         raise ValueError("bracket does not restrict to the classical first bracket")
-    coeffs = []
-    for (fname, gname), (m1, m2) in _SHAPE_MONOMIALS.items():
-        value = mu1(gens[fname], gens[gname])
-        extra = set(value.terms()) - {m1, m2}
+    params = {}
+    for (i, j), shape in _SHAPE.items():
+        value = mu1(GENERATORS[i], GENERATORS[j])
+        extra = set(value.terms()) - {m for _, m in shape}
         if extra:
-            raise ValueError(f"{{{fname},{gname}}} has terms outside the admissible shape: {value}")
-        coeffs.append((value.coefficient(m1), value.coefficient(m2)))
-    (al, ga), (be, de), (la, ep), (mu_, th), (xi, eta) = coeffs
-    return PoissonParams(al, be, ga, de, la, mu_, th, ep, xi, eta)
+            raise ValueError(f"{{{GENERATOR_NAMES[i]},{GENERATOR_NAMES[j]}}} has terms outside the admissible shape: {value}")
+        params.update((name, value.coefficient(m)) for name, m in shape)
+    return PoissonParams(**params)
 
 
 # ------------------------------------------------------- Rankin-Cohen shape

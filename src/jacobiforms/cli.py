@@ -64,22 +64,25 @@ def _emit_element(value: BigradedElement, as_json: bool) -> None:
         print(format_element(value))
 
 
-def _emit_reports(reports, as_json: bool, argv=None) -> bool:
-    ok = all(r.passed for r in reports)
-    reproduce = "jacobiforms " + " ".join(argv) if argv else None
+def _with_reproduce(reports, argv):
+    """Add to each witness the command line that reproduces it; return the
+    reports."""
     for r in reports:
-        if r.witness is not None and reproduce:
-            r.witness.setdefault("reproduce", reproduce)
+        if r.witness is not None:
+            r.witness.setdefault("reproduce", "jacobiforms " + " ".join(argv))
+    return reports
+
+
+def _emit_reports(reports, as_json: bool) -> bool:
     if as_json:
         print(json.dumps([r.to_json_dict() for r in reports], sort_keys=True))
     else:
         for r in reports:
-            print(f"[{r.status.upper():4s}] {r.claim} {json.dumps(r.to_json_dict()['params'], sort_keys=True)}")
+            data = r.to_json_dict()
+            print(f"[{r.status.upper():4s}] {r.claim} {json.dumps(data['params'], sort_keys=True)}")
             if r.witness is not None:
-                from .report import _jsonable
-
-                print(f"        witness: {json.dumps(_jsonable(r.witness), sort_keys=True)}")
-    return ok
+                print(f"        witness: {json.dumps(data['witness'], sort_keys=True)}")
+    return all(r.passed for r in reports)
 
 
 # ------------------------------------------------- families and derivations
@@ -229,8 +232,10 @@ def _cmd_verify(args) -> int:
     _check_sizes(args, VERIFY_LIMITS)
     params = _rational_list(args.params) if args.params else []
     rng = random.Random(args.seed)
-    reports = []
-    if args.suite in ("associativity", "poisson", "bidegree", "stability"):
+    if args.suite == "vinset":
+        u_values = _rational_list(args.u) if args.u else [Fraction(0), Fraction(1, 12), Fraction(-1, 6), Fraction(1)]
+        reports = verifier.check_vinset(u_values)
+    else:
         if not args.family:
             raise UsageError(f"suite {args.suite} requires --family")
         fam = _build("family", _FAMILIES, args.family, params)
@@ -238,20 +243,18 @@ def _cmd_verify(args) -> int:
         weight_cap = args.weight_cap if args.weight_cap is not None else 8
         index_cap = args.index_cap if args.index_cap is not None else 2
         capped = args.weight_cap is not None or args.index_cap is not None
-        basis = verifier.monomial_basis(weight_cap, index_cap) if capped else None
+        # --algebra names the subalgebra of the stability suite only
+        algebra = args.algebra if args.suite == "stability" else "Jtilde"
+        basis = verifier.monomial_basis(weight_cap, index_cap, algebra) if capped else None
         if args.suite == "associativity":
             size = len(basis or verifier.GENERATORS)
             if size * args.nmax > MAX_ASSOCIATIVITY_SIZE:
                 raise UsageError(
                     f"associativity needs basis size * --nmax <= {MAX_ASSOCIATIVITY_SIZE}, got {size} * {args.nmax}"
                 )
-            reports.append(
-                verifier.check_associativity(fam, args.nmax, basis, claim=f"associativity.{tag}")
-            )
+            report = verifier.check_associativity(fam, args.nmax, basis, claim=f"associativity.{tag}")
         elif args.suite == "poisson":
-            reports.append(
-                verifier.check_poisson(brackets.mu1(fam), basis, claim=f"poisson.{tag}")
-            )
+            report = verifier.check_poisson(brackets.mu1(fam), basis, claim=f"poisson.{tag}")
         elif args.suite == "bidegree":
             pairs = [
                 (
@@ -260,21 +263,11 @@ def _cmd_verify(args) -> int:
                 )
                 for _ in range(args.pairs)
             ]
-            reports.append(
-                verifier.check_bidegree_law(fam, args.nmax, pairs, claim=f"bidegree.{tag}")
-            )
+            report = verifier.check_bidegree_law(fam, args.nmax, pairs, claim=f"bidegree.{tag}")
         else:
-            reports.append(
-                verifier.check_stability(
-                    fam, args.algebra, args.nmax, claim=f"stability.{args.algebra}.{tag}"
-                )
-            )
-    elif args.suite == "vinset":
-        u_values = _rational_list(args.u) if args.u else [Fraction(0), Fraction(1, 12), Fraction(-1, 6), Fraction(1)]
-        reports.extend(verifier.check_vinset(u_values))
-    else:
-        raise UsageError(f"unknown suite {args.suite!r}")
-    return 0 if _emit_reports(reports, args.json, getattr(args, '_argv', None)) else 1
+            report = verifier.check_stability(fam, args.algebra, args.nmax, basis, claim=f"stability.{args.algebra}.{tag}")
+        reports = [report]
+    return 0 if _emit_reports(_with_reproduce(reports, args._argv), args.json) else 1
 
 
 def _cmd_classify(args) -> int:
@@ -326,9 +319,10 @@ def _cmd_iso(args) -> int:
 def _cmd_scan(args) -> int:
     _check_sizes(args, SCAN_LIMITS)
     u_values = _rational_list(args.u)
+    if not u_values:
+        raise UsageError("--u needs at least one value")
     report = verifier.scan_conjecture(u_values, args.nmax, args.weight_cap, args.index_cap)
-    if report.witness is not None and getattr(args, "_argv", None):
-        report.witness.setdefault("reproduce", "jacobiforms " + " ".join(args._argv))
+    _with_reproduce([report], args._argv)
     if args.json:
         print(json.dumps(report.to_json_dict(), sort_keys=True))
     else:

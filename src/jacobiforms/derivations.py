@@ -13,6 +13,11 @@ commutator of two admissible derivations raises the weight by four, so it
 is returned as a plain (unchecked) Derivation.  `make_derivation` and
 `BracketFamily` enforce admissibility, both through the one check behind
 `Derivation.is_admissible`.
+
+The powers D^0(f), D^1(f), ... of a derivation on an element are memoised
+as one list per (D, f), extended in place when a deeper power is asked
+for: `iterate` reads one power from it and the bracket engine a whole
+sequence, each with one memo lookup and no recursion.
 """
 
 from __future__ import annotations
@@ -98,25 +103,30 @@ def apply(d: Derivation, f: BigradedElement) -> BigradedElement:
 
 
 @lru_cache(maxsize=1 << 16)
-def _iterate(d: Derivation, r: int, f: BigradedElement) -> BigradedElement:
-    if r == 0:
-        return f
-    return d(_iterate(d, r - 1, f))
+def _iterate(d: Derivation, f: BigradedElement) -> list[BigradedElement]:
+    """The powers [D^0(f), D^1(f), ...] of d on f computed so far: one list
+    per (d, f), which power_sequence extends in place."""
+    return [f]
 
 
-# _iterate recurses once per power down to the nearest memoized one, so
-# a deep power is reached through memoized powers at most this far apart.
-_ITERATE_STRIDE = 256
+def power_sequence(d: Derivation, r: int, f: BigradedElement) -> list[BigradedElement]:
+    """D^0(f), ..., D^s(f) for some s >= r, in one memo lookup.
+
+    The list is the memo's own, extended in place as far as r by one
+    thread at a time (the library is single-threaded); it may hold more
+    powers than asked for, and callers read it without changing it.
+    """
+    powers = _iterate(d, f)
+    while len(powers) <= r:
+        powers.append(d(powers[-1]))
+    return powers
 
 
 def iterate(d: Derivation, r: int, f: BigradedElement) -> BigradedElement:
     """r-fold application of d; iterate(d, 0, f) is f."""
     if r < 0:
         raise ValueError("iteration count must be nonnegative")
-    if r > _ITERATE_STRIDE:
-        for s in range(_ITERATE_STRIDE, r, _ITERATE_STRIDE):
-            _iterate(d, s, f)
-    return _iterate(d, r, f)
+    return power_sequence(d, r, f)[r]
 
 
 def commutator(d1: Derivation, d2: Derivation) -> Derivation:
@@ -245,5 +255,5 @@ def zero_derivation() -> Derivation:
 
 
 def clear_caches() -> None:
-    """Drop the memoized iterated applications (bounds memory in long scans)."""
+    """Drop the memoised power sequences (bounds memory in long scans)."""
     _iterate.cache_clear()

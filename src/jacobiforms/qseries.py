@@ -414,18 +414,17 @@ def bernoulli(k: int) -> Fraction:
     return values[k]
 
 
+def _divisors(n: int) -> list[int]:
+    """The positive divisors of a positive n, in increasing order."""
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
+
+
 def sigma(u: int, n: int) -> int:
     """Divisor power sum sigma_u(n) for positive n."""
     if n <= 0:
         raise ValueError("divisor sums need a positive argument")
-    total = 0
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            total += d ** u
-            other = n // d
-            if other != d:
-                total += other ** u
-    return total
+    return sum(d ** u for d in _divisors(n))
 
 
 def eisenstein(k: int, q_order: int) -> QSeries:
@@ -493,26 +492,28 @@ _B_Q1 = _wpoly_xi((1, 1), (0, -2), (-1, 1)) * _wpoly_xi((1, 5), (0, -22), (-1, 5
 _B_Q2 = _wpoly_xi((1, 1), (0, -2), (-1, 1)) * _wpoly_xi((2, 1), (1, 110), (0, -294), (-1, 110), (-2, 1))
 
 
+def _golden_checked(series: QSeries, expected, name: str) -> QSeries:
+    """series, once its leading q-coefficients equal the known ones in
+    expected, as far as it reaches: a mismatch means the construction of
+    the named generator is wrong."""
+    for n, coeff in enumerate(expected[: series.q_order + 1]):
+        if series.coefficient(n) != coeff:
+            raise InternalInvariantError(f"{name} mismatch at q^{n}: {format_wpoly(series.coefficient(n))}")
+    return series
+
+
 def theta_quotient_A(q_order: int) -> QSeries:
     """The weight -2, index 1 generator as a signed theta/eta-cube quotient.
 
-    The sign is fixed by the q^0 coefficient (w - w^{-1})^2, and the q^1,
-    q^2 coefficients are asserted against their known values: a mismatch
-    means the construction is wrong.
+    The sign is fixed by the q^0 coefficient (w - w^{-1})^2, and the q^0,
+    q^1, q^2 coefficients are asserted against their known values: a
+    mismatch means the construction is wrong.
     """
     theta = _theta_reduced(q_order)
     eta_inv = _inverted_unit(_eta_cubed_reduced(q_order))
     quotient = theta * theta * eta_inv * eta_inv
-    if quotient.coefficient(0) == _A_Q0:
-        series = quotient
-    elif quotient.coefficient(0) == -_A_Q0:
-        series = -quotient
-    else:
-        raise InternalInvariantError("theta quotient has the wrong q^0 coefficient")
-    for n, expected in ((1, _A_Q1), (2, _A_Q2)):
-        if n <= q_order and series.coefficient(n) != expected:
-            raise InternalInvariantError(f"theta quotient mismatch at q^{n}")
-    return series
+    series = -quotient if quotient.coefficient(0) == -_A_Q0 else quotient
+    return _golden_checked(series, (_A_Q0, _A_Q1, _A_Q2), "theta quotient")
 
 
 def j1_series(q_order: int, window: int) -> QSeries:
@@ -528,9 +529,8 @@ def j1_series(q_order: int, window: int) -> QSeries:
     rows = [{0: 1, **{-2 * d: 2 for d in range(1, window + 1)}}]
     for n in range(1, q_order + 1):
         row: dict = {}
-        for d in range(1, n + 1):
-            if n % d == 0:
-                row.update({2 * d: -2, -2 * d: 2})
+        for d in _divisors(n):
+            row.update({2 * d: -2, -2 * d: 2})
         rows.append(row)
     return QSeries._raw(rows, 2, window)
 
@@ -547,9 +547,8 @@ def j2_series(q_order: int) -> QSeries:
     rows = [{0: 1}]
     for n in range(1, q_order + 1):
         row: dict = {}
-        for d in range(1, n + 1):
-            if n % d == 0:
-                row[2 * d] = row[-2 * d] = -12 * (n // d)
+        for d in _divisors(n):
+            row[2 * d] = row[-2 * d] = -12 * (n // d)
         rows.append(row)
     return QSeries._raw(rows, 6)
 
@@ -625,13 +624,7 @@ def _derived_b(bundle: JacobiSeriesBundle) -> QSeries:
                 )
     # exact for |r| <= bound and zero beyond it: truncate and promote
     exact = QSeries._raw(series._rows, series._den, bound).as_exact()
-    for n, expected in ((0, _B_Q0), (1, _B_Q1), (2, _B_Q2)):
-        if n <= q_order and exact.coefficient(n) != expected:
-            raise InternalInvariantError(
-                f"derived weight-0 generator mismatch at q^{n}: "
-                f"{format_wpoly(exact.coefficient(n))}"
-            )
-    return exact
+    return _golden_checked(exact, (_B_Q0, _B_Q1, _B_Q2), "derived weight-0 generator")
 
 
 def b_series(q_order: int, window: int) -> QSeries:

@@ -28,14 +28,6 @@ class VerificationReport:
         }
 
 
-def passing(claim: str, params: dict | None = None) -> VerificationReport:
-    return VerificationReport(claim, "pass", None, params or {})
-
-
-def failing(claim: str, witness: dict, params: dict | None = None) -> VerificationReport:
-    return VerificationReport(claim, "fail", witness, params or {})
-
-
 def _jsonable(value: Any):
     from fractions import Fraction
 

@@ -2,9 +2,10 @@
 
 Every identity checked here is multilinear in the inputs, so checking it
 on a monomial spanning set within weight/index caps is conclusive within
-those caps.  Checks report pass/fail rather than raising: each check
-yields its failures as witnesses, and a failed report carries the first,
-with the inputs and both sides.
+those caps.  Checks report pass/fail rather than raising: each check,
+the conjecture scan included, yields its failures as witnesses into
+`_first_witness`, the one place a report is built, and a failed report
+carries the first, with the inputs and both sides.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .elements import (
     monomial,
 )
 from .qseries import JacobiSeriesBundle, evaluate, oberdieck_series
-from .report import VerificationReport, failing, passing
+from .report import VerificationReport
 
 
 def monomial_basis(weight_cap: int, index_cap: int, algebra: str = "Jtilde") -> list[BigradedElement]:
@@ -76,10 +77,11 @@ def _witness(identity: str, inputs: dict, lhs, rhs) -> dict:
     return {"identity": identity, "inputs": inputs, "lhs": lhs, "rhs": rhs}
 
 
-def _first_witness(claim: str, witnesses, params: dict) -> VerificationReport:
-    """Fail the claim with the first witness its check yields, else pass."""
+def _first_witness(claim: str, witnesses, params: dict, details: list | None = None) -> VerificationReport:
+    """Fail the claim with the first witness its check yields, else pass;
+    details, when given, is the list of rows the check fills as it runs."""
     witness = next(witnesses, None)
-    return failing(claim, witness, params) if witness else passing(claim, params)
+    return VerificationReport(claim, "fail" if witness else "pass", witness, params, details)
 
 
 def check_associativity(
@@ -312,42 +314,28 @@ def scan_conjecture(
         "pairs": len(basis) ** 2,
     }
     rows = []
-    for u in u_values:
-        v = 12 * u + 1
-        family = rc_localized(u, v)
-        flags = {}
-        for i, (f, f_name) in enumerate(zip(basis, names)):
-            for j, (g, g_name) in enumerate(zip(basis, names)):
-                if i <= j:
-                    values = star_truncated(family, n_max, f, g)
-                    flags[i, j] = [membership(value, "Jtilde") for value in values]
-                for n, inside in enumerate(flags[min(i, j), max(i, j)]):
-                    rows.append((u, v, n, f_name, g_name, inside))
-                    if not inside:  # so i <= j, and values are those of (f, g)
-                        return VerificationReport(
-                            claim,
-                            "fail",
-                            _witness("scan", {"u": u, "v": v, "f": f, "g": g, "n": n}, values[n], None),
-                            params,
-                            rows,
-                        )
-        # negative direction: off the line the first bracket already escapes
-        for v_off in (Fraction(0), Fraction(1), Fraction(2)):
-            if v_off == v:
-                continue
-            off = rc_localized(u, v_off)
-            escaped = any(
-                not membership(bracket_n(off, 1, B, g), "Jtilde") for g in (E4, E6)
-            )
-            if not escaped:
-                return VerificationReport(
-                    claim,
-                    "fail",
-                    _witness("negative-direction", {"u": u, "v": v_off}, None, None),
-                    params,
-                    rows,
-                )
-    return VerificationReport(claim, "pass", None, params, rows)
+
+    def witnesses():
+        for u in u_values:
+            v = 12 * u + 1
+            family = rc_localized(u, v)
+            flags = {}
+            for i, (f, f_name) in enumerate(zip(basis, names)):
+                for j, (g, g_name) in enumerate(zip(basis, names)):
+                    if i <= j:
+                        values = star_truncated(family, n_max, f, g)
+                        flags[i, j] = [membership(value, "Jtilde") for value in values]
+                    for n, inside in enumerate(flags[min(i, j), max(i, j)]):
+                        rows.append((u, v, n, f_name, g_name, inside))
+                        if not inside:  # so i <= j, and values are those of (f, g)
+                            yield _witness("scan", {"u": u, "v": v, "f": f, "g": g, "n": n}, values[n], None)
+            # negative direction: off the line the first bracket already escapes
+            for v_off in (Fraction(0), Fraction(1), Fraction(2)):
+                off = rc_localized(u, v_off)
+                if v_off != v and all(membership(bracket_n(off, 1, B, g), "Jtilde") for g in (E4, E6)):
+                    yield _witness("negative-direction", {"u": u, "v": v_off}, None, None)
+
+    return _first_witness(claim, witnesses(), params, rows)
 
 
 # --------------------------------------------------------- series consistency

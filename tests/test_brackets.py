@@ -30,7 +30,7 @@ from jacobiforms import (
     src,
     star_truncated,
 )
-from jacobiforms.brackets import BracketFamily, _binomial_row, _integer_row
+from jacobiforms.brackets import BracketFamily, _integer_row
 from jacobiforms.derivations import Derivation
 from jacobiforms.verifier import random_homogeneous
 
@@ -136,8 +136,9 @@ def test_binomial_rows_are_the_bracket_binomials():
     for n in range(5):
         bracket_n(fam, n, E4 + A, B + E6)
         for k, p in parts:
-            row = _binomial_row(k, p, fam.c, n)
-            assert row == tuple(gbinom(k + fam.c * p + n - 1, j) for j in range(n + 1))
+            row = _integer_row(k, p, fam.c.numerator, fam.c.denominator, n)
+            denominator = fam.c.denominator ** n * factorial(n)
+            assert tuple(F(x, denominator) for x in row) == tuple(gbinom(k + fam.c * p + n - 1, j) for j in range(n + 1))
     assert _integer_row.cache_info().currsize == 5 * len(parts)
     jacobiforms.clear_caches()
     assert _integer_row.cache_info().currsize == 0
@@ -156,7 +157,7 @@ def test_integer_rows_are_the_binomial_rows_over_the_row_denominator():
                 for p in range(-2, 4):
                     row = _integer_row(k, p, c.numerator, c.denominator, n)
                     assert all(type(x) is int for x in row)
-                    assert tuple(F(x, denominator) for x in row) == _binomial_row(k, p, c, n)
+                    assert tuple(F(x, denominator) for x in row) == tuple(gbinom(k + c * p + n - 1, j) for j in range(n + 1))
 
 
 def test_clear_caches_empties_the_integer_rows():

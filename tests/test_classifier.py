@@ -2,6 +2,8 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jacobiforms import (
     A,
@@ -148,6 +150,34 @@ def test_bracket_from_params_zero_tuple():
     assert bracket(A, E4).is_zero
     assert bracket(A, B).is_zero
     assert check_poisson(bracket).passed
+
+
+def _written_out_pairs(p):
+    """{x_i, x_j} for i < j in the order (E4, E6, A, B), each value typed
+    out from the module docstring's display."""
+    e4, e6, a, b = range(4)
+    return {
+        (e4, e6): -2 * E4 ** 3 + 2 * E6 ** 2,
+        (e4, a): -(p.alpha * E6 * A + p.gamma * E4 * B),
+        (e4, b): -(p.lam * E4 ** 2 * A + p.epsilon * E6 * B),
+        (e6, a): -(p.beta * E4 ** 2 * A + p.delta * E6 * B),
+        (e6, b): -(p.mu * E4 * E6 * A + p.theta * E4 ** 2 * B),
+        (a, b): p.xi * E4 * A ** 2 + p.eta * B ** 2,
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=7), min_size=10, max_size=10))
+def test_bracket_from_params_pairs_are_the_written_out_values(values):
+    p = PoissonParams.of(*values)
+    bracket = bracket_from_params(p)
+    for (i, j), value in _written_out_pairs(p).items():
+        assert bracket.pair(i, j) == value
+        assert bracket.pair(j, i) == -value
+        assert bracket(GENERATORS[i], GENERATORS[j]) == value
+    for i in range(4):
+        assert bracket.pair(i, i).is_zero
+    assert params_from_mu1(bracket) == p
 
 
 def test_params_from_mu1_round_trip():

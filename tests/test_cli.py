@@ -216,6 +216,7 @@ BAD_INPUTS = {
     "classify-wrong-count": ["classify", "--params", "1,2"],
     "iso-wrong-count": ["iso", "--from", "1,2", "--to", "1,2,3"],
     "scan-bad-rational": ["scan-conjecture", "--u", "q"],
+    "scan-no-u-values": ["scan-conjecture", "--u="],
     "verify-negative-nmax": ["verify", "--suite", "associativity", "--family", "accol", "--params", "1,1,0", "--nmax", "-1"],
     "verify-negative-pairs": ["verify", "--suite", "bidegree", "--family", "src", "--pairs", "-1"],
     "verify-negative-weight-cap": ["verify", "--suite", "poisson", "--family", "src", "--weight-cap", "-4"],
@@ -300,16 +301,41 @@ def test_verify_associativity_size_limit_is_inclusive(capsys, monkeypatch, caps,
     # the check itself would run for about a minute at 53 x 3; the bound is
     # what is tested, so the suite is replaced by a stub that records its sizes
     from jacobiforms import verifier
-    from jacobiforms.report import passing
+    from jacobiforms.report import VerificationReport
 
     seen = []
     monkeypatch.setattr(
-        verifier, "check_associativity", lambda family, n_max, basis, claim: seen.append((len(basis), n_max)) or passing(claim)
+        verifier, "check_associativity", lambda family, n_max, basis, claim: seen.append((len(basis), n_max)) or VerificationReport(claim, "pass")
     )
     code, out, _ = run(capsys, "verify", "--suite", "associativity", "--family", "src", *caps, "--nmax", nmax)
     assert code == 0
     assert "[PASS]" in out
     assert seen == [(size, int(nmax))]
+
+
+@pytest.mark.parametrize(
+    "algebra, family, caps",
+    [
+        ("Jtilde", ["Crochet", "--params", "0,2"], ["--weight-cap", "2", "--index-cap", "0"]),
+        ("Jtilde", ["accol", "--params", "1,1,0"], ["--weight-cap", "6", "--index-cap", "1"]),
+        ("Jtilde", ["accol", "--params", "1,1,0"], ["--index-cap", "1"]),
+        ("M", ["src"], ["--weight-cap", "12"]),
+        ("Q", ["scal", "--params", "0,1"], ["--weight-cap", "4", "--index-cap", "2"]),
+    ],
+)
+def test_verify_stability_basis_follows_the_caps(capsys, algebra, family, caps):
+    from jacobiforms import monomial_basis
+
+    argv = ["verify", "--suite", "stability", "--algebra", algebra, "--family", *family, "--nmax", "2", "--json"]
+    code, out, _ = run(capsys, *argv, *caps)
+    (report,) = json.loads(out)
+    weight_cap = int(caps[caps.index("--weight-cap") + 1]) if "--weight-cap" in caps else 8
+    index_cap = int(caps[caps.index("--index-cap") + 1]) if "--index-cap" in caps else 2
+    assert report["params"]["basis_size"] == len(monomial_basis(weight_cap, index_cap, algebra))
+    assert code == (0 if report["status"] == "pass" else 1)
+    # without caps the suite keeps its default basis
+    code, out, _ = run(capsys, *argv)
+    assert json.loads(out)[0]["params"]["basis_size"] == {"Jtilde": 4, "M": 2, "Q": 3}[algebra]
 
 
 def test_negative_rationals_via_equals_form(capsys):

@@ -2,6 +2,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import jacobiforms
 
 from jacobiforms import (
     A,
@@ -32,7 +36,9 @@ from jacobiforms import (
     sharp,
     zero_derivation,
 )
-from jacobiforms.derivations import _iterate
+from jacobiforms.brackets import bracket_n, star_truncated
+from jacobiforms.derivations import _iterate, power_sequence
+from jacobiforms.elements import leibniz_apply
 
 BUILTINS = {
     "serre": serre(),
@@ -198,6 +204,75 @@ def test_equal_derivations_hash_alike_and_share_the_iterate_memo():
     iterate(d2, 2, f)
     after = _iterate.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+def _applied(d, r, f):
+    """r-fold leibniz_apply of d's images, with no memo."""
+    for _ in range(r):
+        f = leibniz_apply(f, d.images)
+    return f
+
+
+# a few monomials of mixed bidegrees, negative powers of A included
+_elements = st.lists(
+    st.tuples(st.fractions(min_value=-3, max_value=3, max_denominator=4), st.integers(0, 2), st.integers(0, 1), st.integers(-2, 2), st.integers(0, 2)),
+    min_size=1,
+    max_size=3,
+).map(lambda terms: sum((c * monomial(*m) for c, *m in terms), start=ZERO))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(BUILTINS)), _elements, st.lists(st.integers(0, 7), min_size=1, max_size=6))
+def test_powers_read_in_any_order_are_the_applied_powers(name, f, orders):
+    d = BUILTINS[name]
+    jacobiforms.clear_caches()
+    for r in orders:
+        assert iterate(d, r, f) == _applied(d, r, f)
+        assert power_sequence(d, r, f)[: r + 1] == [_applied(d, s, f) for s in range(r + 1)]
+
+
+def test_deep_power_read_before_shallow_one():
+    d, f = partial_u(F(7, 5)), E4 * A + B ** 2
+    jacobiforms.clear_caches()
+    assert iterate(d, 7, f) == _applied(d, 7, f)
+    before = _iterate.cache_info()
+    assert iterate(d, 3, f) == _applied(d, 3, f)
+    after = _iterate.cache_info()
+    # the shallow power is read from the sequence the deep one left behind
+    assert (after.hits, after.misses, after.currsize) == (before.hits + 1, before.misses, before.currsize)
+    assert len(power_sequence(d, 3, f)) == 8
+
+
+def test_bracket_reads_the_powers_a_longer_star_product_left():
+    family = rc_localized(F(1, 12), 2)
+    d, f, g = family.derivation, E4 * A + B, E6 + A * B
+    jacobiforms.clear_caches()
+    orders = star_truncated(family, 4, f, g)
+    second = bracket_n(family, 2, f, g)
+    jacobiforms.clear_caches()
+    assert second == orders[2] == bracket_n(family, 2, f, g)
+    for x in (E4 * A, B, E6, A * B):
+        assert power_sequence(d, 4, x)[:5] == [_applied(d, r, x) for r in range(5)]
+
+
+def test_equal_derivations_share_one_power_sequence():
+    d1, d2 = rc_localized(1, 13).derivation, rc_localized(1, 13).derivation
+    assert d1 is not d2
+    f = E4 * A + B ** 2
+    jacobiforms.clear_caches()
+    assert iterate(d1, 5, f) == _applied(d1, 5, f)
+    assert power_sequence(d2, 2, f) is power_sequence(d1, 5, f)
+    assert iterate(d2, 6, f) == _applied(d2, 6, f)
+    assert _iterate.cache_info().currsize == 1
+
+
+def test_powers_after_clear_caches():
+    d, f = oberdieck(), A * B + E4
+    first = [iterate(d, r, f) for r in range(5)]
+    jacobiforms.clear_caches()
+    assert _iterate.cache_info().currsize == 0
+    assert [iterate(d, r, f) for r in reversed(range(5))] == first[::-1] == [_applied(d, r, f) for r in reversed(range(5))]
+    assert _iterate.cache_info().currsize == 1
 
 
 def test_commutator_basic():
