@@ -29,6 +29,7 @@ from .elements import (
     from_json_dict,
     membership,
     monomial,
+    monomial_basis,
     parse_element,
     to_json_dict,
 )
@@ -114,7 +115,6 @@ from .verifier import (
     check_poisson,
     check_stability,
     check_vinset,
-    monomial_basis,
     random_homogeneous,
     scan_conjecture,
     series_consistency,

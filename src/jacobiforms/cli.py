@@ -22,6 +22,7 @@ from fractions import Fraction
 
 from . import brackets, classifier, derivations, qseries, verifier
 from .elements import (
+    SUBALGEBRA_GENERATORS,
     BidegreeError,
     BigradedElement,
     InternalInvariantError,
@@ -48,6 +49,14 @@ def _rational(text: str) -> Fraction:
 
 def _rational_list(text: str) -> list[Fraction]:
     return [_rational(part) for part in text.split(",") if part.strip() != ""]
+
+
+def _u_values(text: str) -> list[Fraction]:
+    """The --u list, which must name at least one value."""
+    u_values = _rational_list(text)
+    if not u_values:
+        raise UsageError("--u needs at least one value")
+    return u_values
 
 
 def _element(text: str, allow_f2: bool) -> BigradedElement:
@@ -233,7 +242,7 @@ def _cmd_verify(args) -> int:
     params = _rational_list(args.params) if args.params else []
     rng = random.Random(args.seed)
     if args.suite == "vinset":
-        u_values = _rational_list(args.u) if args.u else [Fraction(0), Fraction(1, 12), Fraction(-1, 6), Fraction(1)]
+        u_values = _u_values(args.u) if args.u else [Fraction(0), Fraction(1, 12), Fraction(-1, 6), Fraction(1)]
         reports = verifier.check_vinset(u_values)
     else:
         if not args.family:
@@ -318,9 +327,7 @@ def _cmd_iso(args) -> int:
 
 def _cmd_scan(args) -> int:
     _check_sizes(args, SCAN_LIMITS)
-    u_values = _rational_list(args.u)
-    if not u_values:
-        raise UsageError("--u needs at least one value")
+    u_values = _u_values(args.u)
     report = verifier.scan_conjecture(u_values, args.nmax, args.weight_cap, args.index_cap)
     _with_reproduce([report], args._argv)
     if args.json:
@@ -380,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", type=int, default=50)
     p.add_argument("--weight-cap", type=int, default=None)
     p.add_argument("--index-cap", type=int, default=None)
-    p.add_argument("--algebra", default="Jtilde", choices=["M", "Jtilde", "Q"])
+    p.add_argument("--algebra", default="Jtilde", choices=list(SUBALGEBRA_GENERATORS))
     p.add_argument("--u", default="")
     p.set_defaults(func=_cmd_verify)
 

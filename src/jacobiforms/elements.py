@@ -13,9 +13,12 @@ numerators over one shared positive denominator, which keeps the hot
 arithmetic paths in machine integers; the public API speaks Fraction.
 Sums and products of elements are folded into one integer accumulator by
 `linear_combination`, divided by an optional integer and normalised once;
-`+`, `-` and `*` are one-term or two-term calls of it.  All values are
-immutable after construction, so an element caches its split into
-homogeneous components (its bidegree, when it is homogeneous).
+`+`, `-` and `*` are one-term or two-term calls of it, and `power` is the
+one square-and-multiply of elements, coefficients and series.  All values
+are immutable after construction, so an element caches its split into
+homogeneous components (its bidegree, when it is homogeneous).  The
+subalgebras M, Jtilde and Q are each defined once, by a monomial test and
+generators, which `membership`, `monomial_basis` and the stability check read.
 """
 
 from __future__ import annotations
@@ -26,8 +29,6 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple, Union
 
 Scalar = Union[int, Fraction]
-
-ALGEBRAS = ("M", "Jtilde", "Q", "K")
 
 
 class ParseError(ValueError):
@@ -194,16 +195,8 @@ class BigradedElement:
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
-            inv = self._inverted()
-            return inv ** (-n)
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+            return power(self._inverted(), -n, ONE)
+        return power(self, n, ONE)
 
     def _inverted(self):
         # only pure powers of A are units in the localization
@@ -251,33 +244,27 @@ class BigradedElement:
         return parts[0][0]
 
 
-_MEMBERSHIP = {
-    "M": lambda m: m[2] == 0 and m[3] == 0,
-    "Jtilde": lambda m: m[2] >= 0,
-    "Q": lambda m: m[2] == -m[3],
-    "K": lambda m: True,
-}
-
-
-def membership(f: BigradedElement, algebra: str) -> bool:
-    """Whether every monomial of f lies in the named subalgebra of K.
-
-    M is C[E4,E6]; Jtilde is C[E4,E6,A,B]; Q is C[E4,E6,F2] (monomials with
-    the A exponent opposite to the B exponent); K is everything.
-    """
-    try:
-        test = _MEMBERSHIP[algebra]
-    except KeyError:
-        raise ValueError(f"unknown algebra {algebra!r}, expected one of {ALGEBRAS}")
-    return all(test(m) for m in f._num)
-
-
 def monomial(e4: int = 0, e6: int = 0, a: int = 0, b: int = 0, coeff: Scalar = 1) -> BigradedElement:
     return BigradedElement({Monomial(e4, e6, a, b): coeff})
 
 
 def constant(c: Scalar) -> BigradedElement:
     return BigradedElement({Monomial(0, 0, 0, 0): c})
+
+
+def power(base, n: int, one):
+    """base ** n for an integer n >= 0 by square-and-multiply, from the
+    unit one: the one power rule of elements, coefficients and series."""
+    if n < 0:
+        raise ValueError("negative powers are not supported")
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
 
 
 def linear_combination(terms, divisor: int = 1) -> BigradedElement:
@@ -368,6 +355,47 @@ F2 = monomial(a=-1, b=1)
 
 GENERATORS = (E4, E6, A, B)
 GENERATOR_NAMES = ("E4", "E6", "A", "B")
+
+# The monomial test of each subalgebra of K, and each proper one's generators
+_MEMBERSHIP = {
+    "M": lambda m: m[2] == 0 and m[3] == 0,
+    "Jtilde": lambda m: m[2] >= 0,
+    "Q": lambda m: m[2] == -m[3],
+    "K": lambda m: True,
+}
+SUBALGEBRA_GENERATORS = {"M": (E4, E6), "Jtilde": GENERATORS, "Q": (E4, E6, F2)}
+
+
+def membership(f: BigradedElement, algebra: str) -> bool:
+    """Whether every monomial of f lies in the named subalgebra of K.
+
+    M is C[E4,E6]; Jtilde is C[E4,E6,A,B]; Q is C[E4,E6,F2] (monomials with
+    the A exponent opposite to the B exponent); K is everything.
+    """
+    try:
+        test = _MEMBERSHIP[algebra]
+    except KeyError:
+        raise ValueError(f"unknown algebra {algebra!r}, expected one of {tuple(_MEMBERSHIP)}")
+    return all(test(m) for m in f._num)
+
+
+def monomial_basis(weight_cap: int, index_cap: int, algebra: str = "Jtilde") -> list[BigradedElement]:
+    """The monomials of a proper subalgebra of K of weight <= weight_cap
+    and index <= index_cap, in increasing exponent order: those of one box,
+    A^a B^b with |a| <= index_cap and 0 <= b <= index_cap - a times each
+    E4^i E6^j within the weight cap, that the algebra's monomial test keeps.
+    """
+    if algebra not in SUBALGEBRA_GENERATORS:
+        raise ValueError("basis enumeration needs a proper subalgebra of K")
+    box = (
+        (i, j, a, b)
+        for a in range(-index_cap, index_cap + 1)
+        for b in range(index_cap - a + 1)
+        for i in range((weight_cap + 2 * a) // 4 + 1)
+        for j in range((weight_cap + 2 * a - 4 * i) // 6 + 1)
+    )
+    return [monomial(*m) for m in sorted(filter(_MEMBERSHIP[algebra], box))]
+
 
 # ---------------------------------------------------------------------- text
 

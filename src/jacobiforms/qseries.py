@@ -10,7 +10,7 @@ BigradedElement stores its terms.  All series arithmetic runs on these
 integers; coefficient(n) builds a LaurentPolyW of Fractions from a row on
 demand.  As for elements, sums and products of series are folded into one
 set of integer rows by `combination` and normalised once; `+`, `-`, `*`
-and the evaluation maps are calls of it.
+and the evaluation maps are calls of it, and `**` of `elements.power`.
 
 Most series are Exact: every stored coefficient is the true one and the
 support is genuinely finite.  The elliptic-zeta series J1 is the one
@@ -22,11 +22,12 @@ finite factor's width, additions keep the smaller window, and equality
 or membership claims are only made inside the guaranteed window.
 
 The index-one generators are built rather than tabulated: A as a signed
-quotient of reduced theta and eta-cube series (the q^{1/8} prefactors
-cancel in the square, keeping integer q powers), and B from A through the
-Fourier-side derivation, with both checked against their known leading
-coefficients before use.  A product costs about N^2 times the square of
-the row width, so the CLI's expand accepts N <= 200 and G <= 1000.
+quotient of reduced theta and eta-cube series, both sums over triangular
+powers of q (the q^{1/8} prefactors cancel in the square, keeping integer
+q powers), and B from A through the Fourier-side derivation, with both
+checked against their known leading coefficients before use.  A product
+costs about N^2 times the square of the row width, so the CLI's expand
+accepts N <= 200 and G <= 1000.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .elements import (
     BigradedElement,
     InternalInvariantError,
     membership,
+    power,
 )
 
 
@@ -118,16 +120,7 @@ class LaurentPolyW:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not supported")
-        result = LaurentPolyW({0: 1})
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, LaurentPolyW({0: 1}))
 
     def mirror(self) -> "LaurentPolyW":
         """Substitute w -> w^{-1}."""
@@ -256,16 +249,7 @@ class QSeries:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative series powers are not supported")
-        result = constant_series(1, self.q_order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, constant_series(1, self.q_order))
 
     def dtau(self) -> "QSeries":
         """q d/dq: multiply the q^n coefficient by n."""
@@ -289,13 +273,9 @@ class QSeries:
         rows = [{r: c for r, c in row.items() if abs(r) <= bound} for row in self._rows]
         return QSeries._raw(rows, self._den)
 
-    def agrees_with(self, other: "QSeries", q_through: int | None = None) -> bool:
+    def agrees_with(self, other: "QSeries") -> bool:
         """Coefficientwise equality inside the common guaranteed window."""
         order = min(self.q_order, other.q_order)
-        if q_through is not None:
-            if q_through > order:
-                raise WindowError(f"series only reach q^{order}, need q^{q_through}")
-            order = q_through
         window = _min_window(self.window, other.window)
         d1, d2 = self._den, other._den
         for n in range(order + 1):
@@ -440,23 +420,14 @@ def eisenstein(k: int, q_order: int) -> QSeries:
 # ----------------------------------------------------- index-one generators
 
 
-def _theta_reduced(q_order: int) -> QSeries:
-    """sum_{n>=0} (-1)^n q^{n(n+1)/2} (w^{2n+1} - w^{-(2n+1)})."""
+def _triangular_series(q_order: int, row) -> QSeries:
+    """sum_{n>=0} (-1)^n row(n) q^{n(n+1)/2} through q^q_order: the reduced
+    theta series for row(n) = w^{2n+1} - w^{-2n-1}, and the eta-cube without
+    its q^{1/8} for row(n) = 2n+1."""
     rows = [{} for _ in range(q_order + 1)]
     n = 0
     while n * (n + 1) // 2 <= q_order:
-        sign, exp = (-1) ** n, 2 * n + 1
-        rows[n * (n + 1) // 2] = {exp: sign, -exp: -sign}
-        n += 1
-    return QSeries._raw(rows, 1)
-
-
-def _eta_cubed_reduced(q_order: int) -> QSeries:
-    """sum_{n>=0} (-1)^n (2n+1) q^{n(n+1)/2}, the eta-cube without q^{1/8}."""
-    rows = [{} for _ in range(q_order + 1)]
-    n = 0
-    while n * (n + 1) // 2 <= q_order:
-        rows[n * (n + 1) // 2] = {0: (-1) ** n * (2 * n + 1)}
+        rows[n * (n + 1) // 2] = {r: (-1) ** n * c for r, c in row(n).items()}
         n += 1
     return QSeries._raw(rows, 1)
 
@@ -509,8 +480,8 @@ def theta_quotient_A(q_order: int) -> QSeries:
     q^1, q^2 coefficients are asserted against their known values: a
     mismatch means the construction is wrong.
     """
-    theta = _theta_reduced(q_order)
-    eta_inv = _inverted_unit(_eta_cubed_reduced(q_order))
+    theta = _triangular_series(q_order, lambda n: {2 * n + 1: 1, -2 * n - 1: -1})
+    eta_inv = _inverted_unit(_triangular_series(q_order, lambda n: {0: 2 * n + 1}))
     quotient = theta * theta * eta_inv * eta_inv
     series = -quotient if quotient.coefficient(0) == -_A_Q0 else quotient
     return _golden_checked(series, (_A_Q0, _A_Q1, _A_Q2), "theta quotient")

@@ -29,16 +29,9 @@ class VerificationReport:
 
 
 def _jsonable(value: Any):
-    from fractions import Fraction
-
-    from .elements import BigradedElement
-
+    """value with dict keys and leaves other than None, bool, int and str as strings."""
     if value is None or isinstance(value, (bool, int, str)):
         return value
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, BigradedElement):
-        return str(value)
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

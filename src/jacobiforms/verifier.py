@@ -5,7 +5,10 @@ on a monomial spanning set within weight/index caps is conclusive within
 those caps.  Checks report pass/fail rather than raising: each check,
 the conjecture scan included, yields its failures as witnesses into
 `_first_witness`, the one place a report is built, and a failed report
-carries the first, with the inputs and both sides.
+carries the first, with the inputs and both sides.  Stability and the
+conjecture scan read one membership sweep, `_membership_rows`, which
+computes each unordered basis pair once and yields the rows and the first
+escape of the loop over all ordered pairs.
 """
 
 from __future__ import annotations
@@ -14,48 +17,24 @@ import random
 from fractions import Fraction
 
 from .brackets import BracketFamily, accol, bracket_n, bracket_sum, rc_localized, star_truncated
+from .derivations import oberdieck
 from .elements import (
     A,
     B,
     E4,
     E6,
+    F2,
     GENERATORS,
     GENERATOR_NAMES,
+    SUBALGEBRA_GENERATORS,
     BigradedElement,
     ZERO,
     linear_combination,
     membership,
-    monomial,
+    monomial_basis,
 )
 from .qseries import JacobiSeriesBundle, evaluate, oberdieck_series
 from .report import VerificationReport
-
-
-def monomial_basis(weight_cap: int, index_cap: int, algebra: str = "Jtilde") -> list[BigradedElement]:
-    """Deterministically ordered monomials of the algebra within the caps.
-
-    Monomials are filtered by weight <= weight_cap and index <= index_cap;
-    for M the index constraints are vacuous.
-    """
-    if algebra not in ("M", "Jtilde", "Q"):
-        raise ValueError("basis enumeration needs a proper subalgebra of K")
-    out = []
-    a_range = {
-        "M": lambda b: (0,),
-        "Jtilde": lambda b: range(0, index_cap - b + 1),
-        "Q": lambda b: (-b,),
-    }[algebra]
-    max_b = 0 if algebra == "M" else index_cap
-    for b in range(max_b + 1):
-        for a in a_range(b):
-            budget = weight_cap + 2 * max(a, 0)
-            for i in range(budget // 4 + 1):
-                for j in range((budget - 4 * i) // 6 + 1):
-                    weight = 4 * i + 6 * j - 2 * a
-                    if weight <= weight_cap:
-                        out.append((i, j, a, b))
-    out.sort()
-    return [monomial(*m) for m in out]
 
 
 def random_homogeneous(rng: random.Random, weight_cap: int = 8, index_cap: int = 2) -> BigradedElement:
@@ -120,7 +99,6 @@ def check_poisson(
     mu1,
     basis: list[BigradedElement] | None = None,
     claim: str = "first-bracket.poisson",
-    params: dict | None = None,
 ) -> VerificationReport:
     """Skew-symmetry, Leibniz in each argument and the Jacobi identity for
     a bilinear first bracket, over basis tuples.
@@ -135,8 +113,6 @@ def check_poisson(
     ordered tuples.
     """
     basis = list(GENERATORS) if basis is None else basis
-    params = dict(params or {})
-    params["basis_size"] = len(basis)
     table = [[mu1(f, g) for g in basis] for f in basis]
 
     def witnesses():
@@ -159,7 +135,7 @@ def check_poisson(
                         if jac != ZERO:
                             yield _witness("jacobi", {"f": f, "g": g, "h": h}, jac, ZERO)
 
-    return _first_witness(claim, witnesses(), params)
+    return _first_witness(claim, witnesses(), {"basis_size": len(basis)})
 
 
 def check_bidegree_law(
@@ -184,6 +160,29 @@ def check_bidegree_law(
     return _first_witness(claim, witnesses(), {"n_max": n_max, "pairs": len(pairs)})
 
 
+def _membership_rows(family: BracketFamily, algebra: str, n_max: int, basis: list[BigradedElement]):
+    """(i, j, n, escape) for every ordered pair (i, j) of basis indices and
+    every order n <= n_max, in loop order; escape is mu_n(basis[i], basis[j])
+    when it lies outside the algebra, else None.
+
+    mu_n(g, f) = (-1)^n mu_n(f, g) and membership ignores sign, so brackets
+    are computed once per unordered pair i <= j and (i, j) with i > j reads
+    the flags of (j, i); an escape there follows one at (j, i), which comes
+    first, so only past the first escape is a bracket computed again (README).
+    """
+    flags = {}
+    for i, f in enumerate(basis):
+        for j, g in enumerate(basis):
+            if i <= j:
+                values = star_truncated(family, n_max, f, g)
+                flags[i, j] = [membership(value, algebra) for value in values]
+            for n, inside in enumerate(flags[min(i, j), max(i, j)]):
+                if inside:
+                    yield i, j, n, None
+                else:
+                    yield i, j, n, values[n] if i <= j else bracket_n(family, n, f, g)
+
+
 def check_stability(
     family: BracketFamily,
     algebra: str,
@@ -191,23 +190,17 @@ def check_stability(
     basis: list[BigradedElement] | None = None,
     claim: str = "bracket.stability",
 ) -> VerificationReport:
-    """All bracket values up to n_max stay inside the subalgebra."""
-    if basis is None:
-        basis = {
-            "M": [E4, E6],
-            "Jtilde": list(GENERATORS),
-            "Q": [E4, E6, B * monomial(a=-1)],
-        }[algebra]
+    """All bracket values up to n_max of basis pairs stay inside the
+    subalgebra; the basis defaults to the algebra's generators."""
+    basis = list(SUBALGEBRA_GENERATORS[algebra]) if basis is None else basis
     for f in basis:
         if not membership(f, algebra):
             raise ValueError("stability basis must lie inside the subalgebra")
 
     def witnesses():
-        for f in basis:
-            for g in basis:
-                for n, value in enumerate(star_truncated(family, n_max, f, g)):
-                    if not membership(value, algebra):
-                        yield _witness("stability", {"f": f, "g": g, "n": n, "algebra": algebra}, value, None)
+        for i, j, n, escape in _membership_rows(family, algebra, n_max, basis):
+            if escape is not None:
+                yield _witness("stability", {"f": basis[i], "g": basis[j], "n": n, "algebra": algebra}, escape, None)
 
     params = {"algebra": algebra, "n_max": n_max, "basis_size": len(basis)}
     return _first_witness(claim, witnesses(), params)
@@ -219,20 +212,19 @@ def check_stability(
 def _vinset_closed_forms(u: Fraction, v: Fraction) -> dict[tuple[str, str], BigradedElement]:
     """Closed forms of the first localized-family bracket on the index-
     carrying generator pairs, as functions of (u, v)."""
-    f2 = monomial(a=-1, b=1)
     third = Fraction(1, 3)
     half = Fraction(1, 2)
     twelfth = Fraction(1, 12)
     return {
         ("A", "E4"): third * (-12 * u + v - 2) * E4 * B - third * (v - 2) * A * E6,
         ("A", "E6"): half * (-12 * u + v - 2) * E6 * B - half * (v - 2) * A * E4 ** 2,
-        ("B", "E4"): third * (-12 * u + v - 1) * B * E4 * f2 - third * v * E6 * B + third * E4 ** 2 * A,
-        ("B", "E6"): half * (-12 * u + v - 1) * B * E6 * f2 - half * v * E4 ** 2 * B + half * E4 * E6 * A,
+        ("B", "E4"): third * (-12 * u + v - 1) * B * E4 * F2 - third * v * E6 * B + third * E4 ** 2 * A,
+        ("B", "E6"): half * (-12 * u + v - 1) * B * E6 * F2 - half * v * E4 ** 2 * B + half * E4 * E6 * A,
         ("A", "B"): twelfth * (-24 * u + v - 2) * B ** 2 - twelfth * (v - 2) * E4 * A ** 2,
     }
 
 
-def check_vinset(u_values, claim: str = "stability-line") -> list[VerificationReport]:
+def check_vinset(u_values) -> list[VerificationReport]:
     """The stability-line facts for the localized Rankin-Cohen family.
 
     Three claims per the module contract: the five closed-form generator
@@ -277,9 +269,9 @@ def check_vinset(u_values, claim: str = "stability-line") -> list[VerificationRe
 
     ident_params = {"u": u_values, "a": Fraction(1, 12), "b": Fraction(-1, 12), "c": "12u+1"}
     return [
-        _first_witness(f"{claim}.displays", displays(), {"u": u_values}),
-        _first_witness(f"{claim}.iff", iff(), {"u": u_values, "v": "12u+1, 0, 1, 2"}),
-        _first_witness(f"{claim}.line-identity", line_identity(), ident_params),
+        _first_witness("stability-line.displays", displays(), {"u": u_values}),
+        _first_witness("stability-line.iff", iff(), {"u": u_values, "v": "12u+1, 0, 1, 2"}),
+        _first_witness("stability-line.line-identity", line_identity(), ident_params),
     ]
 
 
@@ -288,7 +280,6 @@ def scan_conjecture(
     n_max: int,
     weight_cap: int,
     index_cap: int,
-    claim: str = "conjecture.scan",
 ) -> VerificationReport:
     """Membership scan for the localized Rankin-Cohen family on the
     stability line v = 12u+1.
@@ -297,11 +288,6 @@ def scan_conjecture(
     C[E4,E6,A,B] is tested for membership; for sampled v off the line, the
     known escaping first brackets are confirmed to escape.  A clean scan is
     coverage at the stated caps, not a proof.
-
-    mu_n(g, f) = (-1)^n mu_n(f, g) and membership ignores sign, so each
-    unordered pair i <= j is computed once and (i, j) with i > j reads the
-    flags of (j, i); the rows and the first witness are those of the loop
-    over all ordered pairs (README).
     """
     u_values = [Fraction(u) for u in u_values]
     basis = monomial_basis(weight_cap, index_cap)
@@ -319,23 +305,17 @@ def scan_conjecture(
         for u in u_values:
             v = 12 * u + 1
             family = rc_localized(u, v)
-            flags = {}
-            for i, (f, f_name) in enumerate(zip(basis, names)):
-                for j, (g, g_name) in enumerate(zip(basis, names)):
-                    if i <= j:
-                        values = star_truncated(family, n_max, f, g)
-                        flags[i, j] = [membership(value, "Jtilde") for value in values]
-                    for n, inside in enumerate(flags[min(i, j), max(i, j)]):
-                        rows.append((u, v, n, f_name, g_name, inside))
-                        if not inside:  # so i <= j, and values are those of (f, g)
-                            yield _witness("scan", {"u": u, "v": v, "f": f, "g": g, "n": n}, values[n], None)
+            for i, j, n, escape in _membership_rows(family, "Jtilde", n_max, basis):
+                rows.append((u, v, n, names[i], names[j], escape is None))
+                if escape is not None:
+                    yield _witness("scan", {"u": u, "v": v, "f": basis[i], "g": basis[j], "n": n}, escape, None)
             # negative direction: off the line the first bracket already escapes
             for v_off in (Fraction(0), Fraction(1), Fraction(2)):
                 off = rc_localized(u, v_off)
                 if v_off != v and all(membership(bracket_n(off, 1, B, g), "Jtilde") for g in (E4, E6)):
                     yield _witness("negative-direction", {"u": u, "v": v_off}, None, None)
 
-    return _first_witness(claim, witnesses(), params, rows)
+    return _first_witness("conjecture.scan", witnesses(), params, rows)
 
 
 # --------------------------------------------------------- series consistency
@@ -343,15 +323,11 @@ def scan_conjecture(
 
 def series_consistency(
     bundle: JacobiSeriesBundle,
-    derivation=None,
     elements: list[BigradedElement] | None = None,
-    claim: str = "derivation.series-consistency",
 ) -> VerificationReport:
     """The symbolic weight-raising derivation matches the Fourier-side
     operator on the test set, within the window of the truncation."""
-    from .derivations import oberdieck
-
-    derivation = oberdieck() if derivation is None else derivation
+    derivation = oberdieck()
     if elements is None:
         elements = [E4, E6, A, B, E4 * A, A * B]
 
@@ -360,8 +336,8 @@ def series_consistency(
             k, p = f.bidegree()
             symbolic = evaluate(derivation(f), bundle)
             analytic = oberdieck_series(evaluate(f, bundle), k, p, bundle)
-            if not symbolic.agrees_with(analytic, q_through=bundle.q_order):
+            if not symbolic.agrees_with(analytic):
                 yield _witness("series-consistency", {"f": f, "weight": k, "index": p}, None, None)
 
     params = {"q_order": bundle.q_order, "window": bundle.window, "elements": [str(f) for f in elements]}
-    return _first_witness(claim, witnesses(), params)
+    return _first_witness("derivation.series-consistency", witnesses(), params)

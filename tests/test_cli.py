@@ -217,6 +217,8 @@ BAD_INPUTS = {
     "iso-wrong-count": ["iso", "--from", "1,2", "--to", "1,2,3"],
     "scan-bad-rational": ["scan-conjecture", "--u", "q"],
     "scan-no-u-values": ["scan-conjecture", "--u="],
+    "vinset-no-u-values": ["verify", "--suite", "vinset", "--u=,"],
+    "vinset-blank-u-values": ["verify", "--suite", "vinset", "--u= , "],
     "verify-negative-nmax": ["verify", "--suite", "associativity", "--family", "accol", "--params", "1,1,0", "--nmax", "-1"],
     "verify-negative-pairs": ["verify", "--suite", "bidegree", "--family", "src", "--pairs", "-1"],
     "verify-negative-weight-cap": ["verify", "--suite", "poisson", "--family", "src", "--weight-cap", "-4"],
@@ -251,6 +253,10 @@ def test_expand_bad_sizes_are_usage_errors(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_vinset_empty_u_keeps_the_default_values(capsys):
+    assert run(capsys, "verify", "--suite", "vinset", "--u", "") == run(capsys, "verify", "--suite", "vinset")
 
 
 @pytest.mark.parametrize(

@@ -38,6 +38,7 @@ COMMANDS = [
     ["iso", "--from", "2,3,5", "--to", "1,6,5"],
     ["scan-conjecture", "--u", "0,1/12,-1/6,1,-2", "--nmax", "3", "--weight-cap", "12", "--index-cap", "2"],
     # failing verify runs: each report carries a witness and a reproduce command
+    # (the Q run passes: Q is the index-zero part of K, and brackets keep the index)
     ["verify", "--suite", "stability", "--family", "Crochet", "--params", "0,2"],
     ["verify", "--suite", "stability", "--family", "crochet", "--params", "1,1", "--algebra", "Q"],
     ["verify", "--suite", "stability", "--family", "scal", "--params", "1,1/2", "--nmax", "2"],
@@ -49,6 +50,17 @@ COMMANDS = [
     ["verify", "--suite", "bidegree", "--family", "accol", "--params", "1,2,3", "--pairs", "3", "--weight-cap", "6", "--index-cap", "1"],
     ["verify", "--suite", "stability", "--family", "accol", "--params", "1,1,1", "--algebra", "M"],
     ["scan-conjecture", "--u", "1/12", "--nmax", "1", "--weight-cap", "4", "--index-cap", "1"],
+    # stability on capped monomial bases, failing and passing, on each algebra
+    ["verify", "--suite", "stability", "--family", "crochet", "--params", "1,1", "--weight-cap", "4", "--index-cap", "1", "--nmax", "1"],
+    ["verify", "--suite", "stability", "--family", "scal", "--params", "1,1/2", "--weight-cap", "6", "--index-cap", "2", "--nmax", "2"],
+    ["verify", "--suite", "stability", "--family", "Crochet", "--params", "1/12,2", "--weight-cap", "6", "--index-cap", "2", "--nmax", "2"],
+    ["verify", "--suite", "stability", "--family", "crochet", "--params", "1/12,2", "--algebra", "Q", "--weight-cap", "6", "--index-cap", "2", "--nmax", "3"],
+    ["verify", "--suite", "stability", "--family", "accol", "--params", "1,1,1", "--algebra", "M", "--weight-cap", "12", "--nmax", "4"],
+    ["verify", "--suite", "vinset"],
+    # expand targets the README commands do not reach
+    ["expand", "--what", "J1"],
+    ["expand", "--what", "Delta"],
+    ["expand", "--what", "B", "--N", "12", "--G", "36"],
 ]
 
 VARIANTS = [command + extra for command in COMMANDS for extra in ([], ["--json"])]

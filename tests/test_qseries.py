@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from math import isqrt
+from math import comb, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -11,9 +11,12 @@ from jacobiforms import (
     B,
     E4,
     E6,
+    F2,
+    InternalInvariantError,
     WindowError,
     b_series,
     bernoulli,
+    bracket_n,
     delta_series,
     eisenstein,
     evaluate,
@@ -26,6 +29,8 @@ from jacobiforms import (
     oberdieck_series,
     parse_element,
     partial_u,
+    rc_classical,
+    rc_localized,
     sigma,
     theta_quotient_A,
 )
@@ -141,6 +146,16 @@ def test_scalar_minus_series():
     assert (2 - windowed).window == windowed.window
     with pytest.raises(TypeError):
         1.5 - s
+
+
+def test_powers_square_only_the_factors_they_use():
+    # square-and-multiply skips its last squaring: a windowed series has a
+    # first power, while its square multiplies two windowed series
+    j1 = j1_series(3, 4)
+    assert j1 ** 1 == j1 and j1 ** 0 == constant_series(1, 3)
+    with pytest.raises(WindowError):
+        j1 ** 2
+    assert LaurentPolyW({1: 2}) ** 3 == LaurentPolyW({3: 8})
 
 
 def test_window_arithmetic():
@@ -517,3 +532,86 @@ def test_delta_matches_ramanujan_product_through_q30(bundle30):
     assert [dict(delta.coefficient(n).items()) for n in range(31)] == [
         {0: t} if t else {} for t in tau
     ]
+
+
+# Cohen's brackets (Math. Ann. 217, 1975) on q-expansions: the n-th bracket
+# of forms of weights k and l is
+#     sum_r (-1)^r C(k+n-1, n-r) C(l+n-1, r) f^(r) g^(n-r)
+# with f^(r) the r-th power of q d/dq.  The symbolic brackets must expand to
+# it: rc_classical on M, and the localized family on Q through F2 -> E2,
+# where neither u nor v enters (Q has index 0).
+_COHEN_M = [E4, E6, E4 ** 2, E4 * E6]
+_COHEN_Q = [E4, E6, F2, E4 * F2, F2 ** 2]
+
+
+def cohen_bracket(n, f, k, g, l):
+    """Cohen's n-th bracket of the series f and g of weights k and l."""
+    f_powers, g_powers = [f], [g]
+    for _ in range(n):
+        f_powers.append(f_powers[-1].dtau())
+        g_powers.append(g_powers[-1].dtau())
+    terms = (((-1) ** r * comb(k + n - 1, n - r) * comb(l + n - 1, r), f_powers[r], g_powers[n - r]) for r in range(n + 1))
+    return combination(terms, f.q_order)
+
+
+def cohen_mismatches(bundle, orders):
+    """(brackets checked, brackets whose expansion is not Cohen's) over
+    ordered pairs and the given orders; a classical bracket that leaves M
+    is a mismatch."""
+    sides = [(_COHEN_M, evaluate, None)]
+    sides += [(_COHEN_Q, evaluate_quasimodular, rc_localized(u, 12 * u + 1)) for u in (F(0), F(1, 12))]
+    checked = mismatched = 0
+    for basis, expand, family in sides:
+        for f in basis:
+            for g in basis:
+                for n in orders:
+                    checked += 1
+                    try:
+                        value = rc_classical(n, f, g) if family is None else bracket_n(family, n, f, g)
+                    except InternalInvariantError:
+                        mismatched += 1
+                        continue
+                    k, l = f.bidegree().weight, g.bidegree().weight
+                    mismatched += expand(value, bundle) != cohen_bracket(n, expand(f, bundle), k, expand(g, bundle), l)
+    return checked, mismatched
+
+
+@pytest.fixture(scope="module")
+def bundle12():
+    return make_bundle(12, 36)
+
+
+def test_brackets_expand_to_cohens_formula(bundle12):
+    assert cohen_mismatches(bundle12, range(5)) == (330, 0)
+
+
+def test_cohen_oracle_catches_a_wrong_binomial_row(bundle12, monkeypatch):
+    # entry j = 1 of every binomial row off by one; the rows are memoised,
+    # so they are dropped before and after
+    from jacobiforms import brackets
+
+    true_gbinom = brackets.gbinom
+    brackets._integer_row.cache_clear()
+    monkeypatch.setattr(brackets, "gbinom", lambda x, j: true_gbinom(x, j) + (j == 1))
+    try:
+        checked, mismatched = cohen_mismatches(bundle12, (1, 2))
+    finally:
+        monkeypatch.undo()
+        brackets._integer_row.cache_clear()
+    assert mismatched >= checked // 2
+
+
+def test_cohen_oracle_catches_a_wrong_derivation_image(bundle12, monkeypatch):
+    # an extra E4*A/12 in the image of B: the F2 it carries is no longer
+    # E2 under q d/dq
+    from jacobiforms import brackets, make_derivation
+
+    true_partial_u = brackets.partial_u
+
+    def corrupted(u):
+        d = true_partial_u(u)
+        return make_derivation(d.on_e4, d.on_e6, d.on_a, d.on_b + E4 * A / 12)
+
+    monkeypatch.setattr(brackets, "partial_u", corrupted)
+    checked, mismatched = cohen_mismatches(bundle12, (1, 2))
+    assert mismatched >= checked // 2

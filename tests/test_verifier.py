@@ -320,6 +320,90 @@ def test_stability_rejects_basis_outside_subalgebra():
         check_stability(accol(1, 1, 1), "M", 2, basis=[A])
 
 
+def _stability_reference(family, algebra, n_max, basis=None, claim="bracket.stability"):
+    """check_stability as it was before it read each unordered pair once:
+    bracket_n for every ordered pair and every order, in the same loop
+    order, with the generators of each algebra written out."""
+    if basis is None:
+        basis = {"M": [E4, E6], "Jtilde": [E4, E6, A, B], "Q": [E4, E6, B * A ** -1]}[algebra]
+    params = {"algebra": algebra, "n_max": n_max, "basis_size": len(basis)}
+    for f in basis:
+        for g in basis:
+            for n in range(n_max + 1):
+                value = bracket_n(family, n, f, g)
+                if not membership(value, algebra):
+                    witness = _witness("stability", {"f": f, "g": g, "n": n, "algebra": algebra}, value, None)
+                    return VerificationReport(claim, "fail", witness, params)
+    return VerificationReport(claim, "pass", None, params)
+
+
+# Q is the index-zero part of K and brackets keep the index, so no family
+# escapes Q: its cases all pass
+@pytest.mark.parametrize(
+    "family, algebra, n_max, basis, passes",
+    [
+        (crochet(0, F(7, 5)), "Jtilde", 3, None, True),
+        (rc_localized(F(1, 12), F(2)), "Jtilde", 2, monomial_basis(4, 1), True),
+        (crochet(F(1), F(1)), "Jtilde", 1, None, False),
+        (crochet(F(1), F(0)), "Jtilde", 2, None, False),
+        (scal(F(1), F(1, 2)), "Jtilde", 2, monomial_basis(6, 1), False),
+        (accol(1, 1, 1), "M", 4, None, True),
+        (accol(F(-1, 6), F(-1, 3), F(7, 5)), "M", 3, monomial_basis(12, 0, "M"), True),
+        (crochet(F(1), F(0)), "M", 2, None, False),
+        (crochet(F(1), F(0)), "M", 2, monomial_basis(8, 0, "M"), False),
+        (crochet(F(1, 12), F(2)), "Q", 3, None, True),
+        (scal(F(-1, 6), F(2)), "Q", 2, monomial_basis(6, 2, "Q"), True),
+        (crochet(F(1), F(1)), "Q", 2, monomial_basis(6, 2, "Q"), True),
+    ],
+    ids=[
+        "Jtilde-pass", "Jtilde-capped-pass", "Jtilde-fail", "Jtilde-fail-order-2", "Jtilde-capped-fail",
+        "M-pass", "M-capped-pass", "M-fail", "M-capped-fail", "Q-pass", "Q-capped-pass", "Q-capped-pass-alpha-1",
+    ],
+)
+def test_stability_report_equals_the_loop_over_ordered_pairs(family, algebra, n_max, basis, passes):
+    got = check_stability(family, algebra, n_max, basis)
+    assert got.passed == passes
+    _same_report(got, _stability_reference(family, algebra, n_max, basis))
+
+
+def test_stability_witness_of_an_off_diagonal_pair_keeps_its_sign():
+    # off the stability line and with E4 ahead of B, the first escape is
+    # mu_1(E4, B), an off-diagonal pair of odd order: the witness is the
+    # bracket in the pair's own order of arguments, not its negative
+    family, basis = rc_localized(F(1, 12), F(3)), [E4, B, E6, A]
+    got = check_stability(family, "Jtilde", 2, basis)
+    assert not got.passed
+    assert (got.witness["inputs"]["f"], got.witness["inputs"]["g"], got.witness["inputs"]["n"]) == (E4, B, 1)
+    assert got.witness["lhs"] == bracket_n(family, 1, E4, B) != -got.witness["lhs"]
+    _same_report(got, _stability_reference(family, "Jtilde", 2, basis))
+
+
+def test_membership_rows_are_those_of_every_ordered_pair():
+    # consumed to the end, past escapes at i > j that a check never reaches
+    from jacobiforms.verifier import _membership_rows
+
+    family, basis = rc_localized(F(1, 12), F(3)), [E4, B, E6, A]
+    expected = []
+    for i, f in enumerate(basis):
+        for j, g in enumerate(basis):
+            for n in range(3):
+                value = bracket_n(family, n, f, g)
+                expected.append((i, j, n, None if membership(value, "Jtilde") else value))
+    assert any(escape is not None for i, j, _, escape in expected if i > j)
+    assert list(_membership_rows(family, "Jtilde", 2, basis)) == expected
+
+
+def test_stability_computes_each_unordered_pair_once(monkeypatch):
+    from jacobiforms import verifier
+
+    calls = []
+    true_star = verifier.star_truncated
+    monkeypatch.setattr(verifier, "star_truncated", lambda *args: calls.append(args[2:]) or true_star(*args))
+    basis = monomial_basis(4, 1)
+    assert check_stability(crochet(0, F(7, 5)), "Jtilde", 2, basis).passed
+    assert len(calls) == len(set(calls)) == len(basis) * (len(basis) + 1) // 2
+
+
 def test_vinset_reports():
     reports = check_vinset([F(0), F(1, 12), F(-1, 6), F(1)])
     assert [r.claim for r in reports] == [
