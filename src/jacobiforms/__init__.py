@@ -127,8 +127,10 @@ def clear_caches() -> None:
     """Drop all memoized intermediates (keeps long parameter sweeps bounded)."""
     from . import brackets as _brackets
     from . import derivations as _derivations
+    from . import elements as _elements
     from . import qseries as _qseries
 
     _brackets.clear_caches()
     _derivations.clear_caches()
+    _elements._exponents.cache_clear()
     _qseries.clear_caches()

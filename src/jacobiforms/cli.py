@@ -6,7 +6,8 @@ ever parsed as floating point.  Output is deterministic for a fixed
 configuration and seed.  Exit codes: 0 all checks passed, 1 a check failed,
 2 usage error, 3 an internal invariant was violated.  expand accepts
 truncation orders 0 <= N <= 200, windows 1 <= G <= 1000 and element
-exponents of size at most 8; deriv accepts powers 0 <= power <= 300; verify
+exponents of size at most 8; bracket accepts orders 0 <= n <= 300 and deriv
+powers 0 <= power <= 300, the depth of one power sequence; verify
 and scan-conjecture bound their sizes by VERIFY_LIMITS and SCAN_LIMITS, and
 the associativity suite its basis size times nmax by MAX_ASSOCIATIVITY_SIZE.
 """
@@ -183,10 +184,16 @@ def _cmd_expand(args) -> int:
     return 0
 
 
+# Largest --n of bracket and --power of deriv: each sets the depth of one
+# power sequence, one more application of the derivation per step, and the
+# terms of a power grow with it.
+MAX_POWER = 300
+
+
 def _cmd_bracket(args) -> int:
     params = _rational_list(args.params) if args.params else []
-    if args.n < 0:
-        raise UsageError(f"--n must be nonnegative, got {args.n}")
+    if not 0 <= args.n <= MAX_POWER:
+        raise UsageError(f"--n must be between 0 and {MAX_POWER}, got {args.n}")
     f = _element(args.f, args.allow_f2)
     g = _element(args.g, args.allow_f2)
     if args.family == "rc":
@@ -200,11 +207,6 @@ def _cmd_bracket(args) -> int:
         value = brackets.bracket_n(_build("family", _FAMILIES, args.family, params), args.n, f, g)
     _emit_element(value, args.json)
     return 0
-
-
-# Largest --power deriv accepts; each power is one more application of the
-# derivation, and the terms of a power grow with it.
-MAX_POWER = 300
 
 
 def _cmd_deriv(args) -> int:
@@ -419,7 +421,7 @@ def main(argv=None) -> int:
     args._argv = list(argv) if argv is not None else sys.argv[1:]
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, BidegreeError) as exc:  # an input, or a result of one, out of range
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except InternalInvariantError as exc:

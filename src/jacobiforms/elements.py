@@ -9,16 +9,25 @@ so every element has a single canonical monomial basis and equality is a
 dictionary comparison.
 
 Coefficients are exact rationals.  Internally an element keeps integer
-numerators over one shared positive denominator, which keeps the hot
-arithmetic paths in machine integers; the public API speaks Fraction.
-Sums and products of elements are folded into one integer accumulator by
-`linear_combination`, divided by an optional integer and normalised once;
-`+`, `-` and `*` are one-term or two-term calls of it, and `power` is the
-one square-and-multiply of elements, coefficients and series.  All values
-are immutable after construction, so an element caches its split into
-homogeneous components (its bidegree, when it is homogeneous).  The
-subalgebras M, Jtilde and Q are each defined once, by a monomial test and
-generators, which `membership`, `monomial_basis` and the stability check read.
+numerators over one shared positive denominator, keyed by packed
+monomials: E4^i E6^j A^k B^l is i*S^3 + j*S^2 + k*S + l for S = 2^23, so
+integer order is the lexicographic order of exponent vectors, 1 is the
+key 0, and a product of monomials is the sum of their keys.  Exponents
+lie in [-2^21, 2^21), room for a product of two monomials of element text
+(exponents up to 10^6) after hundreds of derivation steps; leaving it
+raises BidegreeError, never carrying into the next field.  Only this
+module knows the encoding; the rest of the package sees Monomials.
+
+One loop, `_accumulate`, multiplies rows of integer numerators keyed by
+integers: every sum and product of `linear_combination`, derivation
+application and q-series product.  One normaliser, `_normalized`, reduces
+a list of rows (an element is one row) to lowest terms, and `_numerators`
+is the one conversion from Fractions.  `power` is the one
+square-and-multiply of elements, coefficients and series.  Values are
+immutable, so an element caches its split into homogeneous components.
+The subalgebras M, Jtilde and Q are each defined once, by a monomial test
+and generators, which `membership`, `monomial_basis` and the stability
+check read.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, NamedTuple, Union
 
 Scalar = Union[int, Fraction]
@@ -64,31 +74,66 @@ def bidegree(m) -> Bidegree:
     return Bidegree(4 * m[0] + 6 * m[1] - 2 * m[2], m[2] + m[3])
 
 
-def _check_monomial(m: Monomial) -> None:
-    if m[0] < 0 or m[1] < 0 or m[3] < 0:
-        raise BidegreeError(f"exponents of E4, E6, B must be nonnegative, got {tuple(m)}")
+# Packed keys: one signed 23-bit field per exponent, E4 on top.  A field
+# holds an exponent v as the digit v + _LIMIT of key + _OFFSET, which lies
+# below the field's top bit, the guard, exactly when v is in range.
+_BITS = 23
+_LIMIT = 1 << (_BITS - 2)
+_MASK = (1 << _BITS) - 1
+_SHIFTS = (3 * _BITS, 2 * _BITS, _BITS, 0)
+_GENERATOR_KEYS = tuple(1 << shift for shift in _SHIFTS)
+_OFFSET = _LIMIT * sum(_GENERATOR_KEYS)
+_GUARD = 2 * _OFFSET
 
 
-def _over_common_denominator(coeffs: dict):
-    """Integer numerators over the least common denominator of rational
-    coefficients."""
-    den = math.lcm(*(c.denominator for c in coeffs.values()))
-    return {m: c.numerator * (den // c.denominator) for m, c in coeffs.items()}, den
+def _key(m) -> int:
+    """The packed key of a monomial exponent vector."""
+    e4, e6, a, b = m
+    if min(e4, e6, b) < 0 or max(e4, e6, a, b) >= _LIMIT or a < -_LIMIT:
+        raise BidegreeError(f"exponents of E4, E6, B must lie in [0, {_LIMIT}) and of A in [-{_LIMIT}, {_LIMIT}), got {tuple(m)}")
+    return e4 * _GENERATOR_KEYS[0] + e6 * _GENERATOR_KEYS[1] + a * _GENERATOR_KEYS[2] + b
 
 
-def _normalized(num: dict, den: int):
-    """Reduce an integer term dict over a common denominator to lowest terms."""
-    if not num:
-        return {}, 1
-    if den < 0:
-        den = -den
-        num = {m: -c for m, c in num.items()}
+@lru_cache(maxsize=1 << 16)
+def _exponents(key: int) -> tuple:
+    """The exponent vector (e4, e6, a, b) of a packed key, memoised: the
+    same few monomials are unpacked again and again."""
+    d = key + _OFFSET
+    return (d >> _SHIFTS[0]) - _LIMIT, (d >> _SHIFTS[1] & _MASK) - _LIMIT, (d >> _SHIFTS[2] & _MASK) - _LIMIT, (d & _MASK) - _LIMIT
+
+
+def _numerators(rows):
+    """Rows of rational values as rows of integer numerators over their
+    least common denominator: the one conversion from Fractions."""
+    den = math.lcm(*(c.denominator for row in rows for c in row.values()))
+    return [{k: c.numerator * (den // c.denominator) for k, c in row.items()} for row in rows], den
+
+
+def _normalized(rows, den: int):
+    """Integer rows over the positive den without zero entries, in lowest
+    terms: the one normaliser of elements (one row) and q-series.  A row
+    needing no change is kept, not copied: the rows are the caller's."""
     g = den
-    for c in num.values():
-        g = math.gcd(g, c)
+    for row in rows:
         if g == 1:
-            return num, den
-    return {m: c // g for m, c in num.items()}, den // g
+            break
+        g = math.gcd(g, *row.values())
+    if g > 1:
+        return [{k: c // g for k, c in row.items() if c} for row in rows], den // g
+    return [{k: c for k, c in row.items() if c} if 0 in row.values() else row for row in rows], den
+
+
+def _accumulate(acc: dict, left: dict, right: dict, scale: int = 1) -> None:
+    """acc += scale * left * right, for rows keyed by integers that add
+    under multiplication (packed monomials, w exponents), their values
+    integer numerators (Fractions in LaurentPolyW): the one product loop of
+    elements, derivations and series."""
+    get = acc.get
+    for k1, c1 in left.items():
+        c1 *= scale
+        for k2, c2 in right.items():
+            k = k1 + k2
+            acc[k] = get(k, 0) + c1 * c2
 
 
 class BigradedElement:
@@ -99,18 +144,25 @@ class BigradedElement:
     def __init__(self, terms: Mapping | None = None):
         coeffs: dict = {}
         for m, c in (terms or {}).items():
-            m = Monomial(*m)
-            _check_monomial(m)
-            coeffs[m] = coeffs.get(m, 0) + Fraction(c)
-        num, den = _over_common_denominator(coeffs)
-        self._num, self._den = _normalized({m: c for m, c in num.items() if c}, den)
+            key = _key(m)
+            coeffs[key] = coeffs.get(key, 0) + Fraction(c)
+        (num,), den = _numerators([coeffs])
+        (self._num,), self._den = _normalized([num], den)
         self._hash = self._split = None
 
     @classmethod
-    def _raw(cls, num: dict, den: int) -> "BigradedElement":
-        # trusted path: integer coefficients, monomials already legal
+    def _raw(cls, num: dict, den: int, product: bool = False) -> "BigradedElement":
+        # trusted path: integer numerators over a positive den, on keys in
+        # range or, for a product, on sums of two keys in range (one possibly
+        # less a generator's key).  An exponent v of such a sum gives the
+        # digit v + _LIMIT in [-_LIMIT - 1, 3 * _LIMIT), which sets its guard,
+        # or borrows past it, exactly when v is out of range.
+        if product:
+            for k in num:
+                if (k + _OFFSET) & _GUARD:
+                    raise BidegreeError(f"an exponent leaves [-{_LIMIT}, {_LIMIT})")
         el = cls.__new__(cls)
-        el._num, el._den = _normalized({m: c for m, c in num.items() if c}, den)
+        (el._num,), el._den = _normalized([num], den)
         el._hash = el._split = None
         return el
 
@@ -125,10 +177,13 @@ class BigradedElement:
 
     def terms(self) -> dict[Monomial, Fraction]:
         d = self._den
-        return {Monomial(*m): Fraction(c, d) for m, c in sorted(self._num.items())}
+        return {Monomial(*_exponents(k)): Fraction(c, d) for k, c in sorted(self._num.items())}
 
     def coefficient(self, m) -> Fraction:
-        return Fraction(self._num.get(tuple(m), 0), self._den)
+        try:
+            return Fraction(self._num.get(_key(m), 0), self._den)
+        except BidegreeError:  # no element has such a monomial
+            return Fraction(0)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BigradedElement):
@@ -202,10 +257,11 @@ class BigradedElement:
         # only pure powers of A are units in the localization
         if len(self._num) != 1:
             raise ValueError("only single-term pure A powers are invertible")
-        (m, c), = self._num.items()
-        if m[0] or m[1] or m[3]:
+        (k, c), = self._num.items()
+        e4, e6, a, b = _exponents(k)
+        if e4 or e6 or b:
             raise ValueError("only single-term pure A powers are invertible")
-        return BigradedElement._raw({(0, 0, -m[2], 0): self._den}, c)
+        return BigradedElement._raw({_key((0, 0, -a, 0)): self._den if c > 0 else -self._den}, abs(c))
 
     # ----------------------------------------------------------------- grading
 
@@ -217,9 +273,10 @@ class BigradedElement:
         split = self._split
         if split is None:
             buckets: dict = {}
-            for m, c in self._num.items():
+            for k, c in self._num.items():
+                e4, e6, a, b = _exponents(k)
                 # (weight, index) as in bidegree(), without a Bidegree per monomial
-                buckets.setdefault((4 * m[0] + 6 * m[1] - 2 * m[2], m[2] + m[3]), {})[m] = c
+                buckets.setdefault((4 * e4 + 6 * e6 - 2 * a, a + b), {})[k] = c
             parts = sorted(buckets.items())
             if len(parts) == 1:
                 split = self._split = Bidegree(*parts[0][0])
@@ -272,47 +329,34 @@ def linear_combination(terms, divisor: int = 1) -> BigradedElement:
     (coeff, x, y) terms, divided by the positive integer divisor and
     normalised once.
 
-    The terms are consumed one at a time into one dict of integer
-    numerators over a common denominator that grows as needed; a product is
-    expanded straight into that dict, never built as an element of its
-    own.  The sum is reduced to lowest terms once, at the end.  This is the
-    one place that decides how sums and products of elements are
+    Each term goes through the product loop, a sum as a product with 1,
+    into one row of integer numerators over a common denominator that grows
+    as needed, so no product is built as an element of its own.  This is
+    the one place that decides how sums and products of elements are
     normalised.
     """
     num: dict = {}
-    get = num.get
     den = 1
+    multiplied = False
     for term in terms:
         c, x = term[0], term[1]
-        y = term[2] if len(term) == 3 else None
-        if not (c and x._num) or (y is not None and not y._num):
+        y = term[2] if len(term) == 3 else ONE
+        if not (c and x._num and y._num):
             continue
-        d = c.denominator * x._den
-        if y is not None:
-            d *= y._den
+        d = c.denominator * x._den * y._den
         if den % d:  # grow the common denominator and rescale the sum so far
             grown = math.lcm(den, d)
-            num = {m: v * (grown // den) for m, v in num.items()}
-            get = num.get
+            num = {k: v * (grown // den) for k, v in num.items()}
             den = grown
-        scale = c.numerator * (den // d)
-        if y is None:
-            for m, v in x._num.items():
-                num[m] = get(m, 0) + scale * v
-            continue
-        y_items = y._num.items()
-        for (i, j, k, l), v in x._num.items():
-            sv = scale * v
-            for m, w in y_items:
-                key = (i + m[0], j + m[1], k + m[2], l + m[3])
-                num[key] = get(key, 0) + sv * w
-    return BigradedElement._raw(num, den * divisor)
+        _accumulate(num, x._num, y._num, c.numerator * (den // d))
+        multiplied = multiplied or y is not ONE
+    return BigradedElement._raw(num, den * divisor, product=multiplied)
 
 
 def rescaled(f: BigradedElement, factor) -> BigradedElement:
     """f with the coefficient of each monomial m multiplied by factor(m),
     in one pass over the monomials."""
-    num, den = _over_common_denominator({m: c * factor(m) for m, c in f._num.items()})
+    (num,), den = _numerators([{k: c * factor(Monomial(*_exponents(k))) for k, c in f._num.items()}])
     return BigradedElement._raw(num, f._den * den)
 
 
@@ -321,27 +365,16 @@ def leibniz_apply(f: BigradedElement, images) -> BigradedElement:
 
     images is a 4-tuple of elements (values on E4, E6, A, B).  The Leibniz
     power rule c*e*x^{e-1}*image handles negative A exponents, which forces
-    the localization rule D(A^-1) = -A^-2 D(A).
+    the localization rule D(A^-1) = -A^-2 D(A).  Each term is one call of
+    the product loop, on the shifted key of x^{e-1} and the image of x.
     """
     l = math.lcm(*(img._den for img in images))
     out: dict = {}
-    get = out.get
-    for m, cf in f._num.items():
-        for slot in range(4):
-            e = m[slot]
-            if not e:
-                continue
-            img = images[slot]
-            if not img._num:
-                continue
-            scale = (l // img._den) * e * cf
-            base = list(m)
-            base[slot] -= 1
-            b0, b1, b2, b3 = base
-            for mi, ci in img._num.items():
-                key = (b0 + mi[0], b1 + mi[1], b2 + mi[2], b3 + mi[3])
-                out[key] = get(key, 0) + scale * ci
-    return BigradedElement._raw(out, f._den * l)
+    for k, c in f._num.items():
+        for e, unit, img in zip(_exponents(k), _GENERATOR_KEYS, images):
+            if e and img._num:
+                _accumulate(out, {k - unit: e * c}, img._num, l // img._den)
+    return BigradedElement._raw(out, f._den * l, product=True)
 
 
 ZERO = BigradedElement()
@@ -376,7 +409,7 @@ def membership(f: BigradedElement, algebra: str) -> bool:
         test = _MEMBERSHIP[algebra]
     except KeyError:
         raise ValueError(f"unknown algebra {algebra!r}, expected one of {tuple(_MEMBERSHIP)}")
-    return all(test(m) for m in f._num)
+    return all(test(_exponents(k)) for k in f._num)
 
 
 def monomial_basis(weight_cap: int, index_cap: int, algebra: str = "Jtilde") -> list[BigradedElement]:
@@ -477,10 +510,7 @@ def parse_element(text: str, allow_f2: bool = False) -> BigradedElement:
             if not allow_f2:
                 raise ParseError("F2 is not a stored generator (pass allow_f2 to rewrite it)", tok[2])
             return (0, 0, -exp, exp)
-        slot = {"E4": 0, "E6": 1, "A": 2, "B": 3}[name]
-        vec = [0, 0, 0, 0]
-        vec[slot] = exp
-        return tuple(vec)
+        return tuple(exp if slot == name else 0 for slot in GENERATOR_NAMES)
 
     def take_term():
         nonlocal pos
@@ -510,9 +540,7 @@ def parse_element(text: str, allow_f2: bool = False) -> BigradedElement:
         pos += 1
     while True:
         coeff, exps = take_term()
-        m = Monomial(*exps)
-        _check_monomial(m)
-        total[m] = total.get(m, Fraction(0)) + sign * coeff
+        total[exps] = total.get(exps, Fraction(0)) + sign * coeff
         if pos >= len(tokens):
             break
         tok = peek("op")
@@ -525,38 +553,30 @@ def parse_element(text: str, allow_f2: bool = False) -> BigradedElement:
     return BigradedElement(total)
 
 
-def _format_monomial(m: Monomial) -> str:
-    parts = []
-    for name, e in zip(GENERATOR_NAMES, m):
-        if e == 0:
-            continue
-        parts.append(name if e == 1 else f"{name}^{e}")
-    return "*".join(parts)
+def _format_monomial(m) -> str:
+    return "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(GENERATOR_NAMES, m) if e)
+
+
+def _format_sum(terms) -> str:
+    """Text of a sum of (coefficient, monomial text) terms in the given
+    order, the text empty for a constant term: "-E4 + 1/2*E6 - 3", or "0"
+    for no terms.  The text form of elements and of w-polynomials."""
+    chunks = []
+    for c, body in terms:
+        mag = abs(c)
+        text = (body if mag == 1 else f"{mag}*{body}") if body else str(mag)
+        if chunks:
+            chunks.append(f"- {text}" if c < 0 else f"+ {text}")
+        else:
+            chunks.append(f"-{text}" if c < 0 else text)
+    return " ".join(chunks) or "0"
 
 
 def format_element(f: BigradedElement) -> str:
     """Canonical text form; monomials in descending lexicographic
     (e4, e6, a, b) order, so the leading monomial comes first."""
-    if f.is_zero:
-        return "0"
-    chunks = []
     den = f._den
-    for m in sorted(f._num, reverse=True):
-        c = Fraction(f._num[m], den)
-        m = Monomial(*m)
-        body = _format_monomial(m)
-        mag = abs(c)
-        if body and mag == 1:
-            text = body
-        elif body:
-            text = f"{mag}*{body}"
-        else:
-            text = str(mag)
-        if not chunks:
-            chunks.append(f"-{text}" if c < 0 else text)
-        else:
-            chunks.append(f"- {text}" if c < 0 else f"+ {text}")
-    return " ".join(chunks)
+    return _format_sum((Fraction(f._num[k], den), _format_monomial(_exponents(k))) for k in sorted(f._num, reverse=True))
 
 
 def to_json_dict(f: BigradedElement) -> dict:

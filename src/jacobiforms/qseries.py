@@ -5,12 +5,14 @@ polynomial in w, where w^2 = xi is the elliptic variable (half-integer
 xi powers hide in the theta factors, so w keeps everything polynomial).
 
 A series stores one row per power of q, a dict {w exponent: integer
-numerator}, over one positive denominator shared by all rows, as
-BigradedElement stores its terms.  All series arithmetic runs on these
-integers; coefficient(n) builds a LaurentPolyW of Fractions from a row on
-demand.  As for elements, sums and products of series are folded into one
-set of integer rows by `combination` and normalised once; `+`, `-`, `*`
-and the evaluation maps are calls of it, and `**` of `elements.power`.
+numerator}, over one positive denominator shared by all rows: the rows of
+the exact kernel of `elements`, whose one product loop, one normaliser
+and one conversion from Fractions series share with elements (an element
+is one row keyed by packed monomials).  coefficient(n) builds a
+LaurentPolyW of Fractions from a row on demand.  Sums and products of
+series are folded into one set of integer rows by `combination` and
+normalised once; `+`, `-`, `*` and the evaluation maps are calls of it,
+and `**` of `elements.power`.
 
 Most series are Exact: every stored coefficient is the true one and the
 support is genuinely finite.  The elliptic-zeta series J1 is the one
@@ -35,13 +37,17 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import comb, gcd, isqrt, lcm
+from math import comb, isqrt, lcm
 from operator import mul
 
 from .elements import (
     GENERATOR_NAMES,
     BigradedElement,
     InternalInvariantError,
+    _accumulate,
+    _format_sum,
+    _normalized,
+    _numerators,
     membership,
     power,
 )
@@ -96,8 +102,7 @@ class LaurentPolyW:
 
     def __add__(self, other: "LaurentPolyW") -> "LaurentPolyW":
         out = dict(self._coeffs)
-        for r, c in other._coeffs.items():
-            out[r] = out.get(r, Fraction(0)) + c
+        _accumulate(out, other._coeffs, {0: 1})
         return LaurentPolyW._raw(out)
 
     def __neg__(self):
@@ -110,11 +115,7 @@ class LaurentPolyW:
                 return LaurentPolyW()
             return LaurentPolyW._raw({r: v * c for r, v in self._coeffs.items()})
         out: dict = {}
-        get = out.get
-        for r1, c1 in self._coeffs.items():
-            for r2, c2 in other._coeffs.items():
-                r = r1 + r2
-                out[r] = get(r, Fraction(0)) + c1 * c2
+        _accumulate(out, self._coeffs, other._coeffs)
         return LaurentPolyW._raw(out)
 
     __rmul__ = __mul__
@@ -131,33 +132,10 @@ class LaurentPolyW:
 
 
 def format_wpoly(poly: LaurentPolyW) -> str:
-    if poly.is_zero:
-        return "0"
-    chunks = []
-    for r in sorted(poly._coeffs, reverse=True):
-        c = poly._coeffs[r]
-        if r == 0:
-            body = str(abs(c))
-        else:
-            body = f"w^{r}" if abs(c) == 1 else f"{abs(c)}*w^{r}"
-        if not chunks:
-            chunks.append(f"-{body}" if c < 0 else body)
-        else:
-            chunks.append(f"- {body}" if c < 0 else f"+ {body}")
-    return " ".join(chunks)
+    return _format_sum((poly._coeffs[r], f"w^{r}" if r else "") for r in sorted(poly._coeffs, reverse=True))
 
 
 # ---------------------------------------------------------------- the series
-
-
-def _accumulate(acc: dict, row1: dict, row2: dict, scale: int = 1) -> None:
-    """acc += scale * row1 * row2, for rows of integer numerators."""
-    get = acc.get
-    for r1, c1 in row1.items():
-        c1 *= scale
-        for r2, c2 in row2.items():
-            r = r1 + r2
-            acc[r] = get(r, 0) + c1 * c2
 
 
 class QSeries:
@@ -176,29 +154,17 @@ class QSeries:
 
     def __init__(self, coeffs, window: int | None = None):
         polys = [c if isinstance(c, LaurentPolyW) else LaurentPolyW(c) for c in coeffs]
-        den = lcm(*(c.denominator for p in polys for c in p._coeffs.values()))
-        rows = [{r: c.numerator * (den // c.denominator) for r, c in p.items()} for p in polys]
-        self._assign(rows, den, window)
+        rows, den = _numerators([p._coeffs for p in polys])
+        rows, self._den = _normalized(rows, den)
+        self._rows, self.window, self._hash = tuple(rows), window, None
 
     @classmethod
     def _raw(cls, rows, den: int, window: int | None = None) -> "QSeries":
         # trusted path: integer numerators over a positive denominator
         series = cls.__new__(cls)
-        series._assign(rows, den, window)
+        rows, series._den = _normalized(rows, den)
+        series._rows, series.window, series._hash = tuple(rows), window, None
         return series
-
-    def _assign(self, rows, den: int, window) -> None:
-        """Store rows without zero entries, in lowest terms."""
-        g = den
-        for row in rows:
-            if g == 1:
-                break
-            if row:
-                g = gcd(g, *row.values())
-        self._rows = tuple({r: c // g for r, c in row.items() if c} for row in rows)
-        self._den = den // g
-        self.window = window
-        self._hash = None
 
     @property
     def q_order(self) -> int:
@@ -302,11 +268,7 @@ class QSeries:
 
 
 def _min_window(w1, w2):
-    if w1 is None:
-        return w2
-    if w2 is None:
-        return w1
-    return min(w1, w2)
+    return min((w for w in (w1, w2) if w is not None), default=None)
 
 
 def _product_window(left: QSeries, right: QSeries):
@@ -332,44 +294,41 @@ def combination(terms, q_order: int) -> QSeries:
     their window is.
 
     Terms are summed into integer rows over a common denominator that grows
-    as needed; a product is expanded straight into those rows.  The window
-    is settled once per term: x.window, or that of x * y, which raises
-    WindowError as a product would.  A zero coefficient skips its term.
+    as needed, each pair of rows through the product loop of elements, a
+    sum as a product with the row 1.  The window is settled once per term:
+    x.window, or that of x * y, which raises WindowError as a product
+    would.  A zero coefficient skips its term.
     """
     rows = [{} for _ in range(q_order + 1)]
     den = 1
     window = None
     for term in terms:
         c, x = term[0], term[1]
-        y = term[2] if len(term) == 3 else None
         if not c:
             continue
         if min(s.q_order for s in term[1:]) < q_order:
             raise WindowError(f"a term does not reach q^{q_order}")
-        d = c.denominator * x._den
-        if y is None:
-            window = _min_window(window, x.window)
-        else:
+        if len(term) == 3:
+            y = term[2]
             window = _min_window(window, _product_window(x, y))
-            d *= y._den
+            d, right = c.denominator * x._den * y._den, y._rows
+        else:
+            window = _min_window(window, x.window)
+            d, right = c.denominator * x._den, _ONE_ROWS
         if den % d:  # grow the common denominator and rescale the rows so far
             grown = lcm(den, d)
             rows = [{r: v * (grown // den) for r, v in row.items()} for row in rows]
             den = grown
         scale = c.numerator * (den // d)
-        if y is None:
-            for acc, row in zip(rows, x._rows):
-                get = acc.get
-                for r, v in row.items():
-                    acc[r] = get(r, 0) + scale * v
-            continue
-        right = y._rows
         for n1, row1 in enumerate(x._rows[: q_order + 1]):
             if row1:
-                for n2 in range(q_order + 1 - n1):
-                    if right[n2]:
-                        _accumulate(rows[n1 + n2], row1, right[n2], scale)
+                for n2, row2 in enumerate(right[: q_order + 1 - n1]):
+                    if row2:
+                        _accumulate(rows[n1 + n2], row1, row2, scale)
     return QSeries._raw(rows, den, window)
+
+
+_ONE_ROWS = ({0: 1},)  # the series 1, by which combination multiplies a sum's term
 
 
 def constant_series(value, q_order: int) -> QSeries:

@@ -206,6 +206,9 @@ BAD_INPUTS = {
     "bracket-rc-negative-n": ["bracket", "--family", "rc", "--n", "-1", "--f", "E4", "--g", "E6"],
     "bracket-rc-not-modular": ["bracket", "--family", "rc", "--n", "1", "--f", "A", "--g", "E4"],
     "bracket-negative-B-exponent": ["bracket", "--family", "src", "--n", "1", "--f", "B^-1", "--g", "E4"],
+    # the order sets the depth of one power sequence, as --power does for deriv
+    "bracket-n-above-limit": ["bracket", "--family", "orc", "--params", "1", "--n", "301", "--f", "1", "--g", "1"],
+    "bracket-rc-n-above-limit": ["bracket", "--family", "rc", "--n", "301", "--f", "1", "--g", "1"],
     "bracket-family-arity": ["bracket", "--family", "orc", "--params", "1,2", "--n", "1", "--f", "B", "--g", "E4"],
     "deriv-negative-power": ["deriv", "--name", "serre", "--input", "E4", "--power", "-1"],
     "deriv-power-above-limit": ["deriv", "--name", "serre", "--input", "E4", "--power", "301"],

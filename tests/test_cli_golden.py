@@ -61,6 +61,12 @@ COMMANDS = [
     ["expand", "--what", "J1"],
     ["expand", "--what", "Delta"],
     ["expand", "--what", "B", "--N", "12", "--G", "36"],
+    # negative A exponents and exponents near a million: the output order
+    # follows the monomial order, whatever the key encoding of the terms
+    ["bracket", "--family", "crochet", "--params", "1/3,2", "--n", "3", "--f", "A^-3*B^2*E6", "--g", "E4*A^-1*B"],
+    ["bracket", "--family", "Crochet", "--params", "1/12,2", "--n", "4", "--f", "A^-1*B", "--g", "E6*A^2"],
+    ["deriv", "--name", "partial_u", "--param", "1/5", "--input", "A^-2*B^3+E4^2*A^-1", "--power", "6"],
+    ["deriv", "--name", "serre_ab", "--param", "1/3,2/5", "--input", "E4^1000000*A^-999999", "--power", "2"],
 ]
 
 VARIANTS = [command + extra for command in COMMANDS for extra in ([], ["--json"])]

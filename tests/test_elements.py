@@ -27,6 +27,7 @@ from jacobiforms import (
     membership,
     monomial,
     parse_element,
+    serre,
     to_json_dict,
 )
 from jacobiforms.elements import linear_combination
@@ -181,10 +182,21 @@ def test_json_round_trip():
 
 
 coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+# Exponents small or up to 10^6, the largest that element text accepts, and
+# A exponents of either sign: a product of two such monomials comes within
+# 5% of the range [-2^21, 2^21) that a packed field holds.
+_large = st.integers(10 ** 6 - 2, 10 ** 6)
+_exponent = st.one_of(st.integers(0, 3), _large)
 monomials = st.tuples(
-    st.integers(0, 3), st.integers(0, 3), st.integers(-3, 3), st.integers(0, 3)
+    _exponent, _exponent, st.one_of(st.integers(-3, 3), _large, _large.map(lambda e: -e)), _exponent
 ).map(lambda t: Monomial(*t))
 elements = st.dictionaries(monomials, coeffs, max_size=4).map(BigradedElement)
+# Rescaling raises coefficients to the power of the A and B exponents, so its
+# test keeps to small exponents.
+small_monomials = st.tuples(
+    st.integers(0, 3), st.integers(0, 3), st.integers(-3, 3), st.integers(0, 3)
+).map(lambda t: Monomial(*t))
+small_elements = st.dictionaries(small_monomials, coeffs, max_size=4).map(BigradedElement)
 
 
 @given(monomials, monomials)
@@ -218,6 +230,52 @@ def test_membership_multiplicative(f, g):
 def test_format_parse_round_trip(f):
     assert parse_element(format_element(f)) == f
     assert format_element(parse_element(format_element(f))) == format_element(f)
+
+
+@given(elements)
+def test_terms_are_in_increasing_monomial_order(f):
+    assert list(f.terms()) == sorted(f.terms())
+
+
+def test_exponents_outside_the_packed_range_raise_instead_of_aliasing():
+    edge = 2 ** 21  # exponents lie in [-edge, edge)
+    assert monomial(e4=edge - 1).coefficient(Monomial(edge - 1, 0, 0, 0)) == 1
+    assert monomial(a=-edge) * E4 == monomial(e4=1, a=-edge)
+    for e4, e6, a, b in [(edge, 0, 0, 0), (0, edge, 0, 0), (0, 0, edge, 0), (0, 0, -edge - 1, 0), (0, 0, 0, edge)]:
+        with pytest.raises(BidegreeError):
+            monomial(e4, e6, a, b)
+    half = 2 ** 20
+    # products: a field that overflows, or underflows, never carries into its neighbour
+    with pytest.raises(BidegreeError):
+        monomial(e4=half) * monomial(e4=half)
+    with pytest.raises(BidegreeError):
+        monomial(e6=half, b=3) * (monomial(e6=half) + E4)
+    with pytest.raises(BidegreeError):
+        monomial(b=half) * B ** 3 * monomial(b=half)
+    with pytest.raises(BidegreeError):
+        linear_combination([(1, A_INV, monomial(e6=1, a=-edge))])
+    assert monomial(a=-half) * monomial(a=-half) == monomial(a=-edge)
+    # powers
+    with pytest.raises(BidegreeError):
+        monomial(a=half) ** 2
+    with pytest.raises(BidegreeError):
+        monomial(a=-half) ** 3
+    with pytest.raises(BidegreeError):
+        monomial(a=half) ** -3
+    assert (E4 * monomial(a=-half)) ** 2 == monomial(e4=2, a=-edge)
+    # a derivation step: D(E6) = -E4^2/2 under the Serre derivation
+    with pytest.raises(BidegreeError):
+        serre()(monomial(e4=edge - 1, e6=1))
+
+
+def test_clear_caches_empties_the_unpacked_monomials():
+    import jacobiforms
+    from jacobiforms.elements import _exponents
+
+    (E4 * A_INV).terms()
+    assert _exponents.cache_info().currsize > 0
+    jacobiforms.clear_caches()
+    assert _exponents.cache_info().currsize == 0
 
 
 def _fold(pairs):
@@ -290,7 +348,7 @@ def _termwise_scaling(lam, mu, f):
 
 
 @settings(max_examples=100)
-@given(elements, coeffs, coeffs.filter(bool), coeffs.filter(bool))
+@given(small_elements, coeffs, coeffs.filter(bool), coeffs.filter(bool))
 def test_one_pass_rescalings_match_componentwise_reference(f, mu, lam, nu):
     assert EulerWeighting(mu)(f) == _componentwise_weighting(mu, f)
     assert ScalingAutomorphism(lam, nu)(f) == _termwise_scaling(lam, nu, f)

@@ -66,6 +66,31 @@ def test_random_homogeneous_is_reproducible(rng):
     assert f1.is_homogeneous and not f1.is_zero
 
 
+def _random_homogeneous_rebuilding_its_basis(rng, weight_cap=8, index_cap=2):
+    # the sampler as it was when it rebuilt its basis on every call
+    basis = monomial_basis(weight_cap, index_cap)
+    by_degree: dict = {}
+    for el in basis:
+        by_degree.setdefault(el.bidegree(), []).append(el)
+    component = by_degree[rng.choice(sorted(by_degree))]
+    while True:
+        coeffs = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in component]
+        if any(coeffs):
+            break
+    return linear_combination(zip(coeffs, component))
+
+
+@pytest.mark.parametrize("caps", [(8, 2), (6, 1)])
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+def test_random_homogeneous_matches_the_sampler_rebuilding_its_basis(seed, caps):
+    # the grouped basis is built once per pair of caps; the elements and
+    # the random draws that make them stay the same
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for _ in range(20):
+        assert random_homogeneous(ours, *caps) == _random_homogeneous_rebuilding_its_basis(theirs, *caps)
+    assert ours.getstate() == theirs.getstate()
+
+
 def test_associativity_passes_for_families():
     assert check_associativity(accol(1, 1, 0), 3).passed
     assert check_associativity(crochet(F(1, 12), F(-1, 6)), 3).passed
