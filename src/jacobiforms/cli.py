@@ -226,7 +226,8 @@ VERIFY_LIMITS = {"nmax": 16, "pairs": 1000, "weight_cap": 12, "index_cap": 3}
 SCAN_LIMITS = {"nmax": 12, "weight_cap": 32, "index_cap": 6}
 # Sizes multiply: the associativity suite costs about (basis size * nmax)^3,
 # so that product is bounded too, at the 53 monomials of --index-cap 3 times
-# the default --nmax 3.  The Poisson suite ignores --nmax.
+# the default --nmax 3.  The suite checks about half the ordered triples, which
+# halves the cost but not its growth.  The Poisson suite ignores --nmax.
 MAX_ASSOCIATIVITY_SIZE = 53 * 3
 
 

@@ -522,8 +522,10 @@ def parse_element(text: str, allow_f2: bool = False) -> BigradedElement:
                 return coeff, tuple(exps)
             pos += 1
         while True:
-            vec = take_factor()
-            exps = [x + y for x, y in zip(exps, vec)]
+            at = pos
+            exps = [x + y for x, y in zip(exps, take_factor())]
+            if max(map(abs, exps)) > _MAX_EXPONENT:
+                raise ParseError("exponent overflow", tokens[at][2])
             if peek("op") and tokens[pos][1] == "*":
                 pos += 1
                 continue

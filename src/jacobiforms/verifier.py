@@ -80,21 +80,39 @@ def check_associativity(
 
     Each identity is one bracket_sum of the lhs brackets minus the rhs
     brackets, tested against zero; the sides are summed alone only for a
-    witness."""
+    witness.
+
+    Half the triples suffice.  With A_n(f,g,h) the lhs minus the rhs,
+    A_n(f,g,h) = (-1)^(n+1) A_n(h,g,f): by mu_m(y,x) = (-1)^m mu_m(x,y) on
+    both levels, mu_{n-r}(mu_r(f,g),h) = (-1)^n mu_{n-r}(h,mu_r(g,f)), so
+    the lhs terms at (f,g,h) are (-1)^n times the rhs terms at (h,g,f), and
+    likewise the rhs terms are (-1)^n times the lhs terms.  So only triples
+    with i <= k are checked, and at i = k only odd n (for even n the
+    associator is its own negative).  A failure at (i,j,k,n) with i > k
+    implies one at (k,j,i,n), which comes first in the loop order, so the
+    first witness is that of the loop over all ordered triples.  The inner
+    star products are computed for i <= j only; for i > j the r-th entry
+    is (-1)^r times that of (j, i), a sign carried in the bracket_sum term.
+    """
     basis = list(GENERATORS) if basis is None else basis
     params = {"n_max": n_max, "c": family.c, "basis_size": len(basis)}
-    inner = {(i, j): star_truncated(family, n_max, f, g) for i, f in enumerate(basis) for j, g in enumerate(basis)}
+    inner = {}  # (i, j): (s_r, x_r) for r <= n_max, where s_r * x_r = mu_r(basis[i], basis[j])
+    for i, f in enumerate(basis):
+        for j in range(i, len(basis)):
+            values = star_truncated(family, n_max, f, basis[j])
+            inner[j, i] = [((-1) ** r, x) for r, x in enumerate(values)]
+            inner[i, j] = [(1, x) for x in values]
 
     def witnesses():
         for i, f in enumerate(basis):
             for j, g in enumerate(basis):
-                fg = inner[(i, j)]
-                for k, h in enumerate(basis):
-                    gh = inner[(j, k)]
-                    for n in range(1, n_max + 1):
-                        lhs = [(1, n - r, fg[r], h) for r in range(n + 1)]
-                        rhs = [(1, n - r, f, gh[r]) for r in range(n + 1)]
-                        if bracket_sum(family, lhs + [(-1, m, x, y) for _, m, x, y in rhs]) != ZERO:
+                fg = inner[i, j]
+                for k in range(i, len(basis)):
+                    h, gh = basis[k], inner[j, k]
+                    for n in range(1, n_max + 1, 2 if i == k else 1):
+                        lhs = [(s, n - r, x, h) for r, (s, x) in enumerate(fg[: n + 1])]
+                        rhs = [(s, n - r, f, x) for r, (s, x) in enumerate(gh[: n + 1])]
+                        if bracket_sum(family, lhs + [(-s, m, x, y) for s, m, x, y in rhs]) != ZERO:
                             sides = bracket_sum(family, lhs), bracket_sum(family, rhs)
                             yield _witness("associativity", {"f": f, "g": g, "h": h, "n": n}, *sides)
 

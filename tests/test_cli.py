@@ -213,6 +213,9 @@ BAD_INPUTS = {
     "deriv-negative-power": ["deriv", "--name", "serre", "--input", "E4", "--power", "-1"],
     "deriv-power-above-limit": ["deriv", "--name", "serre", "--input", "E4", "--power", "301"],
     "deriv-negative-B-exponent": ["deriv", "--name", "serre", "--input", "B^-1"],
+    # each factor within 10^6, their sum in one term not
+    "deriv-summed-exponent-above-limit": ["deriv", "--name", "serre", "--input", "E4^1000000*E4^1000000"],
+    "deriv-three-factors-above-limit": ["deriv", "--name", "serre", "--input", "E4^1000000*E4^1000000*E4^1000000"],
     "deriv-arity": ["deriv", "--name", "serre_ab", "--param", "1", "--input", "B"],
     "verify-needs-family": ["verify", "--suite", "associativity", "--nmax", "1"],
     "verify-bad-rational": ["verify", "--suite", "vinset", "--u", "x"],

@@ -165,6 +165,21 @@ def test_parse_errors_carry_positions():
         parse_element("1/0*E4")
 
 
+def test_parse_bounds_the_summed_exponent_of_a_term():
+    # each factor within 10^6 is not enough: the error names the factor
+    # that takes an exponent of the term past it, here the second E4
+    with pytest.raises(ParseError, match="exponent overflow") as info:
+        parse_element("E4^1000000*E4^1000000")
+    assert info.value.position == 11
+    with pytest.raises(ParseError, match="exponent overflow") as info:
+        parse_element("E4 + A^-999999*B*A^-2")
+    assert info.value.position == 17
+    with pytest.raises(ParseError, match="exponent overflow"):
+        parse_element("F2^1000000*B", allow_f2=True)
+    assert parse_element("E4^999999*E4*A^-999999*A^-1") == monomial(10 ** 6, 0, -(10 ** 6), 0)
+    assert parse_element("F2^1000000*A^1000000", allow_f2=True) == B ** 1000000
+
+
 def test_format_canonical():
     assert format_element(ZERO) == "0"
     assert format_element(-E4) == "-E4"

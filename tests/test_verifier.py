@@ -18,6 +18,7 @@ from jacobiforms import (
     accol,
     bracket_from_params,
     bracket_n,
+    bracket_sum,
     check_associativity,
     check_bidegree_law,
     check_poisson,
@@ -38,6 +39,7 @@ from jacobiforms import (
     rc_localized,
     scal,
     scan_conjecture,
+    serre_ab,
 )
 from jacobiforms.derivations import Derivation
 from jacobiforms.elements import linear_combination, rescaled
@@ -175,6 +177,89 @@ def test_associativity_witness_equals_the_sum_of_brackets_loop(monkeypatch):
     finally:
         monkeypatch.undo()
         clear_caches()
+
+
+# serre_ab(1/3, 2/5) with the images of E6 and A mutated: not admissible,
+# so its brackets are not an associative deformation, but they keep the
+# skew rule mu_n(g, f) = (-1)^n mu_n(f, g), which the formula alone gives
+_SERRE = serre_ab(F(1, 3), F(2, 5))
+_MUTATED = SimpleNamespace(
+    derivation=Derivation(_SERRE.on_e4, _SERRE.on_e6 + F(1, 5) * E4 ** 2, _SERRE.on_a + F(1, 7) * A, _SERRE.on_b),
+    c=F(3, 7),
+)
+# the negative control's derivation: the wrong bidegree on the B image
+_CORRUPTED = SimpleNamespace(derivation=Derivation(F(-1, 3) * E6, F(-1, 2) * E4 ** 2, F(1) * B, E4 * B), c=F(0))
+
+
+def _associator(family, f, g, h, n):
+    """A_n(f, g, h), the lhs minus the rhs of the order-n identity, as one
+    bracket_sum over inner brackets computed by bracket_n."""
+    lhs = [(1, n - r, bracket_n(family, r, f, g), h) for r in range(n + 1)]
+    return bracket_sum(family, lhs + [(-1, n - r, f, bracket_n(family, r, g, h)) for r in range(n + 1)])
+
+
+def test_associator_reversal_symmetry_on_a_non_admissible_family():
+    # A_n(f, g, h) = (-1)^(n+1) A_n(h, g, f), the symmetry that lets
+    # check_associativity skip the triples with i > k; the sign (-1)^n fails
+    # on every nonzero associator, so the test sees the sign
+    assert not _MUTATED.derivation.is_admissible()
+    basis = monomial_basis(6, 1)
+    values = {(f, g, h, n): _associator(_MUTATED, f, g, h, n) for f in basis for g in basis for h in basis for n in (1, 2, 3)}
+    nonzero = 0
+    for (f, g, h, n), value in values.items():
+        mirror = values[h, g, f, n]
+        assert value == (-1) ** (n + 1) * mirror
+        if value:
+            nonzero += 1
+            assert value != (-1) ** n * mirror
+    assert nonzero > 1000
+
+
+@pytest.mark.parametrize(
+    "family, basis, witness",
+    [
+        # a triple and its mirror both fail; the earlier, i < k, is reported
+        (_CORRUPTED, list(GENERATORS), (E4, E4, A, 3)),
+        (_MUTATED, list(GENERATORS), (E4, E4, A, 2)),
+        # i = k at odd n, where only odd orders are checked
+        (_CORRUPTED, [A, E4], (A, A, A, 3)),
+        (_MUTATED, [B, E4], (B, B, B, 3)),
+    ],
+    ids=["corrupted-i<k", "mutated-i<k", "corrupted-i=k", "mutated-i=k"],
+)
+def test_associativity_witness_of_a_mirrored_triple_equals_the_full_loop(family, basis, witness):
+    f, g, h, n = witness
+    assert _associator(family, f, g, h, n) and _associator(family, h, g, f, n)
+    got = check_associativity(family, 3, basis)
+    inputs = got.witness["inputs"]
+    assert (inputs["f"], inputs["g"], inputs["h"], inputs["n"]) == witness
+    _same_report(got, _associativity_reference(family, 3, basis))
+
+
+@pytest.mark.parametrize("basis, n_max", [(list(GENERATORS), 4), (list(GENERATORS), 3), (monomial_basis(4, 1), 2)])
+def test_associativity_computes_half_the_identities(monkeypatch, basis, n_max):
+    # b^2 ((b + 1) n_max / 2 - floor(n_max / 2)) identities: the triples
+    # i < k at every order and i = k at odd orders; 128 on the generators
+    # at n_max = 4, where the loop over all ordered triples computes 256
+    from jacobiforms import verifier
+
+    counts = {"star_truncated": 0, "bracket_sum": 0}
+
+    def counted(name, call):
+        def wrapper(*args):
+            counts[name] += 1
+            return call(*args)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(verifier, name, counted(name, getattr(verifier, name)))
+    assert check_associativity(accol(1, F(-1, 2), F(7, 5)), n_max, basis).passed
+    b = len(basis)
+    assert counts["star_truncated"] == b * (b + 1) // 2
+    assert counts["bracket_sum"] == b * b * (b + 1) * n_max // 2 - b * b * (n_max // 2)
+    if (b, n_max) == (4, 4):
+        assert counts == {"star_truncated": 10, "bracket_sum": 128}
 
 
 @pytest.mark.parametrize("mu", [F(0), F(1), F(-3)])
