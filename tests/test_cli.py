@@ -261,6 +261,28 @@ def test_expand_bad_sizes_are_usage_errors(capsys, argv):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["expand", "--what", "E4", "--N", "-1"], "--N must be between 0 and 200, got -1"),
+        (["expand", "--what", "E4", "--N", "201"], "--N must be between 0 and 200, got 201"),
+        (["expand", "--what", "J1", "--G", "0"], "--G must be between 1 and 1000, got 0"),
+        (["expand", "--what", "J1", "--G", "1001"], "--G must be between 1 and 1000, got 1001"),
+        (["expand", "--what", "J1", "--N", "-1", "--G", "0"], "--N must be between 0 and 200, got -1"),
+        (["bracket", "--family", "orc", "--params", "1", "--n", "-1", "--f", "A", "--g", "B"], "--n must be between 0 and 300, got -1"),
+        (["bracket", "--family", "rc", "--n", "301", "--f", "1", "--g", "1"], "--n must be between 0 and 300, got 301"),
+        (["deriv", "--name", "serre", "--input", "E4", "--power", "-1"], "--power must be between 0 and 300, got -1"),
+        (["deriv", "--name", "serre", "--input", "E4", "--power", "301"], "--power must be between 0 and 300, got 301"),
+        # the parameter list is read before the bound is checked
+        (["bracket", "--family", "orc", "--params", "x", "--n", "-1", "--f", "A", "--g", "B"], "not a rational: 'x'"),
+        (["deriv", "--name", "serre_ab", "--param", "x", "--input", "E4", "--power", "-1"], "not a rational: 'x'"),
+    ],
+    ids=["N-negative", "N-above", "G-zero", "G-above", "N-before-G", "n-negative", "rc-n-above", "power-negative", "power-above", "bracket-params-first", "deriv-params-first"],
+)
+def test_size_bounds_name_the_option_and_its_range(capsys, argv, line):
+    assert run(capsys, *argv) == (2, "", f"error: {line}\n")
+
+
 def test_vinset_empty_u_keeps_the_default_values(capsys):
     assert run(capsys, "verify", "--suite", "vinset", "--u", "") == run(capsys, "verify", "--suite", "vinset")
 
