@@ -126,6 +126,8 @@ def star_truncated(family: BracketFamily, order: int, f: BigradedElement, g: Big
     """mu_0(f, g), ..., mu_order(f, g), the coefficients of hbar^0..hbar^order
     of the star product f * g: the powers of D of each component are read
     once for all orders, and each order is one integer sum."""
+    if order < 0:
+        raise ValueError("bracket order must be nonnegative")
     d, c = family.derivation, family.c
     f_parts, g_parts = _powers(d, f, order), _powers(d, g, order)
     return [

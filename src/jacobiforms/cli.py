@@ -128,6 +128,15 @@ def _build(kind: str, table: dict, name: str, params: list[Fraction]):
 # -------------------------------------------------------------- subcommands
 
 
+def _check_sizes(args, limits: dict, low: int = 0) -> None:
+    """The one bound rule of size options: reject one above its bound or
+    below low (0, where a negative size would make the checks vacuous)."""
+    for name, limit in limits.items():
+        value = getattr(args, name)
+        if value is not None and not low <= value <= limit:
+            raise UsageError(f"--{name.replace('_', '-')} must be between {low} and {limit}, got {value}")
+
+
 # Largest truncation order and window expand accepts; a series product costs
 # about N^2 times the squared row width, so larger values run for minutes.
 # The row width grows with the index, so --element exponents are bounded too.
@@ -149,11 +158,9 @@ _EXPANSIONS = {
 
 
 def _cmd_expand(args) -> int:
+    _check_sizes(args, {"N": MAX_Q_ORDER})
+    _check_sizes(args, {"G": MAX_WINDOW}, low=1)
     n, window = args.N, args.G
-    if not 0 <= n <= MAX_Q_ORDER:
-        raise UsageError(f"--N must be between 0 and {MAX_Q_ORDER}, got {n}")
-    if not 1 <= window <= MAX_WINDOW:
-        raise UsageError(f"--G must be between 1 and {MAX_WINDOW}, got {window}")
     f = None
     if args.what == "element":
         if not args.element:
@@ -191,9 +198,8 @@ MAX_POWER = 300
 
 
 def _cmd_bracket(args) -> int:
-    params = _rational_list(args.params) if args.params else []
-    if not 0 <= args.n <= MAX_POWER:
-        raise UsageError(f"--n must be between 0 and {MAX_POWER}, got {args.n}")
+    params = _rational_list(args.params)
+    _check_sizes(args, {"n": MAX_POWER})
     f = _element(args.f, args.allow_f2)
     g = _element(args.g, args.allow_f2)
     if args.family == "rc":
@@ -210,9 +216,8 @@ def _cmd_bracket(args) -> int:
 
 
 def _cmd_deriv(args) -> int:
-    params = _rational_list(args.param) if args.param else []
-    if not 0 <= args.power <= MAX_POWER:
-        raise UsageError(f"--power must be between 0 and {MAX_POWER}, got {args.power}")
+    params = _rational_list(args.param)
+    _check_sizes(args, {"power": MAX_POWER})
     d = _build("derivation", _DERIVATIONS, args.name, params)
     f = _element(args.input, args.allow_f2)
     value = derivations.iterate(d, args.power, f)
@@ -231,18 +236,9 @@ SCAN_LIMITS = {"nmax": 12, "weight_cap": 32, "index_cap": 6}
 MAX_ASSOCIATIVITY_SIZE = 53 * 3
 
 
-def _check_sizes(args, limits: dict) -> None:
-    """Reject a size option above its bound, or negative: that would make
-    the checks vacuous."""
-    for name, limit in limits.items():
-        value = getattr(args, name)
-        if value is not None and not 0 <= value <= limit:
-            raise UsageError(f"--{name.replace('_', '-')} must be between 0 and {limit}, got {value}")
-
-
 def _cmd_verify(args) -> int:
     _check_sizes(args, VERIFY_LIMITS)
-    params = _rational_list(args.params) if args.params else []
+    params = _rational_list(args.params)
     rng = random.Random(args.seed)
     if args.suite == "vinset":
         u_values = _u_values(args.u) if args.u else [Fraction(0), Fraction(1, 12), Fraction(-1, 6), Fraction(1)]

@@ -228,12 +228,12 @@ def pi() -> Derivation:
 
 def d_alpha(alpha) -> Derivation:
     """sharp() + alpha * pi()."""
-    return make_derivation(*(x + Fraction(alpha) * y for x, y in zip(sharp().images, pi().images)))
+    return make_derivation(*(sharp() + Fraction(alpha) * pi()).images)
 
 
 def delta_beta(beta) -> Derivation:
     """flat() + beta * pi()."""
-    return make_derivation(*(x + Fraction(beta) * y for x, y in zip(flat().images, pi().images)))
+    return make_derivation(*(flat() + Fraction(beta) * pi()).images)
 
 
 def partial_u(u) -> Derivation:

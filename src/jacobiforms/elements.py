@@ -23,8 +23,10 @@ integers: every sum and product of `linear_combination`, derivation
 application and q-series product.  One normaliser, `_normalized`, reduces
 a list of rows (an element is one row) to lowest terms, and `_numerators`
 is the one conversion from Fractions.  `power` is the one
-square-and-multiply of elements, coefficients and series.  Values are
-immutable, so an element caches its split into homogeneous components.
+square-and-multiply of elements, coefficients, series and generator
+powers, and `parse_element` reads text in one loop over its terms.
+Values are immutable, so an element caches its split into homogeneous
+components.
 The subalgebras M, Jtilde and Q are each defined once, by a monomial test
 and generators, which `membership`, `monomial_basis` and the stability
 check read.
@@ -310,18 +312,20 @@ def constant(c: Scalar) -> BigradedElement:
 
 
 def power(base, n: int, one):
-    """base ** n for an integer n >= 0 by square-and-multiply, from the
-    unit one: the one power rule of elements, coefficients and series."""
+    """base ** n for an integer n >= 0 by square-and-multiply: the one
+    power rule of elements, coefficients, series and the memoised powers
+    of the series generators.  The unit one is returned for n = 0 and
+    never multiplied in, so base ** 1 is base itself."""
     if n < 0:
         raise ValueError("negative powers are not supported")
-    result = one
+    result = None
     while n:
         if n & 1:
-            result = result * base
+            result = base if result is None else result * base
         n >>= 1
         if n:
             base = base * base
-    return result
+    return one if result is None else result
 
 
 def linear_combination(terms, divisor: int = 1) -> BigradedElement:
@@ -451,108 +455,61 @@ def parse_element(text: str, allow_f2: bool = False) -> BigradedElement:
 
     F2 is rejected unless allow_f2 is set, in which case every F2^e is
     rewritten as B^e * A^-e so the result is in canonical coordinates.
+    One loop reads a sign and a term per pass; the first sign is optional.
     """
     tokens = _tokenize(text)
-    pos = 0
-
-    def peek(kind=None):
-        if pos < len(tokens) and (kind is None or tokens[pos][0] == kind):
-            return tokens[pos]
-        return None
-
-    def error(message):
-        at = tokens[pos][2] if pos < len(tokens) else len(text)
-        raise ParseError(message, at)
-
-    def take_int():
-        nonlocal pos
-        sign = 1
-        if peek("op") and tokens[pos][1] == "-":
-            sign = -1
-            pos += 1
-        tok = peek("int")
-        if tok is None:
-            error("expected an integer")
-        pos += 1
-        value = sign * int(tok[1])
-        if abs(value) > _MAX_EXPONENT:
-            raise ParseError("exponent overflow", tok[2])
-        return value
-
-    def take_rational():
-        nonlocal pos
-        tok = peek("int")
-        pos += 1
-        value = Fraction(int(tok[1]))
-        if peek("op") and tokens[pos][1] == "/":
-            pos += 1
-            den = peek("int")
-            if den is None:
-                error("expected a positive denominator")
-            pos += 1
-            if int(den[1]) == 0:
-                raise ParseError("zero denominator", den[2])
-            value /= int(den[1])
-        return value
-
-    def take_factor():
-        nonlocal pos
-        tok = peek("name")
-        if tok is None:
-            error("expected a generator name")
-        pos += 1
-        exp = 1
-        if peek("op") and tokens[pos][1] == "^":
-            pos += 1
-            exp = take_int()
-        name = tok[1]
-        if name == "F2":
-            if not allow_f2:
-                raise ParseError("F2 is not a stored generator (pass allow_f2 to rewrite it)", tok[2])
-            return (0, 0, -exp, exp)
-        return tuple(exp if slot == name else 0 for slot in GENERATOR_NAMES)
-
-    def take_term():
-        nonlocal pos
-        coeff = Fraction(1)
-        exps = [0, 0, 0, 0]
-        if peek("int"):
-            coeff = take_rational()
-            if not (peek("op") and tokens[pos][1] == "*"):
-                return coeff, tuple(exps)
-            pos += 1
-        while True:
-            at = pos
-            exps = [x + y for x, y in zip(exps, take_factor())]
-            if max(map(abs, exps)) > _MAX_EXPONENT:
-                raise ParseError("exponent overflow", tokens[at][2])
-            if peek("op") and tokens[pos][1] == "*":
-                pos += 1
-                continue
-            break
-        return coeff, tuple(exps)
-
     if not tokens:
         raise ParseError("empty element text", 0)
+    tokens.append(("end", "", len(text)))
+    pos = 0
+
+    def take(kind, values=None, message=None):
+        # the next token, consumed, if it has the kind (and one of the
+        # values); else None, or ParseError(message) at that token
+        nonlocal pos
+        tok = tokens[pos]
+        if tok[0] == kind and (values is None or tok[1] in values):
+            pos += 1
+            return tok
+        if message:
+            raise ParseError(message, tok[2])
+        return None
 
     total: dict = {}
-    sign = Fraction(1)
-    if peek("op") and tokens[pos][1] in "+-":
-        sign = Fraction(-1) if tokens[pos][1] == "-" else Fraction(1)
-        pos += 1
     while True:
-        coeff, exps = take_term()
-        total[exps] = total.get(exps, Fraction(0)) + sign * coeff
-        if pos >= len(tokens):
-            break
-        tok = peek("op")
-        if tok is None or tokens[pos][1] not in "+-":
-            error("expected '+' or '-' between terms")
-        sign = Fraction(-1) if tokens[pos][1] == "-" else Fraction(1)
-        pos += 1
-        if pos >= len(tokens):
-            error("dangling sign")
-    return BigradedElement(total)
+        sign = take("op", "+-", "expected '+' or '-' between terms" if total else None)
+        if total and take("end"):
+            raise ParseError("dangling sign", len(text))
+        coeff = Fraction(-1 if sign and sign[1] == "-" else 1)
+        exps = (0, 0, 0, 0)
+        number = take("int")
+        if number:
+            coeff *= int(number[1])
+            if take("op", "/"):
+                den = take("int", message="expected a positive denominator")
+                if int(den[1]) == 0:
+                    raise ParseError("zero denominator", den[2])
+                coeff /= int(den[1])
+        more = not number or take("op", "*")
+        while more:
+            name = take("name", message="expected a generator name")
+            exp = 1
+            if take("op", "^"):
+                minus = take("op", "-")
+                digits = take("int", message="expected an integer")
+                exp = -int(digits[1]) if minus else int(digits[1])
+                if abs(exp) > _MAX_EXPONENT:
+                    raise ParseError("exponent overflow", digits[2])
+            if name[1] == "F2" and not allow_f2:
+                raise ParseError("F2 is not a stored generator (pass allow_f2 to rewrite it)", name[2])
+            unit = (0, 0, -1, 1) if name[1] == "F2" else tuple(int(slot == name[1]) for slot in GENERATOR_NAMES)
+            exps = tuple(x + exp * u for x, u in zip(exps, unit))
+            if max(map(abs, exps)) > _MAX_EXPONENT:
+                raise ParseError("exponent overflow", name[2])
+            more = take("op", "*")
+        total[exps] = total.get(exps, 0) + coeff
+        if take("end"):
+            return BigradedElement(total)
 
 
 def _format_monomial(m) -> str:

@@ -12,7 +12,8 @@ is one row keyed by packed monomials).  coefficient(n) builds a
 LaurentPolyW of Fractions from a row on demand.  Sums and products of
 series are folded into one set of integer rows by `combination` and
 normalised once; `+`, `-`, `*` and the evaluation maps are calls of it,
-and `**` of `elements.power`.
+and `**` of `elements.power`; both evaluations are one substitution map,
+`_substituted`, on the memoised powers of the bundle's series.
 
 Most series are Exact: every stored coefficient is the true one and the
 support is genuinely finite.  The elliptic-zeta series J1 is the one
@@ -41,7 +42,6 @@ from math import comb, isqrt, lcm
 from operator import mul
 
 from .elements import (
-    GENERATOR_NAMES,
     BigradedElement,
     InternalInvariantError,
     _accumulate,
@@ -414,12 +414,12 @@ def _wpoly_xi(*pairs) -> LaurentPolyW:
 
 
 _A_Q0 = _wpoly_xi((1, 1), (0, -2), (-1, 1))
-_A_Q1 = _wpoly_xi((1, 1), (0, -2), (-1, 1)) ** 2 * Fraction(-2)
-_A_Q2 = _wpoly_xi((1, 1), (0, -2), (-1, 1)) ** 2 * _wpoly_xi((1, 1), (0, -8), (-1, 1))
+_A_Q1 = _A_Q0 ** 2 * Fraction(-2)
+_A_Q2 = _A_Q0 ** 2 * _wpoly_xi((1, 1), (0, -8), (-1, 1))
 
 _B_Q0 = _wpoly_xi((1, 1), (0, 10), (-1, 1))
-_B_Q1 = _wpoly_xi((1, 1), (0, -2), (-1, 1)) * _wpoly_xi((1, 5), (0, -22), (-1, 5)) * 2
-_B_Q2 = _wpoly_xi((1, 1), (0, -2), (-1, 1)) * _wpoly_xi((2, 1), (1, 110), (0, -294), (-1, 110), (-2, 1))
+_B_Q1 = _A_Q0 * _wpoly_xi((1, 5), (0, -22), (-1, 5)) * 2
+_B_Q2 = _A_Q0 * _wpoly_xi((2, 1), (1, 110), (0, -294), (-1, 110), (-2, 1))
 
 
 def _golden_checked(series: QSeries, expected, name: str) -> QSeries:
@@ -505,9 +505,6 @@ class JacobiSeriesBundle:
     j2: QSeries
     j1_direction: str = "xi-inverse"
 
-    def generator_series(self) -> dict[str, QSeries]:
-        return {"E4": self.e4, "E6": self.e6, "A": self.a, "B": self.b}
-
 
 def oberdieck_series(f: QSeries, k, p, bundle: JacobiSeriesBundle) -> QSeries:
     """Fourier-side weight-raising operator:
@@ -582,26 +579,22 @@ def make_bundle(q_order: int = 10, window: int = 24) -> JacobiSeriesBundle:
 
 
 @lru_cache(maxsize=4096)
-def _generator_power(bundle: JacobiSeriesBundle, name: str, exponent: int) -> QSeries:
-    base = bundle.generator_series()[name]
-    if exponent == 0:
-        return constant_series(1, bundle.q_order)
-    if exponent == 1:
-        return base
-    half = _generator_power(bundle, name, exponent // 2)
-    result = half * half
-    if exponent % 2:
-        result = result * base
-    return result
+def _generator_power(bundle: JacobiSeriesBundle, field: str, exponent: int) -> QSeries:
+    """The bundle's series named field (e4, e6, e2, a or b) to the power
+    exponent, memoised across the monomials of every evaluation."""
+    return getattr(bundle, field) ** exponent
 
 
-def _substituted_terms(f: BigradedElement, factors, q_order: int):
-    """Terms of combination that evaluate f, with the product of the series
-    factors(m) in place of each monomial m: (c, x) or (c, x, y); of three or
-    more factors, all but the last are multiplied first."""
+def _substituted(f: BigradedElement, bundle: JacobiSeriesBundle, fields) -> QSeries:
+    """f with each monomial m replaced by the product of the memoised
+    powers of the (field, exponent) pairs fields(m), summed in one
+    combination: the one substitution map.  Of three or more factors all
+    but the last are multiplied first."""
+    terms = []
     for m, c in f.terms().items():
-        *head, last = factors(m) or [constant_series(1, q_order)]
-        yield (c, reduce(mul, head), last) if head else (c, last)
+        *head, last = [_generator_power(bundle, x, e) for x, e in fields(m) if e] or [constant_series(1, bundle.q_order)]
+        terms.append((c, reduce(mul, head), last) if head else (c, last))
+    return combination(terms, bundle.q_order)
 
 
 def evaluate(f: BigradedElement, bundle: JacobiSeriesBundle) -> QSeries:
@@ -612,11 +605,7 @@ def evaluate(f: BigradedElement, bundle: JacobiSeriesBundle) -> QSeries:
     """
     if not membership(f, "Jtilde"):
         raise ValueError("element has negative A exponents; clear them before evaluating")
-
-    def factors(m):
-        return [_generator_power(bundle, name, e) for name, e in zip(GENERATOR_NAMES, m) if e]
-
-    return combination(_substituted_terms(f, factors, bundle.q_order), bundle.q_order)
+    return _substituted(f, bundle, lambda m: zip(("e4", "e6", "a", "b"), m))
 
 
 def evaluate_quasimodular(f: BigradedElement, bundle: JacobiSeriesBundle) -> QSeries:
@@ -628,11 +617,7 @@ def evaluate_quasimodular(f: BigradedElement, bundle: JacobiSeriesBundle) -> QSe
     """
     if not membership(f, "Q"):
         raise ValueError("element is not a polynomial in E4, E6, F2")
-
-    def factors(m):
-        return [base ** e for base, e in zip((bundle.e4, bundle.e6, bundle.e2), (m.e4, m.e6, m.b)) if e]
-
-    return combination(_substituted_terms(f, factors, bundle.q_order), bundle.q_order)
+    return _substituted(f, bundle, lambda m: (("e4", m.e4), ("e6", m.e6), ("e2", m.b)))
 
 
 def delta_series(bundle: JacobiSeriesBundle) -> QSeries:

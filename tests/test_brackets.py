@@ -317,6 +317,14 @@ def test_star_truncated():
         assert value == cm_bracket(fam2.derivation, fam2.c, j, E4, E6)
 
 
+def test_negative_orders_are_refused_by_every_bracket_route():
+    # an empty list of orders would let a check over n <= -1 pass vacuously
+    fam = crochet(1, 1)
+    for route in (star_truncated, bracket_n):
+        with pytest.raises(ValueError, match="bracket order must be nonnegative"):
+            route(fam, -1, E4, A)
+
+
 def test_negative_binomial_tops_need_no_special_case():
     # A has weight -2, so tops go negative; the bracket still lands correctly
     fam = accol(1, 1, 0)

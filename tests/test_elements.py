@@ -1,4 +1,5 @@
 import gc
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -30,7 +31,7 @@ from jacobiforms import (
     serre,
     to_json_dict,
 )
-from jacobiforms.elements import linear_combination
+from jacobiforms.elements import linear_combination, power
 
 
 def test_generator_bidegrees():
@@ -77,6 +78,15 @@ def test_negative_powers_limited_to_a():
         E4 ** -1
     with pytest.raises(ValueError):
         (E4 + A) ** -1
+
+
+def test_power_never_multiplies_by_the_unit():
+    x = E4 + A
+    assert power(x, 1, ONE) is x
+    assert power(x, 0, ONE) is ONE
+    assert power(x, 5, ONE) == x * x * x * x * x
+    with pytest.raises(ValueError):
+        power(x, -1, ONE)
 
 
 def test_monomial_validation():
@@ -178,6 +188,147 @@ def test_parse_bounds_the_summed_exponent_of_a_term():
         parse_element("F2^1000000*B", allow_f2=True)
     assert parse_element("E4^999999*E4*A^-999999*A^-1") == monomial(10 ** 6, 0, -(10 ** 6), 0)
     assert parse_element("F2^1000000*A^1000000", allow_f2=True) == B ** 1000000
+
+
+# The parser as it was before it became one loop over terms, kept as the
+# reference that parse_element must agree with on every input.
+_REFERENCE_TOKEN = re.compile(r"(?P<name>E4|E6|F2|A|B)|(?P<int>\d+)|(?P<op>[-+*/^])|(?P<bad>\S)")
+
+
+def _reference_parse(text, allow_f2=False):
+    tokens = []
+    for match in _REFERENCE_TOKEN.finditer(text):
+        if match.lastgroup == "bad":
+            raise ParseError(f"unexpected character {match.group()!r}", match.start())
+        tokens.append((match.lastgroup, match.group(), match.start()))
+    pos = 0
+
+    def peek(kind=None):
+        if pos < len(tokens) and (kind is None or tokens[pos][0] == kind):
+            return tokens[pos]
+        return None
+
+    def error(message):
+        at = tokens[pos][2] if pos < len(tokens) else len(text)
+        raise ParseError(message, at)
+
+    def take_int():
+        nonlocal pos
+        sign = 1
+        if peek("op") and tokens[pos][1] == "-":
+            sign = -1
+            pos += 1
+        tok = peek("int")
+        if tok is None:
+            error("expected an integer")
+        pos += 1
+        value = sign * int(tok[1])
+        if abs(value) > 10 ** 6:
+            raise ParseError("exponent overflow", tok[2])
+        return value
+
+    def take_rational():
+        nonlocal pos
+        tok = peek("int")
+        pos += 1
+        value = F(int(tok[1]))
+        if peek("op") and tokens[pos][1] == "/":
+            pos += 1
+            den = peek("int")
+            if den is None:
+                error("expected a positive denominator")
+            pos += 1
+            if int(den[1]) == 0:
+                raise ParseError("zero denominator", den[2])
+            value /= int(den[1])
+        return value
+
+    def take_factor():
+        nonlocal pos
+        tok = peek("name")
+        if tok is None:
+            error("expected a generator name")
+        pos += 1
+        exp = 1
+        if peek("op") and tokens[pos][1] == "^":
+            pos += 1
+            exp = take_int()
+        name = tok[1]
+        if name == "F2":
+            if not allow_f2:
+                raise ParseError("F2 is not a stored generator (pass allow_f2 to rewrite it)", tok[2])
+            return (0, 0, -exp, exp)
+        return tuple(exp if slot == name else 0 for slot in ("E4", "E6", "A", "B"))
+
+    def take_term():
+        nonlocal pos
+        coeff = F(1)
+        exps = [0, 0, 0, 0]
+        if peek("int"):
+            coeff = take_rational()
+            if not (peek("op") and tokens[pos][1] == "*"):
+                return coeff, tuple(exps)
+            pos += 1
+        while True:
+            at = pos
+            exps = [x + y for x, y in zip(exps, take_factor())]
+            if max(map(abs, exps)) > 10 ** 6:
+                raise ParseError("exponent overflow", tokens[at][2])
+            if peek("op") and tokens[pos][1] == "*":
+                pos += 1
+                continue
+            break
+        return coeff, tuple(exps)
+
+    if not tokens:
+        raise ParseError("empty element text", 0)
+
+    total: dict = {}
+    sign = F(1)
+    if peek("op") and tokens[pos][1] in "+-":
+        sign = F(-1) if tokens[pos][1] == "-" else F(1)
+        pos += 1
+    while True:
+        coeff, exps = take_term()
+        total[exps] = total.get(exps, F(0)) + sign * coeff
+        if pos >= len(tokens):
+            break
+        tok = peek("op")
+        if tok is None or tokens[pos][1] not in "+-":
+            error("expected '+' or '-' between terms")
+        sign = F(-1) if tokens[pos][1] == "-" else F(1)
+        pos += 1
+        if pos >= len(tokens):
+            error("dangling sign")
+    return BigradedElement(total)
+
+
+def _outcome(parse, text, allow_f2):
+    """The element text parse gives, or its exception's type, message and position."""
+    try:
+        return format_element(parse(text, allow_f2=allow_f2))
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+_PARSER_TOKENS = ["E4", "E6", "F2", "A", "B", "0", "12", "999999", "1000000", "1000001", *"-+*/^", " ", "?"]
+
+
+@settings(max_examples=1000)
+@given(st.lists(st.sampled_from(_PARSER_TOKENS), max_size=14).map("".join), st.booleans())
+def test_parser_agrees_with_the_reference_parser(text, allow_f2):
+    assert _outcome(parse_element, text, allow_f2) == _outcome(_reference_parse, text, allow_f2)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", " ", "-", "+E4", "E4 -", "E4 + ", "E4 E6", "--E4", "2*3", "1/", "1/0*E4", "1/-3", "2/3/4", "E4^", "E4^-",
+     "E4^2^3", "F2^x", "F2^1000001", "0*E4 - 0", "12/999999*F2^-12*A^12 + B", "E4^1000000*E4", "E4^999999*E4^12",
+     "A^-999999*F2^12", "?E4", "E4*"],
+)
+@pytest.mark.parametrize("allow_f2", [False, True])
+def test_parser_agrees_with_the_reference_parser_on_edge_cases(text, allow_f2):
+    assert _outcome(parse_element, text, allow_f2) == _outcome(_reference_parse, text, allow_f2)
 
 
 def test_format_canonical():

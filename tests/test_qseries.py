@@ -158,6 +158,29 @@ def test_powers_square_only_the_factors_they_use():
     assert LaurentPolyW({1: 2}) ** 3 == LaurentPolyW({3: 8})
 
 
+@pytest.mark.parametrize("field", ["e4", "e6", "e2", "a", "b"])
+def test_generator_powers_are_the_powers_of_the_bundle_series(bundle, field):
+    from jacobiforms.qseries import _generator_power
+
+    base = getattr(bundle, field)
+    product = constant_series(1, bundle.q_order)
+    for e in range(6):
+        assert _generator_power(bundle, field, e) == base ** e == product
+        product = product * base
+
+
+def test_quasimodular_evaluation_reads_the_generator_power_memo(bundle):
+    from jacobiforms.qseries import _generator_power
+
+    f = E4 ** 2 * F2 - 3 * E6 * F2 ** 3
+    first = evaluate_quasimodular(f, bundle)
+    hits = _generator_power.cache_info().hits
+    assert evaluate_quasimodular(f, bundle) == first
+    assert _generator_power.cache_info().hits > hits
+    # the memo holds the series the substitution reads: E2 for F2
+    assert first == eisenstein(4, 10) ** 2 * eisenstein(2, 10) - 3 * eisenstein(6, 10) * eisenstein(2, 10) ** 3
+
+
 def test_window_arithmetic():
     exact = theta_quotient_A(4)          # width 6 at this order
     windowed = j1_series(4, 10)

@@ -656,3 +656,21 @@ def test_scan_conjecture_reports_escape_for_off_line_value():
     value = bracket_n(off, 1, B, E4)
     f2 = B * A ** -1
     assert value == F(-1, 3) * B * E4 * f2 - F(0) * E6 * B + F(1, 3) * E4 ** 2 * A
+
+
+@pytest.mark.parametrize(
+    "check, status_at_one",
+    [
+        (lambda n_max: check_associativity(accol(1, 1, 0), n_max), "pass"),
+        (lambda n_max: check_stability(crochet(1, 1), "Jtilde", n_max), "fail"),
+        (lambda n_max: check_bidegree_law(accol(1, 1, 0), n_max, [(E4, A)]), "pass"),
+        (lambda n_max: scan_conjecture([F(0)], n_max, 4, 1), "pass"),
+    ],
+    ids=["associativity", "stability", "bidegree", "scan"],
+)
+def test_negative_order_is_refused_not_passed(check, status_at_one):
+    # n_max = -1 names no order, so a pass would check nothing: crochet(1, 1)
+    # passed stability at -1 although it fails at 1
+    with pytest.raises(ValueError, match="bracket order must be nonnegative"):
+        check(-1)
+    assert check(1).status == status_at_one
