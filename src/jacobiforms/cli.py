@@ -144,13 +144,14 @@ MAX_Q_ORDER = 200
 MAX_WINDOW = 1000
 MAX_ELEMENT_EXPONENT = 8
 
-# Named expand targets -> series at truncation order N and window G.
+# Named expand targets -> series at truncation order N and window G; only J1
+# has a window, every other target is exact.
 _EXPANSIONS = {
     "E2": lambda n, window: qseries.eisenstein(2, n),
     "E4": lambda n, window: qseries.eisenstein(4, n),
     "E6": lambda n, window: qseries.eisenstein(6, n),
     "A": lambda n, window: qseries.theta_quotient_A(n),
-    "B": qseries.b_series,
+    "B": lambda n, window: qseries.b_series(n),
     "J1": qseries.j1_series,
     "J2": lambda n, window: qseries.j2_series(n),
     "Delta": lambda n, window: Fraction(1, 1728) * (qseries.eisenstein(4, n) ** 3 - qseries.eisenstein(6, n) ** 2),
@@ -168,13 +169,13 @@ def _cmd_expand(args) -> int:
         f = _element(args.element, args.allow_f2)
         if any(abs(e) > MAX_ELEMENT_EXPONENT for m in f.terms() for e in m):
             raise UsageError(f"--element exponents must be at most {MAX_ELEMENT_EXPONENT} in size, got {args.element!r}")
-    try:
-        if f is None:
-            series = _EXPANSIONS[args.what](n, window)
-        else:
+    if f is None:
+        series = _EXPANSIONS[args.what](n, window)
+    else:
+        try:
             series = qseries.evaluate(f, qseries.make_bundle(n, window))
-    except ValueError as exc:  # a window too small for N, or negative A exponents
-        raise UsageError(str(exc)) from exc
+        except ValueError as exc:  # negative A exponents
+            raise UsageError(str(exc)) from exc
     if args.json:
         payload = {
             str(order): [

@@ -438,7 +438,7 @@ def monomial_basis(weight_cap: int, index_cap: int, algebra: str = "Jtilde") -> 
 
 _MAX_EXPONENT = 10 ** 6
 
-_TOKEN = re.compile(r"(?P<name>E4|E6|F2|A|B)|(?P<int>\d+)|(?P<op>[-+*/^])|(?P<bad>\S)")
+_TOKEN = re.compile(r"(?P<name>E4|E6|F2|A|B)|(?P<int>[0-9]+)|(?P<op>[-+*/^])|(?P<bad>\S)")
 
 
 def _tokenize(text: str):

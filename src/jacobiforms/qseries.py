@@ -24,18 +24,19 @@ for |r| <= G; products against finite series shrink the window by the
 finite factor's width, additions keep the smaller window, and equality
 or membership claims are only made inside the guaranteed window.
 
-The index-one generators are built rather than tabulated: A as a signed
-quotient of reduced theta and eta-cube series, both sums over triangular
-powers of q (the q^{1/8} prefactors cancel in the square, keeping integer
-q powers), and B from A through the Fourier-side derivation, with both
-checked against their known leading coefficients before use.  A product
-costs about N^2 times the square of the row width, so the CLI's expand
-accepts N <= 200 and G <= 1000.
+The index-one generators are built rather than tabulated, both exact:
+A as (w - w^{-1})^2 times the square of a quotient of reduced theta and
+eta-cube series, both sums over triangular powers of q, and B as 12
+times the normalised Weierstrass function times A, with both checked
+against their known leading coefficients before use.  The Fourier-side
+derivation is thus independent of B, which it is checked against.  A
+product costs about N^2 times the square of the row width, so the CLI's
+expand accepts N <= 200 and G <= 1000.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb, isqrt, lcm
@@ -381,8 +382,8 @@ def eisenstein(k: int, q_order: int) -> QSeries:
 
 def _triangular_series(q_order: int, row) -> QSeries:
     """sum_{n>=0} (-1)^n row(n) q^{n(n+1)/2} through q^q_order: the reduced
-    theta series for row(n) = w^{2n+1} - w^{-2n-1}, and the eta-cube without
-    its q^{1/8} for row(n) = 2n+1."""
+    theta series over w - w^{-1} for row(n) = w^{2n} + w^{2n-2} + ... +
+    w^{-2n}, and the eta-cube without its q^{1/8} for row(n) = 2n+1."""
     rows = [{} for _ in range(q_order + 1)]
     n = 0
     while n * (n + 1) // 2 <= q_order:
@@ -392,19 +393,18 @@ def _triangular_series(q_order: int, row) -> QSeries:
 
 
 def _inverted_unit(series: QSeries) -> QSeries:
-    """Inverse of an exact integral q-series whose constant term is the
-    scalar 1 or -1; the inverse is integral too."""
+    """Inverse of an exact integral q-series with constant term 1; the
+    inverse is integral too."""
     rows = series._rows
-    if series._den != 1 or rows[0] not in ({0: 1}, {0: -1}):
-        raise ValueError("series inversion requires integer coefficients and a leading term of 1 or -1")
-    sign = rows[0][0]
-    out = [{0: sign}]
+    if series._den != 1 or rows[0] != {0: 1}:
+        raise ValueError("series inversion requires integer coefficients and a leading term of 1")
+    out = [{0: 1}]
     for n in range(1, len(rows)):
         acc: dict = {}
         for k in range(1, n + 1):
             if rows[k]:
                 _accumulate(acc, rows[k], out[n - k])
-        out.append({r: -sign * c for r, c in acc.items()})
+        out.append({r: -c for r, c in acc.items()})
     return QSeries._raw(out, 1)
 
 
@@ -432,18 +432,44 @@ def _golden_checked(series: QSeries, expected, name: str) -> QSeries:
     return series
 
 
-def theta_quotient_A(q_order: int) -> QSeries:
-    """The weight -2, index 1 generator as a signed theta/eta-cube quotient.
+def _a_and_ratio_squared(q_order: int) -> tuple[QSeries, QSeries]:
+    """(A, R^2) for the theta ratio R = theta~/eta^3, theta~ the reduced
+    theta series over w - w^{-1} (the q^{1/8} prefactors cancel in R^2,
+    keeping integer q powers): A = (w - w^{-1})^2 R^2, checked against its
+    q^0..q^2 coefficients."""
+    theta = _triangular_series(q_order, lambda n: dict.fromkeys(range(-2 * n, 2 * n + 1, 2), 1))
+    ratio = theta * _inverted_unit(_triangular_series(q_order, lambda n: {0: 2 * n + 1}))
+    ratio_sq = ratio * ratio
+    gap_sq = QSeries._raw([{2: 1, 0: -2, -2: 1}] + [{}] * q_order, 1)  # (w - w^{-1})^2
+    return _golden_checked(gap_sq * ratio_sq, (_A_Q0, _A_Q1, _A_Q2), "theta quotient"), ratio_sq
 
-    The sign is fixed by the q^0 coefficient (w - w^{-1})^2, and the q^0,
-    q^1, q^2 coefficients are asserted against their known values: a
-    mismatch means the construction is wrong.
-    """
-    theta = _triangular_series(q_order, lambda n: {2 * n + 1: 1, -2 * n - 1: -1})
-    eta_inv = _inverted_unit(_triangular_series(q_order, lambda n: {0: 2 * n + 1}))
-    quotient = theta * theta * eta_inv * eta_inv
-    series = -quotient if quotient.coefficient(0) == -_A_Q0 else quotient
-    return _golden_checked(series, (_A_Q0, _A_Q1, _A_Q2), "theta quotient")
+
+def _b_from(a: QSeries, ratio_sq: QSeries) -> QSeries:
+    """B = 12 P A for the normalised Weierstrass function
+    P = 1/12 + 1/(w - w^{-1})^2 + sum_n sum_{d|n} d (w^{2d} - 2 + w^{-2d}) q^n
+    (Eichler-Zagier, The Theory of Jacobi Forms, 1985, section 9), so
+    B = A + 12 R^2 + 12 P' A with P' the divisor-sum rows: exact on every
+    row, no window enters.  Checked against its q^0..q^2 coefficients."""
+    rows = [{}]
+    for n in range(1, a.q_order + 1):
+        row = {0: -2 * sigma(1, n)}
+        for d in _divisors(n):
+            row[2 * d] = row[-2 * d] = d
+        rows.append(row)
+    series = combination(((1, a), (12, ratio_sq), (12, QSeries._raw(rows, 1), a)), a.q_order)
+    return _golden_checked(series, (_B_Q0, _B_Q1, _B_Q2), "weight-0 generator")
+
+
+def theta_quotient_A(q_order: int) -> QSeries:
+    """The weight -2, index 1 generator, (w - w^{-1})^2 times the squared
+    theta ratio."""
+    return _a_and_ratio_squared(q_order)[0]
+
+
+def b_series(q_order: int) -> QSeries:
+    """The weight 0, index 1 generator, 12 times the normalised Weierstrass
+    function times the weight -2 one."""
+    return _b_from(*_a_and_ratio_squared(q_order))
 
 
 def j1_series(q_order: int, window: int) -> QSeries:
@@ -471,7 +497,7 @@ def j2_series(q_order: int) -> QSeries:
 
     The even xi-combination is the one compatible with dz(J2) = 2 dtau(J1)
     and with the evenness of the series in z; it is cross-checked against
-    the reference expansion of the weight-0 generator through b_series.
+    the weight-0 generator through the Fourier-side derivation of A.
     Stored over the denominator 6.
     """
     rows = [{0: 1}]
@@ -518,61 +544,13 @@ def oberdieck_series(f: QSeries, k, p, bundle: JacobiSeriesBundle) -> QSeries:
     return combination(terms, min(f.q_order, bundle.q_order))
 
 
-def _bundle_without_b(q_order: int, window: int) -> JacobiSeriesBundle:
-    """Every expansion B is derived from, with B itself left zero."""
-    return JacobiSeriesBundle(
-        q_order,
-        window,
-        eisenstein(2, q_order),
-        eisenstein(4, q_order),
-        eisenstein(6, q_order),
-        theta_quotient_A(q_order),
-        constant_series(0, q_order),
-        j1_series(q_order, window),
-        j2_series(q_order),
-    )
-
-
-def _derived_b(bundle: JacobiSeriesBundle) -> QSeries:
-    q_order, window, a = bundle.q_order, bundle.window, bundle.a
-    sound_floor = -2 * window + a.w_width()
-    bound = 2 * isqrt(4 * q_order + 1)
-    if sound_floor > -bound:
-        raise WindowError(
-            f"window {window} cannot certify support {bound} at order {q_order}"
-        )
-    series = (-6) * oberdieck_series(a, -2, 1, bundle)
-    for row in series._rows:
-        for r in row:
-            if r > bound or sound_floor <= r < -bound:
-                raise InternalInvariantError(
-                    f"derived weight-0 generator has support at w^{r}, outside "
-                    f"the index-one bound {bound}"
-                )
-    # exact for |r| <= bound and zero beyond it: truncate and promote
-    exact = QSeries._raw(series._rows, series._den, bound).as_exact()
-    return _golden_checked(exact, (_B_Q0, _B_Q1, _B_Q2), "derived weight-0 generator")
-
-
-def b_series(q_order: int, window: int) -> QSeries:
-    """The weight 0, index 1 generator, built as -6 times the Fourier-side
-    operator applied to the index-one weight -2 generator.
-
-    The only inexact ingredient is the truncated geometric tail of J1,
-    confined to w-exponents below -2*window, so the combination is exact
-    for w-exponents >= -2*window + width.  That must cover the support
-    bound 2*sqrt(4N+1) of an index-one form; the result is checked to
-    vanish on the rest of the exact region, truncated to the bound,
-    promoted to Exact, and asserted against the known q^0..q^2
-    coefficients.  A mismatch invalidates the evenness resolution of the
-    even elliptic companion and raises instead of patching.
-    """
-    return _derived_b(_bundle_without_b(q_order, window))
-
-
 def make_bundle(q_order: int = 10, window: int = 24) -> JacobiSeriesBundle:
-    bundle = _bundle_without_b(q_order, window)
-    return replace(bundle, b=_derived_b(bundle))
+    """Every generator expansion through q^q_order, J1 with the window;
+    A and B share one theta ratio."""
+    a, ratio_sq = _a_and_ratio_squared(q_order)
+    e2, e4, e6 = (eisenstein(k, q_order) for k in (2, 4, 6))
+    b = _b_from(a, ratio_sq)
+    return JacobiSeriesBundle(q_order, window, e2, e4, e6, a, b, j1_series(q_order, window), j2_series(q_order))
 
 
 # -------------------------------------------------------------- evaluation

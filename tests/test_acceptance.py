@@ -69,7 +69,7 @@ def _xi(pairs: dict) -> LaurentPolyW:
 def test_criterion_01_generator_expansion_golden_match():
     start = time.perf_counter()
     a = theta_quotient_A(10)
-    b = b_series(10, 24)
+    b = b_series(10)
     elapsed = time.perf_counter() - start
     xi_sq = _xi({1: 1, 0: -2, -1: 1})
     expected_a = [xi_sq, F(-2) * xi_sq ** 2, xi_sq ** 2 * _xi({1: 1, 0: -8, -1: 1})]

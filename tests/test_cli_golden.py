@@ -61,6 +61,10 @@ COMMANDS = [
     ["expand", "--what", "J1"],
     ["expand", "--what", "Delta"],
     ["expand", "--what", "B", "--N", "12", "--G", "36"],
+    # B and an element of high B degree well past q^12, pinned on the route
+    # that derived B through the Fourier-side operator
+    ["expand", "--what", "B", "--N", "60", "--G", "180"],
+    ["expand", "--what", "element", "--element", "A^2*B^3 - 3*E6*A*B", "--N", "24", "--G", "72"],
     # negative A exponents and exponents near a million: the output order
     # follows the monomial order, whatever the key encoding of the terms
     ["bracket", "--family", "crochet", "--params", "1/3,2", "--n", "3", "--f", "A^-3*B^2*E6", "--g", "E4*A^-1*B"],

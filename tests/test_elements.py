@@ -173,6 +173,10 @@ def test_parse_errors_carry_positions():
         parse_element("E4^9999999")
     with pytest.raises(ParseError):
         parse_element("1/0*E4")
+    # numbers are ASCII digits: a regex \d and int() would read the Arabic-Indic two as 2
+    with pytest.raises(ParseError, match="unexpected character") as info:
+        parse_element("E4^\u0662")
+    assert info.value.position == 3
 
 
 def test_parse_bounds_the_summed_exponent_of_a_term():

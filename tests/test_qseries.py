@@ -84,18 +84,16 @@ def test_theta_quotient_reference_coefficients():
     assert a.coefficient(2) == XI_SQ ** 2 * wpoly({1: 1, 0: -8, -1: 1})
 
 
-@pytest.mark.parametrize("window", [8, 12, 24])
-def test_b_series_reference_coefficients(window):
-    b = b_series(2, window)
-    assert b.is_exact
-    assert b.coefficient(0) == wpoly({1: 1, 0: 10, -1: 1})
-    assert b.coefficient(1) == 2 * XI_SQ * wpoly({1: 5, 0: -22, -1: 5})
-    assert b.coefficient(2) == XI_SQ * wpoly({2: 1, 1: 110, 0: -294, -1: 110, -2: 1})
-
-
-def test_b_series_rejects_insufficient_window():
-    with pytest.raises(WindowError):
-        b_series(10, 8)
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_b_series_reference_coefficients(order):
+    b = b_series(order)
+    assert b.is_exact and b.q_order == order
+    expected = [
+        wpoly({1: 1, 0: 10, -1: 1}),
+        2 * XI_SQ * wpoly({1: 5, 0: -22, -1: 5}),
+        XI_SQ * wpoly({2: 1, 1: 110, 0: -294, -1: 110, -2: 1}),
+    ]
+    assert list(b.coeffs) == expected[: order + 1]
 
 
 def test_j1_series():
@@ -225,6 +223,38 @@ def test_oberdieck_series_basics(bundle):
 def test_oberdieck_series_defines_b(bundle):
     derived = (-6) * oberdieck_series(bundle.a, -2, 1, bundle)
     assert derived.agrees_with(bundle.b)
+
+
+@pytest.mark.parametrize("order", [10, 30])
+def test_fourier_derivation_of_a_is_the_exact_b(order):
+    # B is built from the Weierstrass function; -6 times the Fourier-side
+    # operator on A derives it through the windowed J1 instead.  Inside the
+    # window the two agree, and from the index-one support bound 2*isqrt(4N+1)
+    # down to the floor where the truncated J1 tail enters the derived series
+    # vanishes, as B does
+    bundle = make_bundle(order, 3 * order)
+    derived = (-6) * oberdieck_series(bundle.a, -2, 1, bundle)
+    assert derived.window is not None and derived.agrees_with(bundle.b)
+    bound = 2 * isqrt(4 * order + 1)
+    floor = -2 * bundle.window + bundle.a.w_width()
+    assert floor < -bound
+    for n in range(order + 1):
+        assert not [r for r, _ in derived.coefficient(n).items() if r > bound or floor <= r < -bound]
+        assert all(abs(r) <= bound for r in bundle.b.coefficient(n).support())
+
+
+def test_series_consistency_catches_a_wrong_b_coefficient(bundle):
+    # B does not come from the operator it is checked against, so one
+    # changed coefficient of B fails the check on A
+    from dataclasses import replace
+
+    from jacobiforms import series_consistency
+
+    assert series_consistency(bundle, [A]).passed
+    coeffs = list(bundle.b.coeffs)
+    coeffs[3] = coeffs[3] + LaurentPolyW({2: 1})
+    report = series_consistency(replace(bundle, b=QSeries(coeffs)), [A])
+    assert not report.passed
 
 
 def test_evaluate(bundle):
