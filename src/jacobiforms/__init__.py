@@ -94,7 +94,6 @@ from .qseries import (
     JacobiSeriesBundle,
     LaurentPolyW,
     QSeries,
-    WindowError,
     b_series,
     bernoulli,
     delta_series,
@@ -102,6 +101,7 @@ from .qseries import (
     evaluate,
     evaluate_quasimodular,
     j1_series,
+    j1g_series,
     j2_series,
     make_bundle,
     oberdieck_series,

@@ -164,9 +164,6 @@ class FamilyLabel:
     name: str
     free: tuple[tuple[str, Fraction], ...]
 
-    def free_dict(self) -> dict[str, Fraction]:
-        return dict(self.free)
-
 
 # Atlas rows in label order.  The free names of a row are its builder's
 # positional parameters, each named as the PoissonParams field it sets.

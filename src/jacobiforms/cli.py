@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -37,15 +38,28 @@ USAGE_ERROR = 2
 INTERNAL_ERROR = 3
 
 
-class UsageError(ValueError):
-    pass
+class UsageError(Exception):
+    """An input out of range; not a ValueError, so argparse passes it on."""
 
 
 def _rational(text: str) -> Fraction:
     try:
+        if not text.isascii():  # Fraction reads any Unicode decimal digit
+            raise ValueError(text)
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"not a rational: {text!r}")
+
+
+def _integer(text: str) -> int:
+    """The type of the integer options: int, which reads any Unicode decimal
+    digit, of ASCII text only; argparse's own line for non-integers."""
+    if not text.isascii():
+        raise UsageError(f"not an integer: {text!r}")
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _rational_list(text: str) -> list[Fraction]:
@@ -144,8 +158,9 @@ MAX_Q_ORDER = 200
 MAX_WINDOW = 1000
 MAX_ELEMENT_EXPONENT = 8
 
-# Named expand targets -> series at truncation order N and window G; only J1
-# has a window, every other target is exact.
+# Named expand targets -> series at truncation order N and window G.  Every
+# target is exact but J1, whose q^0 row is cut after w^(-2G): expand prints
+# that truncation after its rows.
 _EXPANSIONS = {
     "E2": lambda n, window: qseries.eisenstein(2, n),
     "E4": lambda n, window: qseries.eisenstein(4, n),
@@ -187,8 +202,8 @@ def _cmd_expand(args) -> int:
     else:
         for order in range(series.q_order + 1):
             print(f"q^{order}: {qseries.format_wpoly(series.coefficient(order))}")
-        if not series.is_exact:
-            print(f"# window: coefficients exact for |w-exponent| <= {series.window}")
+        if args.what == "J1":
+            print(f"# window: coefficients exact for |w-exponent| <= {window}")
     return 0
 
 
@@ -352,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--seed", type=int, default=0, help="seed for random sampling")
+    common.add_argument("--seed", type=_integer, default=0, help="seed for random sampling")
     common.add_argument("--allow-f2", action="store_true", help="accept F2 in element text, rewriting it as B*A^-1")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -360,14 +375,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expand", parents=[common], help="q-expansions of the generators")
     p.add_argument("--what", required=True, choices=[*_EXPANSIONS, "element"])
     p.add_argument("--element", default=None)
-    p.add_argument("--N", type=int, default=10)
-    p.add_argument("--G", type=int, default=24)
+    p.add_argument("--N", type=_integer, default=10)
+    p.add_argument("--G", type=_integer, default=24)
     p.set_defaults(func=_cmd_expand)
 
     p = sub.add_parser("bracket", parents=[common], help="evaluate one bracket of a family")
     p.add_argument("--family", required=True, choices=sorted(_FAMILIES) + ["rc"])
     p.add_argument("--params", default="")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_integer, required=True)
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
     p.set_defaults(func=_cmd_bracket)
@@ -376,17 +391,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", required=True, choices=sorted(_DERIVATIONS))
     p.add_argument("--param", default="")
     p.add_argument("--input", required=True)
-    p.add_argument("--power", type=int, default=1)
+    p.add_argument("--power", type=_integer, default=1)
     p.set_defaults(func=_cmd_deriv)
 
     p = sub.add_parser("verify", parents=[common], help="run a verification suite")
     p.add_argument("--suite", required=True, choices=["associativity", "poisson", "bidegree", "stability", "vinset"])
     p.add_argument("--family", default=None, choices=sorted(_FAMILIES))
     p.add_argument("--params", default="")
-    p.add_argument("--nmax", type=int, default=3)
-    p.add_argument("--pairs", type=int, default=50)
-    p.add_argument("--weight-cap", type=int, default=None)
-    p.add_argument("--index-cap", type=int, default=None)
+    p.add_argument("--nmax", type=_integer, default=3)
+    p.add_argument("--pairs", type=_integer, default=50)
+    p.add_argument("--weight-cap", type=_integer, default=None)
+    p.add_argument("--index-cap", type=_integer, default=None)
     p.add_argument("--algebra", default="Jtilde", choices=list(SUBALGEBRA_GENERATORS))
     p.add_argument("--u", default="")
     p.set_defaults(func=_cmd_verify)
@@ -402,9 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan-conjecture", parents=[common], help="membership scan on the stability line")
     p.add_argument("--u", required=True)
-    p.add_argument("--nmax", type=int, default=2)
-    p.add_argument("--weight-cap", type=int, default=8)
-    p.add_argument("--index-cap", type=int, default=2)
+    p.add_argument("--nmax", type=_integer, default=2)
+    p.add_argument("--weight-cap", type=_integer, default=8)
+    p.add_argument("--index-cap", type=_integer, default=2)
     p.set_defaults(func=_cmd_scan)
 
     return parser
@@ -414,11 +429,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return USAGE_ERROR if exc.code not in (0, None) else 0
-    args._argv = list(argv) if argv is not None else sys.argv[1:]
-    try:
+        args._argv = list(argv) if argv is not None else sys.argv[1:]
         return args.func(args)
+    except SystemExit as exc:  # argparse has printed its usage error or help
+        return USAGE_ERROR if exc.code not in (0, None) else 0
     except (UsageError, BidegreeError) as exc:  # an input, or a result of one, out of range
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -427,8 +441,35 @@ def main(argv=None) -> int:
         return INTERNAL_ERROR
 
 
+class _StdoutUntilClosed:
+    """stdout until its reader closes early (`| head`); from then on file
+    descriptor 1 is os.devnull, as the Python docs on SIGPIPE advise, so
+    the command finishes quietly with its own exit status."""
+
+    def __init__(self, stream):
+        self._stream = stream
+
+    def __getattr__(self, name):
+        return getattr(self._stream, name)
+
+    def _quietly(self, method, *args):
+        try:
+            method(*args)
+        except BrokenPipeError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), self._stream.fileno())
+
+    def write(self, text):
+        self._quietly(self._stream.write, text)
+
+    def flush(self):
+        self._quietly(self._stream.flush)
+
+
 def entrypoint() -> None:
-    sys.exit(main())
+    sys.stdout = _StdoutUntilClosed(sys.stdout)
+    code = main()
+    sys.stdout.flush()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

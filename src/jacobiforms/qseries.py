@@ -15,14 +15,13 @@ normalised once; `+`, `-`, `*` and the evaluation maps are calls of it,
 and `**` of `elements.power`; both evaluations are one substitution map,
 `_substituted`, on the memoised powers of the bundle's series.
 
-Most series are Exact: every stored coefficient is the true one and the
-support is genuinely finite.  The elliptic-zeta series J1 is the one
-exception: its q^0 coefficient xi/(xi-1) has an infinite geometric tail,
-expanded here in the xi^{-1} direction and truncated.  Such a series
-carries a window G guaranteeing that stored w^r coefficients are exact
-for |r| <= G; products against finite series shrink the window by the
-finite factor's width, additions keep the smaller window, and equality
-or membership claims are only made inside the guaranteed window.
+Every series is exact: each stored coefficient is the true one.  The
+elliptic-zeta series J1 has no finite q^0 row, since xi/(xi-1) has an
+infinite geometric tail, so the Fourier-side operator multiplies by
+J1g = (w - w^{-1}) J1 instead, whose rows are finite, and divides the
+other factor by w - w^{-1}; the quotient is exact because every row of
+dz(f) of an f even in z is odd in w.  Only `expand --what J1` prints
+J1's own rows, truncated (j1_series).
 
 The index-one generators are built rather than tabulated, both exact:
 A as (w - w^{-1})^2 times the square of a quotient of reduced theta and
@@ -31,7 +30,7 @@ times the normalised Weierstrass function times A, with both checked
 against their known leading coefficients before use.  The Fourier-side
 derivation is thus independent of B, which it is checked against.  A
 product costs about N^2 times the square of the row width, so the CLI's
-expand accepts N <= 200 and G <= 1000.
+expand accepts N <= 200.
 """
 
 from __future__ import annotations
@@ -52,10 +51,6 @@ from .elements import (
     membership,
     power,
 )
-
-
-class WindowError(ValueError):
-    """A product or comparison needs more guaranteed window than available."""
 
 
 # ------------------------------------------------------- Laurent coefficients
@@ -124,10 +119,6 @@ class LaurentPolyW:
     def __pow__(self, n: int):
         return power(self, n, LaurentPolyW({0: 1}))
 
-    def mirror(self) -> "LaurentPolyW":
-        """Substitute w -> w^{-1}."""
-        return LaurentPolyW._raw({-r: c for r, c in self._coeffs.items()})
-
     def __repr__(self):
         return f"<wpoly {format_wpoly(self)}>"
 
@@ -144,36 +135,28 @@ class QSeries:
     numerators over the shared positive denominator.
 
     QSeries(coeffs) takes LaurentPolyW values or {w exponent: rational}
-    dicts, one per power of q.  window is None for Exact series; an
-    integer G means stored w^r coefficients are guaranteed exact for
-    |r| <= G (the constructors store tails well past the window so that
-    one product against a finite factor stays sound after the G - width
-    shrink).
+    dicts, one per power of q.
     """
 
-    __slots__ = ("_rows", "_den", "window", "_hash")
+    __slots__ = ("_rows", "_den", "_hash")
 
-    def __init__(self, coeffs, window: int | None = None):
+    def __init__(self, coeffs):
         polys = [c if isinstance(c, LaurentPolyW) else LaurentPolyW(c) for c in coeffs]
         rows, den = _numerators([p._coeffs for p in polys])
         rows, self._den = _normalized(rows, den)
-        self._rows, self.window, self._hash = tuple(rows), window, None
+        self._rows, self._hash = tuple(rows), None
 
     @classmethod
-    def _raw(cls, rows, den: int, window: int | None = None) -> "QSeries":
+    def _raw(cls, rows, den: int) -> "QSeries":
         # trusted path: integer numerators over a positive denominator
         series = cls.__new__(cls)
         rows, series._den = _normalized(rows, den)
-        series._rows, series.window, series._hash = tuple(rows), window, None
+        series._rows, series._hash = tuple(rows), None
         return series
 
     @property
     def q_order(self) -> int:
         return len(self._rows) - 1
-
-    @property
-    def is_exact(self) -> bool:
-        return self.window is None
 
     @property
     def coeffs(self) -> tuple[LaurentPolyW, ...]:
@@ -182,9 +165,6 @@ class QSeries:
     def coefficient(self, n: int) -> LaurentPolyW:
         den = self._den
         return LaurentPolyW._raw({r: Fraction(c, den) for r, c in self._rows[n].items()})
-
-    def w_width(self) -> int:
-        return max((abs(r) for row in self._rows for r in row), default=0)
 
     def __neg__(self):
         return combination(((-1, self),), self.q_order)
@@ -221,100 +201,72 @@ class QSeries:
     def dtau(self) -> "QSeries":
         """q d/dq: multiply the q^n coefficient by n."""
         rows = [{r: c * n for r, c in row.items()} for n, row in enumerate(self._rows)]
-        return QSeries._raw(rows, self._den, self.window)
+        return QSeries._raw(rows, self._den)
 
     def dz(self) -> "QSeries":
         """Elliptic derivative: the w^r term picks up the factor r/2."""
         rows = [{r: c * r for r, c in row.items()} for row in self._rows]
-        return QSeries._raw(rows, 2 * self._den, self.window)
+        return QSeries._raw(rows, 2 * self._den)
 
-    def as_exact(self) -> "QSeries":
-        """Drop everything outside the window and promote to Exact.
+    def gap_quotient(self) -> "QSeries":
+        """The series divided by the theta gap w - w^{-1}, row by row.
 
-        Only sound when the true series is known to be supported inside
-        the window; callers are expected to golden-check the result.
+        A row c is Q (w - w^{-1}) exactly when the top-down pass
+        Q[r-1] = c[r] + Q[r+1] leaves nothing below the support of c, that
+        is when c vanishes at w = 1 and w = -1, as every row of dz(f) does
+        for an f even in z.  Raises ValueError on a row that does not
+        divide.
         """
-        if self.window is None:
-            return self
-        bound = self.window
-        rows = [{r: c for r, c in row.items() if abs(r) <= bound} for row in self._rows]
+        rows = []
+        for row in self._rows:
+            quotient, low = {}, min(row, default=0)
+            for r in range(max(row, default=0), low - 1, -1):
+                quotient[r - 1] = row.get(r, 0) + quotient.get(r + 1, 0)
+            if quotient.pop(low, 0) or quotient.pop(low - 1, 0):
+                raise ValueError("a row does not divide by w - w^-1: the series was not even in z")
+            rows.append(quotient)
         return QSeries._raw(rows, self._den)
 
     def agrees_with(self, other: "QSeries") -> bool:
-        """Coefficientwise equality inside the common guaranteed window."""
-        order = min(self.q_order, other.q_order)
-        window = _min_window(self.window, other.window)
-        d1, d2 = self._den, other._den
-        for n in range(order + 1):
-            left, right = self._rows[n], other._rows[n]
-            for r in left.keys() | right.keys():
-                if (window is None or abs(r) <= window) and left.get(r, 0) * d2 != right.get(r, 0) * d1:
-                    return False
-        return True
+        """Equality through the common q order."""
+        order = min(self.q_order, other.q_order) + 1
+        return QSeries._raw(self._rows[:order], self._den) == QSeries._raw(other._rows[:order], other._den)
 
     def __eq__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
-        return self.window == other.window and self._den == other._den and self._rows == other._rows
+        return self._den == other._den and self._rows == other._rows
 
     def __hash__(self):
         if self._hash is None:
-            rows = tuple(frozenset(row.items()) for row in self._rows)
-            self._hash = hash((self.window, self._den, rows))
+            self._hash = hash((self._den, tuple(frozenset(row.items()) for row in self._rows)))
         return self._hash
 
     def __repr__(self):
-        kind = "exact" if self.is_exact else f"window={self.window}"
-        return f"<qseries through q^{self.q_order}, {kind}>"
-
-
-def _min_window(w1, w2):
-    return min((w for w in (w1, w2) if w is not None), default=None)
-
-
-def _product_window(left: QSeries, right: QSeries):
-    if left.window is None and right.window is None:
-        return None
-    if left.window is not None and right.window is not None:
-        raise WindowError("cannot multiply two windowed series")
-    windowed, finite = (left, right) if left.window is not None else (right, left)
-    if not any(finite._rows):
-        return None  # exact zero factor
-    window = windowed.window - finite.w_width()
-    if window < 0:
-        raise WindowError(
-            f"window {windowed.window} too small for a factor of width {finite.w_width()}"
-        )
-    return window
+        return f"<qseries through q^{self.q_order}>"
 
 
 def combination(terms, q_order: int) -> QSeries:
     """Sum of coeff * x over (coeff, x) terms and of coeff * x * y over
     (coeff, x, y) terms through q^q_order, normalised once: the one place
-    that decides how sums and products of series are normalised and what
-    their window is.
+    that decides how sums and products of series are normalised.
 
     Terms are summed into integer rows over a common denominator that grows
     as needed, each pair of rows through the product loop of elements, a
-    sum as a product with the row 1.  The window is settled once per term:
-    x.window, or that of x * y, which raises WindowError as a product
-    would.  A zero coefficient skips its term.
+    sum as a product with the row 1.  A zero coefficient skips its term; a
+    term that stops short of q^q_order raises ValueError.
     """
     rows = [{} for _ in range(q_order + 1)]
     den = 1
-    window = None
     for term in terms:
         c, x = term[0], term[1]
         if not c:
             continue
         if min(s.q_order for s in term[1:]) < q_order:
-            raise WindowError(f"a term does not reach q^{q_order}")
+            raise ValueError(f"a term does not reach q^{q_order}")
         if len(term) == 3:
-            y = term[2]
-            window = _min_window(window, _product_window(x, y))
-            d, right = c.denominator * x._den * y._den, y._rows
+            d, right = c.denominator * x._den * term[2]._den, term[2]._rows
         else:
-            window = _min_window(window, x.window)
             d, right = c.denominator * x._den, _ONE_ROWS
         if den % d:  # grow the common denominator and rescale the rows so far
             grown = lcm(den, d)
@@ -326,7 +278,7 @@ def combination(terms, q_order: int) -> QSeries:
                 for n2, row2 in enumerate(right[: q_order + 1 - n1]):
                     if row2:
                         _accumulate(rows[n1 + n2], row1, row2, scale)
-    return QSeries._raw(rows, den, window)
+    return QSeries._raw(rows, den)
 
 
 _ONE_ROWS = ({0: 1},)  # the series 1, by which combination multiplies a sum's term
@@ -449,7 +401,7 @@ def _b_from(a: QSeries, ratio_sq: QSeries) -> QSeries:
     P = 1/12 + 1/(w - w^{-1})^2 + sum_n sum_{d|n} d (w^{2d} - 2 + w^{-2d}) q^n
     (Eichler-Zagier, The Theory of Jacobi Forms, 1985, section 9), so
     B = A + 12 R^2 + 12 P' A with P' the divisor-sum rows: exact on every
-    row, no window enters.  Checked against its q^0..q^2 coefficients."""
+    row.  Checked against its q^0..q^2 coefficients."""
     rows = [{}]
     for n in range(1, a.q_order + 1):
         row = {0: -2 * sigma(1, n)}
@@ -473,12 +425,13 @@ def b_series(q_order: int) -> QSeries:
 
 
 def j1_series(q_order: int, window: int) -> QSeries:
-    """Windowed expansion of the odd elliptic-zeta combination.
+    """The rows of the odd elliptic-zeta combination J1 with the q^0 row
+    truncated: this is not J1.
 
-    q^0 is -1/2 + xi/(xi-1) expanded in the xi^{-1} direction and truncated
-    at xi^{-window} (twice the window in w exponents, deep enough to keep
-    one finite product sound); the q^n coefficient for n >= 1 is
-    -(sum_{d|n} (xi^d - xi^{-d})).  Stored over the denominator 2.
+    J1's q^0 row -1/2 + xi/(xi-1) has no finite expansion; here it is
+    expanded in the xi^{-1} direction and cut after xi^{-window}, so its
+    w^r coefficients are J1's for r >= -2 window only.  The q^n row for
+    n >= 1 is -(sum_{d|n} (xi^d - xi^{-d})).  Stored over the denominator 2.
     """
     if window < 1:
         raise ValueError("window must be positive")
@@ -488,17 +441,26 @@ def j1_series(q_order: int, window: int) -> QSeries:
         for d in _divisors(n):
             row.update({2 * d: -2, -2 * d: 2})
         rows.append(row)
-    return QSeries._raw(rows, 2, window)
+    return QSeries._raw(rows, 2)
+
+
+def j1g_series(q_order: int) -> QSeries:
+    """Exact J1g = (w - w^{-1}) J1: the q^0 row is (w + w^{-1})/2, the q^n
+    row -(sum_{d|n} (w^{2d} - w^{-2d}))(w - w^{-1}).  The gap times J1 cut
+    after xi^{-1} is all of it but the -w^{-3} the telescoped q^0 row leaves."""
+    gap = QSeries._raw([{1: 1, -1: -1}] + [{}] * q_order, 1)
+    cut = QSeries._raw([{-3: 1}] + [{}] * q_order, 1)
+    return gap * j1_series(q_order, 1) + cut
 
 
 def j2_series(q_order: int) -> QSeries:
     """Exact expansion of the even elliptic companion: 1/6 minus
     2 sum_n sum_{d|n} (n/d)(xi^d + xi^{-d}) q^n.
 
-    The even xi-combination is the one compatible with dz(J2) = 2 dtau(J1)
-    and with the evenness of the series in z; it is cross-checked against
-    the weight-0 generator through the Fourier-side derivation of A.
-    Stored over the denominator 6.
+    The even xi-combination is the one compatible with
+    (w - w^{-1}) dz(J2) = 2 dtau(J1g) and with the evenness of the series
+    in z; it is cross-checked against the weight-0 generator through the
+    Fourier-side derivation of A.  Stored over the denominator 6.
     """
     rows = [{0: 1}]
     for n in range(1, q_order + 1):
@@ -514,43 +476,40 @@ def j2_series(q_order: int) -> QSeries:
 
 @dataclass(frozen=True)
 class JacobiSeriesBundle:
-    """All generator expansions at a common truncation (N, G).
-
-    j1_direction records the side chosen for the geometric expansion of
-    the q^0 tail of J1.
-    """
+    """All generator expansions through a common q order, exact."""
 
     q_order: int
-    window: int
     e2: QSeries
     e4: QSeries
     e6: QSeries
     a: QSeries
     b: QSeries
-    j1: QSeries
+    j1g: QSeries
     j2: QSeries
-    j1_direction: str = "xi-inverse"
 
 
 def oberdieck_series(f: QSeries, k, p, bundle: JacobiSeriesBundle) -> QSeries:
-    """Fourier-side weight-raising operator:
-    dtau(f) - (k/12) f E2 - J1 dz(f) + p J2 f."""
+    """Fourier-side weight-raising operator on an f even in z:
+    dtau(f) - (k/12) f E2 - J1 dz(f) + p J2 f, exact, with J1 dz(f)
+    computed as J1g (dz(f) / (w - w^{-1})).  Raises ValueError when f is
+    not even in z."""
     terms = (
         (1, f.dtau()),
         (-Fraction(k, 12), f, bundle.e2),
-        (-1, bundle.j1, f.dz()),
+        (-1, bundle.j1g, f.dz().gap_quotient()),
         (Fraction(p), bundle.j2, f),
     )
     return combination(terms, min(f.q_order, bundle.q_order))
 
 
-def make_bundle(q_order: int = 10, window: int = 24) -> JacobiSeriesBundle:
-    """Every generator expansion through q^q_order, J1 with the window;
-    A and B share one theta ratio."""
+def make_bundle(q_order: int = 10, window=None) -> JacobiSeriesBundle:
+    """Every generator expansion through q^q_order; A and B share one theta
+    ratio.  No series of the bundle is truncated in w, so window is
+    ignored; it is accepted because the benchmark sweep passes it."""
     a, ratio_sq = _a_and_ratio_squared(q_order)
     e2, e4, e6 = (eisenstein(k, q_order) for k in (2, 4, 6))
     b = _b_from(a, ratio_sq)
-    return JacobiSeriesBundle(q_order, window, e2, e4, e6, a, b, j1_series(q_order, window), j2_series(q_order))
+    return JacobiSeriesBundle(q_order, e2, e4, e6, a, b, j1g_series(q_order), j2_series(q_order))
 
 
 # -------------------------------------------------------------- evaluation

@@ -7,8 +7,8 @@ from jacobiforms import make_bundle
 
 @pytest.fixture(scope="session")
 def bundle():
-    """Shared truncation at the desk-scale defaults (N=10, G=24)."""
-    return make_bundle(10, 24)
+    """Shared truncation at the desk-scale default N=10."""
+    return make_bundle(10)
 
 
 @pytest.fixture()

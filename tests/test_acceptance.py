@@ -86,7 +86,7 @@ def test_criterion_01_generator_expansion_golden_match():
 
 def test_criterion_02_series_consistency_of_the_weight_raising_derivation():
     start = time.perf_counter()
-    bundle = make_bundle(10, 24)
+    bundle = make_bundle(10)
     report = series_consistency(bundle)
     elapsed = time.perf_counter() - start
     ok = report.passed and elapsed < 10.0

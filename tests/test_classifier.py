@@ -197,7 +197,7 @@ def test_oberdieck_bracket_sits_in_family_b(mu):
     p = params_from_mu1(mu1(orc(mu)))
     labels = classify(p)
     assert [l.name for l in labels] == ["B"]
-    free = labels[0].free_dict()
+    free = dict(labels[0].free)
     assert free["gamma"] == F(2, 3)
     assert free["lam"] == F(4, 3)
     assert free["epsilon"] == -mu / 3

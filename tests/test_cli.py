@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import jacobiforms
 from jacobiforms.cli import main
 
 
@@ -214,8 +219,11 @@ BAD_INPUTS = {
     "deriv-summed-exponent-above-limit": ["deriv", "--name", "serre", "--input", "E4^1000000*E4^1000000"],
     "deriv-three-factors-above-limit": ["deriv", "--name", "serre", "--input", "E4^1000000*E4^1000000*E4^1000000"],
     "deriv-arity": ["deriv", "--name", "serre_ab", "--param", "1", "--input", "B"],
-    # numbers in element text are ASCII digits: an Arabic-Indic two is no exponent
+    # numbers in element text and options are ASCII digits: an Arabic-Indic
+    # two is no exponent, no order and no parameter
     "deriv-unicode-digit": ["deriv", "--name", "serre", "--input", "E4^\u0662"],
+    "expand-unicode-N": ["expand", "--what", "A", "--N", "\u0662"],
+    "bracket-unicode-params": ["bracket", "--family", "orc", "--params", "\u0663", "--n", "1", "--f", "A", "--g", "B"],
     "verify-needs-family": ["verify", "--suite", "associativity", "--nmax", "1"],
     "verify-bad-rational": ["verify", "--suite", "vinset", "--u", "x"],
     "classify-wrong-count": ["classify", "--params", "1,2"],
@@ -292,8 +300,11 @@ def test_expand_bad_sizes_are_usage_errors(capsys, argv):
         # the parameter list is read before the bound is checked
         (["bracket", "--family", "orc", "--params", "x", "--n", "-1", "--f", "A", "--g", "B"], "not a rational: 'x'"),
         (["deriv", "--name", "serre_ab", "--param", "x", "--input", "E4", "--power", "-1"], "not a rational: 'x'"),
+        # int and Fraction read any Unicode decimal digit; the options do not
+        (["expand", "--what", "A", "--N", "\u0662"], "not an integer: '\u0662'"),
+        (["bracket", "--family", "orc", "--params", "\u0663", "--n", "1", "--f", "A", "--g", "B"], "not a rational: '\u0663'"),
     ],
-    ids=["N-negative", "N-above", "G-zero", "G-above", "N-before-G", "n-negative", "rc-n-above", "power-negative", "power-above", "bracket-params-first", "deriv-params-first"],
+    ids=["N-negative", "N-above", "G-zero", "G-above", "N-before-G", "n-negative", "rc-n-above", "power-negative", "power-above", "bracket-params-first", "deriv-params-first", "N-unicode", "params-unicode"],
 )
 def test_size_bounds_name_the_option_and_its_range(capsys, argv, line):
     assert run(capsys, *argv) == (2, "", f"error: {line}\n")
@@ -396,3 +407,19 @@ def test_negative_rationals_via_equals_form(capsys):
     code, out, _ = run(capsys, "iso", "--from=-1,2,3", "--to=1,-2,3", "--json")
     assert code == 0
     assert json.loads(out)["isomorphic"] is True
+
+
+def test_a_reader_that_closes_early_gets_no_traceback():
+    # `| head -1` on a scan of about 2 MB of rows: the closed pipe ends the
+    # output, not the scan, which exits with its own status and a quiet stderr
+    src = str(Path(jacobiforms.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["scan-conjecture", "--u", "0", "--nmax", "2", "--weight-cap", "16", "--index-cap", "3"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "jacobiforms.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=60), err) == (0, b"")
+    assert first == b"u=0 v=1 n=0 f=(1) g=(1) in_Jtilde=true\n"

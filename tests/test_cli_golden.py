@@ -59,6 +59,11 @@ COMMANDS = [
     ["verify", "--suite", "vinset"],
     # expand targets the README commands do not reach
     ["expand", "--what", "J1"],
+    # J1's text output ends with its truncation line; a small G and an
+    # element at G = 1 pin that the other targets ignore G
+    ["expand", "--what", "J1", "--N", "5", "--G", "3"],
+    ["expand", "--what", "J1", "--G", "1"],
+    ["expand", "--what", "element", "--element", "E4*A^2", "--N", "6", "--G", "1"],
     ["expand", "--what", "Delta"],
     ["expand", "--what", "B", "--N", "12", "--G", "36"],
     # B and an element of high B degree well past q^12, pinned on the route

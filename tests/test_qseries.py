@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 from math import comb, isqrt
 
@@ -13,7 +14,7 @@ from jacobiforms import (
     E6,
     F2,
     InternalInvariantError,
-    WindowError,
+    accol,
     b_series,
     bernoulli,
     bracket_n,
@@ -21,12 +22,15 @@ from jacobiforms import (
     eisenstein,
     evaluate,
     evaluate_quasimodular,
+    gbinom,
     iterate,
     j1_series,
+    j1g_series,
     j2_series,
     make_bundle,
     oberdieck,
     oberdieck_series,
+    orc,
     parse_element,
     partial_u,
     rc_classical,
@@ -43,6 +47,26 @@ def wpoly(xi_pairs):
 
 
 XI_SQ = wpoly({1: 1, 0: -2, -1: 1})  # (xi^1/2 - xi^-1/2)^2
+
+
+def mirror(poly):
+    """poly with w -> w^{-1} substituted."""
+    return LaurentPolyW({-r: c for r, c in poly.items()})
+
+
+def w_width(series):
+    """The largest size of a w exponent in the series."""
+    return max((abs(r) for n in range(series.q_order + 1) for r in series.coefficient(n).support()), default=0)
+
+
+def gap(order):
+    """The theta gap w - w^{-1} as a series through q^order."""
+    return QSeries([{1: 1, -1: -1}] + [{}] * order)
+
+
+def divides_dz(series):
+    """Whether dz(series) is gap times its gap quotient, as for a series even in z."""
+    return gap(series.q_order) * series.dz().gap_quotient() == series.dz()
 
 
 def test_bernoulli():
@@ -78,7 +102,7 @@ def test_eisenstein_series():
 
 def test_theta_quotient_reference_coefficients():
     a = theta_quotient_A(6)
-    assert a.is_exact
+    assert divides_dz(a)
     assert a.coefficient(0) == XI_SQ
     assert a.coefficient(1) == F(-2) * XI_SQ ** 2
     assert a.coefficient(2) == XI_SQ ** 2 * wpoly({1: 1, 0: -8, -1: 1})
@@ -87,7 +111,7 @@ def test_theta_quotient_reference_coefficients():
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_b_series_reference_coefficients(order):
     b = b_series(order)
-    assert b.is_exact and b.q_order == order
+    assert divides_dz(b) and b.q_order == order
     expected = [
         wpoly({1: 1, 0: 10, -1: 1}),
         2 * XI_SQ * wpoly({1: 5, 0: -22, -1: 5}),
@@ -98,16 +122,26 @@ def test_b_series_reference_coefficients(order):
 
 def test_j1_series():
     j1 = j1_series(5, 3)
-    assert j1.window == 3
     # q^0: -1/2 + truncated geometric tail in xi^{-1}
     assert j1.coefficient(0) == LaurentPolyW({0: F(1, 2), -2: 1, -4: 1, -6: 1})
     assert j1.coefficient(1) == wpoly({1: -1, -1: 1})
     assert j1.coefficient(4) == wpoly({4: -1, 2: -1, 1: -1, -1: 1, -2: 1, -4: 1})
+    # the gap times the truncated rows is J1g but for the cut: the telescoped
+    # tail leaves -w^(-2G-1) in the q^0 row
+    assert gap(5) * j1 == j1g_series(5) - QSeries([{-7: 1}] + [{}] * 5)
+
+
+def test_j1g_series():
+    j1g = j1g_series(4)
+    assert j1g.coefficient(0) == LaurentPolyW({1: F(1, 2), -1: F(1, 2)})
+    # -(w^2 - w^-2)(w - w^-1) at q^1; at q^2 the divisors 1 and 2 telescope
+    assert j1g.coefficient(1) == LaurentPolyW({3: -1, 1: 1, -1: 1, -3: -1})
+    assert j1g.coefficient(2) == LaurentPolyW({5: -1, 1: 1, -1: 1, -5: -1})
 
 
 def test_j2_series():
     j2 = j2_series(4)
-    assert j2.is_exact
+    assert divides_dz(j2)
     assert j2.coefficient(0) == LaurentPolyW({0: F(1, 6)})
     assert j2.coefficient(1) == wpoly({1: -2, -1: -2})
     # n=2: divisors 1 (n/d=2) and 2 (n/d=1)
@@ -115,11 +149,12 @@ def test_j2_series():
 
 
 def test_j_series_parity(bundle):
-    for n in range(1, bundle.q_order + 1):
-        c1 = bundle.j1.coefficient(n)
-        assert c1.mirror() == -c1
+    # J1 is odd in z and so is the gap: J1g is even, from its q^0 row on
+    for n in range(bundle.q_order + 1):
+        c1 = bundle.j1g.coefficient(n)
+        assert mirror(c1) == c1
         c2 = bundle.j2.coefficient(n)
-        assert c2.mirror() == c2
+        assert mirror(c2) == c2
 
 
 def test_dz_dtau():
@@ -130,8 +165,8 @@ def test_dz_dtau():
     assert s.dtau().coefficient(1) == LaurentPolyW({0: 5})
 
 
-def test_dz_j2_equals_twice_dtau_j1(bundle):
-    assert bundle.j2.dz().agrees_with(2 * bundle.j1.dtau())
+def test_gap_times_dz_j2_equals_twice_dtau_j1g(bundle):
+    assert gap(bundle.q_order) * bundle.j2.dz() == 2 * bundle.j1g.dtau()
 
 
 def test_scalar_minus_series():
@@ -140,19 +175,22 @@ def test_scalar_minus_series():
     half = F(1, 2) - s
     assert half == -(s - F(1, 2))
     assert half.coefficient(0) == LaurentPolyW({0: F(-1, 2)})
-    windowed = j1_series(4, 10)
-    assert (2 - windowed).window == windowed.window
+    j1 = j1_series(4, 10)
+    assert 2 - j1 == -(j1 - 2) and (2 - j1).coefficient(1) == -j1.coefficient(1)
     with pytest.raises(TypeError):
         1.5 - s
 
 
-def test_powers_square_only_the_factors_they_use():
-    # square-and-multiply skips its last squaring: a windowed series has a
-    # first power, while its square multiplies two windowed series
+def test_powers_square_only_the_factors_they_use(monkeypatch):
+    # square-and-multiply skips its last squaring: the first power is the
+    # series itself, and the fifth takes two squarings and one product
     j1 = j1_series(3, 4)
-    assert j1 ** 1 == j1 and j1 ** 0 == constant_series(1, 3)
-    with pytest.raises(WindowError):
-        j1 ** 2
+    assert j1 ** 1 is j1 and j1 ** 0 == constant_series(1, 3)
+    fifth = j1 * j1 * j1 * j1 * j1
+    products = []
+    true_mul = QSeries.__mul__
+    monkeypatch.setattr(QSeries, "__mul__", lambda x, y: products.append(1) or true_mul(x, y))
+    assert j1 ** 5 == fifth and len(products) == 3
     assert LaurentPolyW({1: 2}) ** 3 == LaurentPolyW({3: 8})
 
 
@@ -179,75 +217,67 @@ def test_quasimodular_evaluation_reads_the_generator_power_memo(bundle):
     assert first == eisenstein(4, 10) ** 2 * eisenstein(2, 10) - 3 * eisenstein(6, 10) * eisenstein(2, 10) ** 3
 
 
-def test_window_arithmetic():
-    exact = theta_quotient_A(4)          # width 6 at this order
-    windowed = j1_series(4, 10)
-    product = windowed * exact
-    assert product.window == 10 - exact.w_width()
-    assert (windowed + windowed).window == 10
-    assert (windowed + exact).window == 10
-    with pytest.raises(WindowError):
-        windowed * windowed
-    with pytest.raises(WindowError):
-        j1_series(4, 2) * exact  # window smaller than the factor width
+def below_the_cut(exact, truncated, cut):
+    """Whether exact and truncated differ, and only in w exponents below cut."""
+    difference = exact - truncated
+    supports = [difference.coefficient(n).support() for n in range(difference.q_order + 1)]
+    return any(supports) and all(r < cut for support in supports for r in support)
+
+
+def test_j1_times_a_through_the_gap_is_the_truncated_product_above_the_cut():
+    # J1 A as J1g (A / gap) is exact; J1 cut after w^-20 times A differs from
+    # it only below w^(-20 + width), and J1 times zero is zero either way
+    a = theta_quotient_A(4)
+    exact = j1g_series(4) * a.gap_quotient()
+    assert below_the_cut(exact, j1_series(4, 10) * a, -20 + w_width(a))
+    assert exact + exact == 2 * exact
     zero = constant_series(0, 4)
-    assert (windowed * zero).is_exact
+    assert j1g_series(4) * zero.gap_quotient() == j1_series(4, 10) * zero == zero
 
 
-def test_window_claims_are_sound_against_deeper_truncations():
-    # a much deeper tail is closer to the true series; inside the claimed
-    # window of the shallow product the two must agree, including after a
-    # second product and additions
-    shallow = j1_series(4, 10)
-    deep = j1_series(4, 40)
-    factor = theta_quotient_A(4)
-    small = eisenstein(4, 4)
-    prod_shallow = shallow * factor
-    prod_deep = deep * factor
-    assert prod_shallow.window == 10 - factor.w_width()
-    assert prod_shallow.agrees_with(prod_deep)
-    again_shallow = prod_shallow * small + shallow
-    again_deep = prod_deep * small + deep
-    assert again_shallow.agrees_with(again_deep)
-    assert again_shallow.dz().agrees_with(again_deep.dz())
+@pytest.mark.parametrize("depth", [10, 40])
+def test_truncated_j1_products_converge_to_the_exact_route(depth):
+    # the deeper the cut, the lower the exponents where a truncated product
+    # of J1 differs from the exact one, after a second product and under dz
+    a, small = theta_quotient_A(4), eisenstein(4, 4)
+    exact = j1g_series(4) * a.gap_quotient()
+    truncated = j1_series(4, depth) * a
+    cut = -2 * depth + w_width(a)
+    assert below_the_cut(exact, truncated, cut)
+    assert below_the_cut(exact * small, truncated * small, cut)
+    assert below_the_cut(exact.dz(), truncated.dz(), cut)
+    assert below_the_cut(j1g_series(4) * a.dz().gap_quotient(), j1_series(4, depth) * a.dz(), cut)
 
 
 def test_oberdieck_series_basics(bundle):
     one = constant_series(1, bundle.q_order)
-    assert oberdieck_series(one, 0, 0, bundle).agrees_with(constant_series(0, bundle.q_order))
+    assert oberdieck_series(one, 0, 0, bundle) == constant_series(0, bundle.q_order)
     lhs = oberdieck_series(bundle.e4, 4, 0, bundle)
     rhs = F(-1, 3) * bundle.e6
-    assert lhs.agrees_with(rhs)
+    assert lhs == rhs
 
 
 def test_oberdieck_series_defines_b(bundle):
     derived = (-6) * oberdieck_series(bundle.a, -2, 1, bundle)
-    assert derived.agrees_with(bundle.b)
+    assert derived == bundle.b
 
 
 @pytest.mark.parametrize("order", [10, 30])
 def test_fourier_derivation_of_a_is_the_exact_b(order):
     # B is built from the Weierstrass function; -6 times the Fourier-side
-    # operator on A derives it through the windowed J1 instead.  Inside the
-    # window the two agree, and from the index-one support bound 2*isqrt(4N+1)
-    # down to the floor where the truncated J1 tail enters the derived series
-    # vanishes, as B does
-    bundle = make_bundle(order, 3 * order)
+    # operator on A derives it through J1g instead.  The two are equal, and
+    # both vanish past the index-one support bound 2*isqrt(4N+1)
+    bundle = make_bundle(order)
     derived = (-6) * oberdieck_series(bundle.a, -2, 1, bundle)
-    assert derived.window is not None and derived.agrees_with(bundle.b)
+    assert derived == bundle.b
     bound = 2 * isqrt(4 * order + 1)
-    floor = -2 * bundle.window + bundle.a.w_width()
-    assert floor < -bound
     for n in range(order + 1):
-        assert not [r for r, _ in derived.coefficient(n).items() if r > bound or floor <= r < -bound]
-        assert all(abs(r) <= bound for r in bundle.b.coefficient(n).support())
+        assert all(abs(r) <= bound for r in derived.coefficient(n).support())
 
 
 def test_series_consistency_catches_a_wrong_b_coefficient(bundle):
     # B does not come from the operator it is checked against, so one
     # changed coefficient of B fails the check on A
-    from dataclasses import replace
-
     from jacobiforms import series_consistency
 
     assert series_consistency(bundle, [A]).passed
@@ -308,17 +338,16 @@ def test_series_consistency_engine(bundle):
     k, p = f.bidegree()
     sym = evaluate(oberdieck()(f), bundle)
     ana = oberdieck_series(evaluate(f, bundle), k, p, bundle)
-    assert sym.agrees_with(ana)
+    assert sym == ana
 
 
 def test_iterated_symbolic_matches_series(bundle):
-    # second application: the first image is a weight-0 index-1 form with
-    # support well inside the window, so it can be promoted and fed back in
+    # second application: the first image is exact, so it is fed back in
     ob = oberdieck()
     first = oberdieck_series(bundle.a, -2, 1, bundle)
-    assert first.agrees_with(evaluate(ob(A), bundle))
-    second = oberdieck_series(first.as_exact(), 0, 1, bundle)
-    assert evaluate(iterate(ob, 2, A), bundle).agrees_with(second)
+    assert first == evaluate(ob(A), bundle)
+    second = oberdieck_series(first, 0, 1, bundle)
+    assert evaluate(iterate(ob, 2, A), bundle) == second
 
 
 def test_format_wpoly():
@@ -326,15 +355,20 @@ def test_format_wpoly():
     assert format_wpoly(wpoly({1: 1, 0: -2, -1: 1})) == "w^2 - 2 + w^-2"
 
 
-def test_as_exact_requires_window_truncation():
-    j1 = j1_series(3, 4)
-    exact = j1.as_exact()
-    assert exact.is_exact
-    assert all(abs(r) <= 4 for r in exact.coefficient(0).support())
+def test_operator_refuses_a_series_not_even_in_z(bundle):
+    # w^2 - w^-2 is odd in z: its dz row w^2 + w^-2 does not vanish at w = 1
+    odd = QSeries([{2: 1, -2: -1}] + [{}] * bundle.q_order)
+    with pytest.raises(ValueError, match="not even in z"):
+        odd.dz().gap_quotient()
+    with pytest.raises(ValueError, match="not even in z"):
+        oberdieck_series(odd, 0, 1, bundle)
+    assert oberdieck_series(odd * odd, 0, 2, bundle).q_order == bundle.q_order  # its square is even
 
 
-def test_bundle_records_expansion_direction(bundle):
-    assert bundle.j1_direction == "xi-inverse"
+def test_bundle_j1g_is_the_gap_times_j1(bundle):
+    # J1 cut after xi^-24: the gap times it is J1g but for -w^-49 at q^0
+    order = bundle.q_order
+    assert gap(order) * j1_series(order, 24) == bundle.j1g - QSeries([{-49: 1}] + [{}] * order)
 
 
 def test_generator_specialization_at_z_zero(bundle):
@@ -350,7 +384,7 @@ def test_generator_expansions_are_even_in_z(bundle):
     for series in (bundle.a, bundle.b):
         for n in range(series.q_order + 1):
             c = series.coefficient(n)
-            assert c.mirror() == c
+            assert mirror(c) == c
 
 
 # --------------------------------------------- integer kernel vs Fractions
@@ -386,25 +420,17 @@ def ref_mul(x, y):
     return ref_clean(out)
 
 
-def ref_window_of_product(x, y, rx, ry):
-    """(window of x*y, whether x*y must raise WindowError), from the reference rows."""
-    if x.window is None and y.window is None:
-        return None, False
-    if x.window is not None and y.window is not None:
-        return None, True
-    windowed, finite = (x, ry) if x.window is not None else (y, rx)
-    if not any(finite):
-        return None, False
-    window = windowed.window - max(abs(r) for row in finite for r in row)
-    return window, window < 0
-
-
-def ref_agrees(x, y, window):
+def ref_agrees(x, y):
     for a, b in zip(x, y):
         for r in a.keys() | b.keys():
-            if (window is None or abs(r) <= window) and a.get(r, 0) != b.get(r, 0):
+            if a.get(r, 0) != b.get(r, 0):
                 return False
     return True
+
+
+def ref_divides(rows):
+    """Whether every row vanishes at w = 1 and at w = -1."""
+    return all(sum(row.values()) == 0 and sum((-1) ** r * v for r, v in row.items()) == 0 for row in rows)
 
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=7)
@@ -412,16 +438,9 @@ q_rows = st.dictionaries(st.integers(-6, 6), rationals, max_size=4)
 
 
 @st.composite
-def series(draw, windowed=None):
+def series(draw):
     order = draw(st.integers(0, 4))
-    rows = draw(st.lists(q_rows, min_size=order + 1, max_size=order + 1))
-    if windowed is None:
-        windowed = draw(st.booleans())
-    return QSeries(rows, draw(st.integers(0, 14)) if windowed else None)
-
-
-def lesser(w1, w2):
-    return w2 if w1 is None else w1 if w2 is None else min(w1, w2)
+    return QSeries(draw(st.lists(q_rows, min_size=order + 1, max_size=order + 1)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -429,55 +448,53 @@ def lesser(w1, w2):
 def test_integer_kernel_matches_fraction_reference(x, y, c):
     rx, ry = rows_of(x), rows_of(y)
     neg_y = [{r: -v for r, v in row.items()} for row in ry]
-    window = lesser(x.window, y.window)
 
-    assert rows_of(x + y) == ref_add(rx, ry) and (x + y).window == window
-    assert rows_of(x - y) == ref_add(rx, neg_y) and (x - y).window == window
+    assert rows_of(x + y) == ref_add(rx, ry)
+    assert rows_of(x - y) == ref_add(rx, neg_y)
     assert rows_of(-x) == ref_clean([{r: -v for r, v in row.items()} for row in rx])
-    scaled = x * c
-    assert rows_of(scaled) == ref_clean([{r: v * c for r, v in row.items()} for row in rx])
-    assert scaled.window == (x.window if c else None)
+    assert rows_of(x * c) == ref_clean([{r: v * c for r, v in row.items()} for row in rx])
     assert rows_of(x.dz()) == ref_clean([{r: v * F(r, 2) for r, v in row.items()} for row in rx])
     assert rows_of(x.dtau()) == ref_clean([{r: v * n for r, v in row.items()} for n, row in enumerate(rx)])
+    assert rows_of(x * y) == ref_mul(rx, ry)
 
-    product_window, raises = ref_window_of_product(x, y, rx, ry)
-    if raises:
-        with pytest.raises(WindowError):
-            x * y
+    power = [{0: F(1)}] + [{}] * x.q_order
+    for k in range(4):
+        assert rows_of(x ** k) == ref_clean(power)
+        power = ref_mul(power, rx)
+
+    # the gap quotient undoes the gap, and divides exactly the rows that
+    # vanish at w = 1 and w = -1
+    assert (gap(x.q_order) * x).gap_quotient() == x
+    if ref_divides(rx):
+        assert gap(x.q_order) * x.gap_quotient() == x
     else:
-        assert rows_of(x * y) == ref_mul(rx, ry) and (x * y).window == product_window
+        with pytest.raises(ValueError):
+            x.gap_quotient()
 
-    if x.window is None:
-        power = [{0: F(1)}] + [{}] * x.q_order
-        for k in range(4):
-            assert rows_of(x ** k) == ref_clean(power)
-            power = ref_mul(power, rx)
-    else:
-        exact = x.as_exact()
-        assert exact.is_exact
-        assert rows_of(exact) == ref_clean([{r: v for r, v in row.items() if abs(r) <= x.window} for row in rx])
-
-    assert x.agrees_with(y) == ref_agrees(rx, ry, window)
-    assert x.agrees_with(QSeries(x.coeffs, x.window)) and not x.agrees_with(x + 1)
-    assert QSeries(x.coeffs, x.window) == x and hash(QSeries(x.coeffs, x.window)) == hash(x)
+    assert x.agrees_with(y) == ref_agrees(rx, ry)
+    assert x.agrees_with(QSeries(x.coeffs)) and not x.agrees_with(x + 1)
+    assert QSeries(x.coeffs) == x and hash(QSeries(x.coeffs)) == hash(x)
     assert x * 2 == x + x
 
 
 @settings(max_examples=50, deadline=None)
-@given(series(windowed=True), series(windowed=True))
-def test_windowed_times_windowed_is_refused(x, y):
-    with pytest.raises(WindowError):
-        x * y
+@given(series(), series())
+def test_gap_quotient_of_a_product_with_a_gap_factor(x, y):
+    # J1 dz(f) is J1g (dz(f) / gap): a gap factor anywhere in a product divides out
+    order = max(x.q_order, y.q_order)
+    assert (gap(order) * x * y).gap_quotient() == x * y == (x * (gap(order) * y)).gap_quotient()
 
 
-def test_window_too_small_for_a_factor_is_refused():
-    narrow = QSeries([{0: 1, -2: F(1, 3)}], window=3)
+def test_gap_quotient_refuses_rows_that_do_not_vanish_at_w_pm1():
+    narrow = QSeries([{0: 1, -2: F(1, 3)}])
     wide = QSeries([{4: F(2, 5)}])
-    with pytest.raises(WindowError):
-        narrow * wide
-    with pytest.raises(WindowError):
-        wide * narrow
-    assert (narrow * QSeries([{2: 1}])).window == 1
+    for refused in (narrow, wide, narrow * wide):
+        with pytest.raises(ValueError, match="not even in z"):
+            refused.gap_quotient()
+    # w^2 - w^-2 = (w - w^-1)(w + w^-1); w^3 + w^-3 vanishes at w = 1 only
+    assert QSeries([{2: 1, -2: -1}]).gap_quotient() == QSeries([{1: 1, -1: 1}])
+    with pytest.raises(ValueError):
+        QSeries([{3: 1, -3: 1}]).gap_quotient()
 
 
 coefficients = st.one_of(st.just(0), rationals)
@@ -492,35 +509,22 @@ def test_combination_matches_fraction_reference(terms, empty_order):
     # the q order of a sum or product is the least q order among its operands
     order = min((s.q_order for term in terms for s in term[1:]), default=empty_order)
     expected = [{} for _ in range(order + 1)]
-    window, raises = None, False
     for c, *factors in terms:
         if not c:
-            continue  # a zero coefficient contributes neither rows nor a window
-        if len(factors) == 1:
-            (x,) = factors
-            rows, term_window = rows_of(x), x.window
-        else:
-            x, y = factors
-            term_window, term_raises = ref_window_of_product(x, y, rows_of(x), rows_of(y))
-            raises = raises or term_raises
-            rows = ref_mul(rows_of(x), rows_of(y))
-        window = lesser(window, term_window)
+            continue  # a zero coefficient contributes no rows
+        rows = rows_of(factors[0]) if len(factors) == 1 else ref_mul(*map(rows_of, factors))
         expected = ref_add(expected, [{r: v * c for r, v in row.items()} for row in rows[: order + 1]])
-    if raises:
-        with pytest.raises(WindowError):
-            combination(terms, order)
-        return
     result = combination(terms, order)
     assert rows_of(result) == ref_clean(expected)
-    assert result.window == window and result.q_order == order
-    assert result == QSeries(expected, window)  # the same rows over the same least denominator
-    with pytest.raises(WindowError):
+    assert result.q_order == order
+    assert result == QSeries(expected)  # the same rows over the same least denominator
+    with pytest.raises(ValueError, match=f"a term does not reach q\\^{order + 1}"):
         combination(terms + [(1, constant_series(1, order))], order + 1)
 
 
 def test_combination_of_no_terms_is_the_exact_zero():
     assert combination([], 3) == constant_series(0, 3)
-    assert combination([(0, j1_series(3, 4))], 3).is_exact
+    assert combination([(0, j1_series(3, 4))], 3) == constant_series(0, 3)
 
 
 # ------------------------------------------------- oracles at any truncation
@@ -559,7 +563,7 @@ def ramanujan_delta(count):
 
 @pytest.fixture(scope="module")
 def bundle30():
-    return make_bundle(30, 90)
+    return make_bundle(30)
 
 
 @pytest.mark.parametrize(
@@ -631,7 +635,7 @@ def cohen_mismatches(bundle, orders):
 
 @pytest.fixture(scope="module")
 def bundle12():
-    return make_bundle(12, 36)
+    return make_bundle(12)
 
 
 def test_brackets_expand_to_cohens_formula(bundle12):
@@ -667,4 +671,81 @@ def test_cohen_oracle_catches_a_wrong_derivation_image(bundle12, monkeypatch):
 
     monkeypatch.setattr(brackets, "partial_u", corrupted)
     checked, mismatched = cohen_mismatches(bundle12, (1, 2))
+    assert mismatched >= checked // 2
+
+
+# The Fourier-side operator D is exact, so it iterates, and brackets on J~
+# get a Fourier oracle as those on M and Q have Cohen's: the n-th bracket of
+# the Oberdieck family orc(mu) on f and g of bidegrees (k, p) and (l, s) is
+#     sum_r (-1)^r C(kf+n-1, n-r) C(kg+n-1, r) D^r f D^(n-r) g
+# with kf = k + mu p, kg = l + mu s, D raising the weight by 2 at each step.
+_D_INPUTS = [E4, E6, A, B, E4 * A, A * B, B ** 2, E6 * A ** 2]
+_JTILDE_PAIRS = [(A, B), (E4, A), (A, A), (B, E6), (E4 * A, B)]
+_JTILDE_MUS = [F(0), F(1), F(-3), F(7, 5)]
+
+
+@pytest.fixture(scope="module")
+def bundle8():
+    return make_bundle(8)
+
+
+def fourier_powers(f, bundle, count):
+    """[f, D f, ..., D^count f] for an element f, as exact series."""
+    k, p = f.bidegree()
+    powers = [evaluate(f, bundle)]
+    for j in range(count):
+        powers.append(oberdieck_series(powers[-1], k + 2 * j, p, bundle))
+    return powers
+
+
+def fourier_bracket(mu, n, f, g, powers, bundle):
+    """The Fourier-side n-th bracket of orc(mu), from the D powers of f and g."""
+    (k, p), (l, s) = f.bidegree(), g.bidegree()
+    kf, kg = k + mu * p, l + mu * s
+    terms = (
+        ((-1) ** r * gbinom(kf + n - 1, n - r) * gbinom(kg + n - 1, r), powers[f][r], powers[g][n - r])
+        for r in range(n + 1)
+    )
+    return combination(terms, bundle.q_order)
+
+
+def jtilde_mismatches(bundle, family, orders):
+    """(brackets checked, brackets of family(mu) whose expansion is not the
+    Fourier-side bracket of orc(mu)); a bracket that leaves J~ is a mismatch."""
+    top = max(orders)
+    powers = {f: fourier_powers(f, bundle, top) for pair in _JTILDE_PAIRS for f in pair}
+    checked = mismatched = 0
+    for mu in _JTILDE_MUS:
+        for f, g in _JTILDE_PAIRS:
+            for n in orders:
+                checked += 1
+                try:
+                    symbolic = evaluate(bracket_n(family(mu), n, f, g), bundle)
+                except ValueError:
+                    mismatched += 1
+                    continue
+                mismatched += symbolic != fourier_bracket(mu, n, f, g, powers, bundle)
+    return checked, mismatched
+
+
+@pytest.mark.parametrize("f", _D_INPUTS, ids=[str(f) for f in _D_INPUTS])
+def test_iterated_fourier_operator_is_the_iterated_derivation(bundle8, f):
+    powers = fourier_powers(f, bundle8, 5)
+    for r in range(1, 6):
+        assert powers[r] == evaluate(iterate(oberdieck(), r, f), bundle8), r
+
+
+def test_jtilde_brackets_expand_to_the_fourier_bracket(bundle8):
+    assert jtilde_mismatches(bundle8, orc, range(5)) == (100, 0)
+
+
+def test_jtilde_oracle_catches_a_wrong_family(bundle8):
+    # the (1/12, -1/12) Serre extension is not the Oberdieck derivation
+    checked, mismatched = jtilde_mismatches(bundle8, lambda mu: accol(F(1, 12), F(-1, 12), mu), range(1, 5))
+    assert mismatched >= checked // 2
+
+
+def test_jtilde_oracle_catches_a_flipped_j1g_term(bundle8):
+    flipped = replace(bundle8, j1g=-bundle8.j1g)
+    checked, mismatched = jtilde_mismatches(flipped, orc, range(1, 5))
     assert mismatched >= checked // 2
