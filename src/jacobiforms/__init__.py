@@ -59,6 +59,7 @@ from .brackets import (
     bracket_sum,
     cm_bracket,
     crochet,
+    escaping_orders,
     gbinom,
     mu1,
     orc,

@@ -13,7 +13,9 @@ denominator dividing d^j * j!; so each row is memoised as integers, read
 straight from `gbinom` once per (bidegree, c, n), each term's coefficient
 is an integer product, and a bracket (or a signed sum of brackets,
 `bracket_sum`) is one integer sum (`linear_combination`) divided once by
-D(c, n)^2.  The powers D^r of a component are its memoised power sequence
+D(c, n)^2.  `escaping_orders` reads the same terms into `elements.escapes`,
+which decides whether a bracket leaves a subalgebra without forming it.
+The powers D^r of a component are its memoised power sequence
 (`derivations.power_sequence`).  No element is built per product.  The
 same sequence is also computable in the Connes-Moscovici Pochhammer form,
 in Fractions and without the integer rows, kept as an independent route
@@ -31,6 +33,7 @@ from math import factorial
 from .elements import (
     BigradedElement,
     InternalInvariantError,
+    escapes,
     linear_combination,
     membership,
 )
@@ -94,10 +97,10 @@ def _bracket_terms(c: Fraction, n: int, f_parts: list, g_parts: list, scale: int
     and every pair of homogeneous components f_i of f and g_j of g, read
     from their _powers: the bracket formula, written once."""
     c_num, c_den = c.numerator, c.denominator
-    g_rows = [(_integer_row(l, q, c_num, c_den, n), g_pow) for (l, q), g_pow in g_parts]
     for (k, p), f_pow in f_parts:
         row_f = _integer_row(k, p, c_num, c_den, n)
-        for row_g, g_pow in g_rows:
+        for (l, q), g_pow in g_parts:
+            row_g = _integer_row(l, q, c_num, c_den, n)
             for r in range(n + 1):
                 coeff = scale * row_f[n - r] * row_g[r]
                 if coeff:
@@ -134,6 +137,17 @@ def star_truncated(family: BracketFamily, order: int, f: BigradedElement, g: Big
         linear_combination(_bracket_terms(c, n, f_parts, g_parts, 1), (c.denominator ** n * factorial(n)) ** 2)
         for n in range(order + 1)
     ]
+
+
+def escaping_orders(family: BracketFamily, order: int, f: BigradedElement, g: BigradedElement, algebra: str) -> list[bool]:
+    """For n = 0..order, whether mu_n(f, g) has a monomial outside the named
+    subalgebra, read from the same terms as star_truncated by `escapes`,
+    which forms only the products that can leave the algebra."""
+    if order < 0:
+        raise ValueError("bracket order must be nonnegative")
+    d, c = family.derivation, family.c
+    f_parts, g_parts = _powers(d, f, order), _powers(d, g, order)
+    return [escapes(_bracket_terms(c, n, f_parts, g_parts, 1), algebra) for n in range(order + 1)]
 
 
 def cm_bracket(v: Derivation, mu, n: int, f: BigradedElement, g: BigradedElement) -> BigradedElement:

@@ -8,8 +8,10 @@ configuration and seed.  Exit codes: 0 all checks passed, 1 a check failed,
 truncation orders 0 <= N <= 200, windows 1 <= G <= 1000 and element
 exponents of size at most 8; bracket accepts orders 0 <= n <= 300 and deriv
 powers 0 <= power <= 300, the depth of one power sequence; verify
-and scan-conjecture bound their sizes by VERIFY_LIMITS and SCAN_LIMITS, and
-the associativity suite its basis size times nmax by MAX_ASSOCIATIVITY_SIZE.
+and scan-conjecture bound their sizes by VERIFY_LIMITS and SCAN_LIMITS, the
+associativity suite its basis size times nmax by MAX_ASSOCIATIVITY_SIZE, and
+scan-conjecture its rows, basis pairs times (nmax + 1) per u, by
+MAX_SCAN_SIZE.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import math
 import os
 import random
 import sys
@@ -151,6 +154,14 @@ def _check_sizes(args, limits: dict, low: int = 0) -> None:
             raise UsageError(f"--{name.replace('_', '-')} must be between {low} and {limit}, got {value}")
 
 
+def _check_product(command: str, limit: int, factors: dict) -> None:
+    """The bound rule of sizes that multiply: reject a product of the named
+    factors above limit."""
+    if math.prod(factors.values()) > limit:
+        names, values = " * ".join(factors), " * ".join(map(str, factors.values()))
+        raise UsageError(f"{command} needs {names} <= {limit}, got {values}")
+
+
 # Largest truncation order and window expand accepts; a series product costs
 # about N^2 times the squared row width, so larger values run for minutes.
 # The row width grows with the index, so --element exponents are bounded too.
@@ -250,6 +261,11 @@ SCAN_LIMITS = {"nmax": 12, "weight_cap": 32, "index_cap": 6}
 # the default --nmax 3.  The suite checks about half the ordered triples, which
 # halves the cost but not its growth.  The Poisson suite ignores --nmax.
 MAX_ASSOCIATIVITY_SIZE = 53 * 3
+# The scan prints a row per basis pair, order and u, so their product is
+# bounded, at the 193 monomials of --weight-cap 32 (or --index-cap 6) squared
+# times the default --nmax 2 plus one, for one u.  A row costs more at a
+# larger --nmax: the slowest accepted shapes run about 17 s (README).
+MAX_SCAN_SIZE = 193 ** 2 * 3
 
 
 def _cmd_verify(args) -> int:
@@ -272,10 +288,7 @@ def _cmd_verify(args) -> int:
         basis = verifier.monomial_basis(weight_cap, index_cap, algebra) if capped else None
         if args.suite == "associativity":
             size = len(basis or verifier.GENERATORS)
-            if size * args.nmax > MAX_ASSOCIATIVITY_SIZE:
-                raise UsageError(
-                    f"associativity needs basis size * --nmax <= {MAX_ASSOCIATIVITY_SIZE}, got {size} * {args.nmax}"
-                )
+            _check_product("associativity", MAX_ASSOCIATIVITY_SIZE, {"basis size": size, "--nmax": args.nmax})
             report = verifier.check_associativity(fam, args.nmax, basis, claim=f"associativity.{tag}")
         elif args.suite == "poisson":
             report = verifier.check_poisson(brackets.mu1(fam), basis, claim=f"poisson.{tag}")
@@ -343,16 +356,19 @@ def _cmd_iso(args) -> int:
 def _cmd_scan(args) -> int:
     _check_sizes(args, SCAN_LIMITS)
     u_values = _u_values(args.u)
+    pairs = len(verifier.monomial_basis(args.weight_cap, args.index_cap)) ** 2
+    _check_product("scan-conjecture", MAX_SCAN_SIZE, {"basis pairs": pairs, "(--nmax + 1)": args.nmax + 1, "--u values": len(u_values)})
     report = verifier.scan_conjecture(u_values, args.nmax, args.weight_cap, args.index_cap)
     _with_reproduce([report], args._argv)
     if args.json:
         print(json.dumps(report.to_json_dict(), sort_keys=True))
     else:
+        write = sys.stdout.write  # one call per row, where print makes two
         last_u = last_v = prefix = None
         for u, v, n, f, g, inside in report.details or []:
             if u is not last_u or v is not last_v:  # the rows of one u share its u and v
                 last_u, last_v, prefix = u, v, f"u={u} v={v}"
-            print(f"{prefix} n={n} f=({f}) g=({g}) in_Jtilde={str(inside).lower()}")
+            write(f"{prefix} n={n} f=({f}) g=({g}) in_Jtilde={'true' if inside else 'false'}\n")
         print(f"[{report.status.upper():4s}] {report.claim}")
     return 0 if report.passed else 1
 

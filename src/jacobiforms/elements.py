@@ -20,13 +20,14 @@ module knows the encoding; the rest of the package sees Monomials.
 
 One loop, `_accumulate`, multiplies rows of integer numerators keyed by
 integers: every sum and product of `linear_combination`, derivation
-application and q-series product.  One normaliser, `_normalized`, reduces
-a list of rows (an element is one row) to lowest terms, and `_numerators`
-is the one conversion from Fractions.  `power` is the one
+application and q-series product, and the part outside a subalgebra that
+`escapes` forms to decide membership.  One normaliser, `_normalized`,
+reduces a list of rows (an element is one row) to lowest terms, and
+`_numerators` is the one conversion from Fractions.  `power` is the one
 square-and-multiply of elements, coefficients, series and generator
 powers, and `parse_element` reads text in one loop over its terms.
 Values are immutable, so an element caches its split into homogeneous
-components.
+components and, for `escapes`, its split by the exponents of A and B.
 The subalgebras M, Jtilde and Q are each defined once, by a monomial test
 and generators, which `membership`, `monomial_basis` and the stability
 check read.
@@ -125,6 +126,18 @@ def _normalized(rows, den: int):
     return [{k: c for k, c in row.items() if c} if 0 in row.values() else row for row in rows], den
 
 
+def _check_product_keys(num) -> None:
+    """Raise BidegreeError if a key of num, each a sum of two keys in range
+    (one possibly less a generator's key), has an exponent out of range.
+
+    An exponent v of such a sum gives the digit v + _LIMIT in
+    [-_LIMIT - 1, 3 * _LIMIT), which sets its guard, or borrows past it,
+    exactly when v is out of range."""
+    for k in num:
+        if (k + _OFFSET) & _GUARD:
+            raise BidegreeError(f"an exponent leaves [-{_LIMIT}, {_LIMIT})")
+
+
 def _accumulate(acc: dict, left: dict, right: dict, scale: int = 1) -> None:
     """acc += scale * left * right, for rows keyed by integers that add
     under multiplication (packed monomials, w exponents), their values
@@ -141,7 +154,7 @@ def _accumulate(acc: dict, left: dict, right: dict, scale: int = 1) -> None:
 class BigradedElement:
     """A finite rational combination of monomials in E4, E6, A^{+-1}, B."""
 
-    __slots__ = ("_num", "_den", "_hash", "_split")
+    __slots__ = ("_num", "_den", "_hash", "_split", "_graded", "_outside")
 
     def __init__(self, terms: Mapping | None = None):
         coeffs: dict = {}
@@ -150,22 +163,18 @@ class BigradedElement:
             coeffs[key] = coeffs.get(key, 0) + Fraction(c)
         (num,), den = _numerators([coeffs])
         (self._num,), self._den = _normalized([num], den)
-        self._hash = self._split = None
+        self._hash = self._split = self._graded = self._outside = None
 
     @classmethod
     def _raw(cls, num: dict, den: int, product: bool = False) -> "BigradedElement":
         # trusted path: integer numerators over a positive den, on keys in
-        # range or, for a product, on sums of two keys in range (one possibly
-        # less a generator's key).  An exponent v of such a sum gives the
-        # digit v + _LIMIT in [-_LIMIT - 1, 3 * _LIMIT), which sets its guard,
-        # or borrows past it, exactly when v is out of range.
+        # range or, for a product, on sums of two keys in range, which
+        # _check_product_keys checks.
         if product:
-            for k in num:
-                if (k + _OFFSET) & _GUARD:
-                    raise BidegreeError(f"an exponent leaves [-{_LIMIT}, {_LIMIT})")
+            _check_product_keys(num)
         el = cls.__new__(cls)
         (el._num,), el._den = _normalized([num], den)
-        el._hash = el._split = None
+        el._hash = el._split = el._graded = el._outside = None
         return el
 
     # ------------------------------------------------------------------ basics
@@ -286,6 +295,32 @@ class BigradedElement:
                 split = self._split = tuple((Bidegree(*d), BigradedElement._raw(num, self._den)) for d, num in parts)
         return ((split, self),) if type(split) is Bidegree else split
 
+    def _rows_by_grade(self) -> tuple:
+        """(grade, row) pairs: the numerators split by the A and B exponents
+        of their monomials, the grade of A^a B^b being its packed key, so
+        that a product's grade is the sum of its factors'.  Cached in
+        _graded."""
+        graded = self._graded
+        if graded is None:
+            rows: dict = {}
+            for k, c in self._num.items():
+                _, _, a, b = _exponents(k)
+                rows.setdefault(a * _GENERATOR_KEYS[2] + b, {})[k] = c
+            graded = self._graded = tuple(rows.items())
+        return graded
+
+    def _outside_rows(self, algebra: str) -> "_OutsideRows":
+        """Grade -> the row of the monomials of self that a monomial of that
+        grade multiplies out of the named subalgebra, filled in as grades
+        are asked for; cached per algebra in _outside."""
+        cache = self._outside
+        if cache is None:
+            cache = self._outside = {}
+        rows = cache.get(algebra)
+        if rows is None:
+            rows = cache[algebra] = _OutsideRows(self._num, self._rows_by_grade(), _membership_test(algebra))
+        return rows
+
     def homogeneous_components(self) -> dict[Bidegree, "BigradedElement"]:
         """The homogeneous pieces by bidegree, in bidegree order, in a new
         dict on each call; a homogeneous element is its own single piece."""
@@ -357,6 +392,58 @@ def linear_combination(terms, divisor: int = 1) -> BigradedElement:
     return BigradedElement._raw(num, den * divisor, product=multiplied)
 
 
+class _OutsideRows(dict):
+    """Grade g -> the numerators of an element's monomials whose grade plus
+    g fails a subalgebra's monomial test, as one row, filled in as grades
+    are asked for; when every monomial fails, the row is the element's own
+    numerators, not a copy."""
+
+    def __init__(self, num, rows, test):
+        super().__init__()
+        self.num, self.rows, self.test = num, rows, test
+
+    def __missing__(self, grade):
+        _check_product_keys([grade + g for g, _ in self.rows])  # grades of products, as keys
+        failing = [row for g, row in self.rows if not self.test(_exponents(grade + g))]
+        whole = len(failing) == len(self.rows)
+        part = self[grade] = self.num if whole else {k: c for row in failing for k, c in row.items()}
+        return part
+
+
+def escapes(terms, algebra: str) -> bool:
+    """Whether sum coeff * x * y over (coeff, x, y) terms has a monomial
+    outside the named subalgebra of K, without forming the sum.
+
+    A subalgebra's monomial test reads only the A and B exponents, which
+    add under multiplication.  So the part of x * y outside the algebra is
+    the sum, over the rows of x by grade (_rows_by_grade), of each row
+    times the monomials of y that its grade sends outside (cached by y in
+    _outside_rows), and only those products are formed, into integers over
+    one common denominator as in linear_combination.  The sum lies inside
+    exactly when its part outside is zero.  An exponent of that part out of
+    range raises BidegreeError; the part inside is never formed, so its
+    exponents are not checked."""
+    _membership_test(algebra)  # an unknown name raises, with or without terms
+    num: dict = {}
+    den = 1
+    for c, x, y in terms:
+        y_outside = y._outside_rows(algebra)
+        scale = 0  # set at the term's first product outside, if any
+        for gx, x_row in x._rows_by_grade():
+            y_row = y_outside[gx]
+            if y_row:
+                if not scale:
+                    d = c.denominator * x._den * y._den
+                    if den % d:  # grow the common denominator and rescale the part so far
+                        grown = math.lcm(den, d)
+                        num = {k: v * (grown // den) for k, v in num.items()}
+                        den = grown
+                    scale = c.numerator * (den // d)
+                _accumulate(num, x_row, y_row, scale)
+    _check_product_keys(num)
+    return any(num.values())
+
+
 def rescaled(f: BigradedElement, factor) -> BigradedElement:
     """f with the coefficient of each monomial m multiplied by factor(m),
     in one pass over the monomials."""
@@ -393,7 +480,8 @@ F2 = monomial(a=-1, b=1)
 GENERATORS = (E4, E6, A, B)
 GENERATOR_NAMES = ("E4", "E6", "A", "B")
 
-# The monomial test of each subalgebra of K, and each proper one's generators
+# The monomial test of each subalgebra of K, and each proper one's
+# generators.  A test reads only the A and B exponents (escapes relies on it).
 _MEMBERSHIP = {
     "M": lambda m: m[2] == 0 and m[3] == 0,
     "Jtilde": lambda m: m[2] >= 0,
@@ -403,16 +491,21 @@ _MEMBERSHIP = {
 SUBALGEBRA_GENERATORS = {"M": (E4, E6), "Jtilde": GENERATORS, "Q": (E4, E6, F2)}
 
 
+def _membership_test(algebra: str):
+    """The named subalgebra's monomial test; ValueError for an unknown name."""
+    try:
+        return _MEMBERSHIP[algebra]
+    except KeyError:
+        raise ValueError(f"unknown algebra {algebra!r}, expected one of {tuple(_MEMBERSHIP)}")
+
+
 def membership(f: BigradedElement, algebra: str) -> bool:
     """Whether every monomial of f lies in the named subalgebra of K.
 
     M is C[E4,E6]; Jtilde is C[E4,E6,A,B]; Q is C[E4,E6,F2] (monomials with
     the A exponent opposite to the B exponent); K is everything.
     """
-    try:
-        test = _MEMBERSHIP[algebra]
-    except KeyError:
-        raise ValueError(f"unknown algebra {algebra!r}, expected one of {tuple(_MEMBERSHIP)}")
+    test = _membership_test(algebra)
     return all(test(_exponents(k)) for k in f._num)
 
 

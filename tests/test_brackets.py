@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction as F
 from math import factorial
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 import jacobiforms
 from jacobiforms import (
     A,
+    A_INV,
     B,
     E4,
     E6,
@@ -19,6 +21,7 @@ from jacobiforms import (
     bracket_sum,
     cm_bracket,
     crochet,
+    escaping_orders,
     gbinom,
     iterate,
     membership,
@@ -232,6 +235,40 @@ def test_star_truncated_is_the_list_of_brackets(family, order, f, g):
     assert got == [_reference_bracket(family, n, f, g) for n in range(order + 1)]
 
 
+ALGEBRAS = ("M", "Jtilde", "Q", "K")
+# random homogeneous elements, some divided by A, and sums of them
+_homogeneous = st.builds(
+    lambda seed, shift: random_homogeneous(random.Random(seed), 6, 2) * A_INV ** shift,
+    st.integers(0, 2 ** 32),
+    st.integers(0, 1),
+)
+_sums = st.lists(_homogeneous, min_size=1, max_size=3).map(lambda xs: sum(xs, start=ZERO))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_named_families, st.integers(0, 4), st.one_of(_homogeneous, _sums), st.one_of(_homogeneous, _sums))
+def test_escaping_orders_are_the_brackets_outside_each_algebra(family, order, f, g):
+    expected = {algebra: [not membership(bracket_n(family, n, f, g), algebra) for n in range(order + 1)] for algebra in ALGEBRAS}
+    assert {algebra: escaping_orders(family, order, f, g, algebra) for algebra in ALGEBRAS} == expected
+
+
+@pytest.mark.parametrize("u", [F(0), F(1, 12), F(-1, 6), F(1)])
+def test_escaping_orders_off_the_stability_line(u):
+    # off v = 12u + 1 first brackets escape C[E4, E6, A, B], so the decision
+    # is checked on escapes as well as on brackets that stay inside
+    basis = [*GENERATORS, E4 * A, A * B]
+    seen = set()
+    for v in (F(0), F(2), F(7, 5)):
+        family = rc_localized(u, v)
+        for f in basis:
+            for g in basis:
+                for algebra in ALGEBRAS:
+                    got = escaping_orders(family, 4, f, g, algebra)
+                    assert got == [not membership(bracket_n(family, n, f, g), algebra) for n in range(5)]
+                    seen.update((algebra, flag) for flag in got)
+    assert {("Jtilde", True), ("Jtilde", False), ("K", False)} <= seen
+
+
 @settings(max_examples=40, deadline=None)
 @given(_families, st.lists(st.tuples(st.integers(-2, 2), st.integers(0, 4), _elements, _elements), max_size=4))
 def test_bracket_sum_is_the_sum_of_its_brackets(family, terms):
@@ -323,6 +360,8 @@ def test_negative_orders_are_refused_by_every_bracket_route():
     for route in (star_truncated, bracket_n):
         with pytest.raises(ValueError, match="bracket order must be nonnegative"):
             route(fam, -1, E4, A)
+    with pytest.raises(ValueError, match="bracket order must be nonnegative"):
+        escaping_orders(fam, -1, E4, A, "Jtilde")
 
 
 def test_negative_binomial_tops_need_no_special_case():

@@ -256,6 +256,12 @@ BAD_INPUTS = {
     "verify-associativity-every-size-at-its-limit": [
         "verify", "--suite", "associativity", "--family", "src", "--weight-cap", "12", "--index-cap", "3", "--nmax", "16",
     ],
+    # 1033 monomials at caps (32, 6), 120 at (16, 3), 93 at (32, 1), 193 at (32, 2):
+    # basis pairs * (nmax + 1) * u values of 4268356, 187200, 112437, 223494
+    "scan-size-above-limit": ["scan-conjecture", "--u", "0", "--nmax", "3", "--weight-cap", "32", "--index-cap", "6"],
+    "scan-size-above-limit-at-nmax-12": ["scan-conjecture", "--u", "0", "--nmax", "12", "--weight-cap", "16", "--index-cap", "3"],
+    "scan-size-just-above-limit": ["scan-conjecture", "--u", "0", "--nmax", "12", "--weight-cap", "32", "--index-cap", "1"],
+    "scan-size-above-limit-by-u-values": ["scan-conjecture", "--u", "0,1", "--weight-cap", "32"],
 }
 
 
@@ -303,8 +309,24 @@ def test_expand_bad_sizes_are_usage_errors(capsys, argv):
         # int and Fraction read any Unicode decimal digit; the options do not
         (["expand", "--what", "A", "--N", "\u0662"], "not an integer: '\u0662'"),
         (["bracket", "--family", "orc", "--params", "\u0663", "--n", "1", "--f", "A", "--g", "B"], "not a rational: '\u0663'"),
+        # sizes that multiply: each name its factors, the bound and their values
+        (
+            ["verify", "--suite", "associativity", "--family", "src", "--index-cap", "3", "--nmax", "4"],
+            "associativity needs basis size * --nmax <= 159, got 53 * 4",
+        ),
+        (
+            ["scan-conjecture", "--u", "0", "--nmax", "3", "--weight-cap", "32", "--index-cap", "6"],
+            "scan-conjecture needs basis pairs * (--nmax + 1) * --u values <= 111747, got 1067089 * 4 * 1",
+        ),
+        (
+            ["scan-conjecture", "--u", "0,1", "--weight-cap", "32"],
+            "scan-conjecture needs basis pairs * (--nmax + 1) * --u values <= 111747, got 37249 * 3 * 2",
+        ),
     ],
-    ids=["N-negative", "N-above", "G-zero", "G-above", "N-before-G", "n-negative", "rc-n-above", "power-negative", "power-above", "bracket-params-first", "deriv-params-first", "N-unicode", "params-unicode"],
+    ids=[
+        "N-negative", "N-above", "G-zero", "G-above", "N-before-G", "n-negative", "rc-n-above", "power-negative", "power-above",
+        "bracket-params-first", "deriv-params-first", "N-unicode", "params-unicode", "associativity-size", "scan-size", "scan-size-u-values",
+    ],
 )
 def test_size_bounds_name_the_option_and_its_range(capsys, argv, line):
     assert run(capsys, *argv) == (2, "", f"error: {line}\n")
@@ -344,8 +366,10 @@ def test_expand_element_exponent_limit_is_inclusive(capsys):
         ["scan-conjecture", "--u", "0", "--nmax", "12", "--weight-cap", "0", "--index-cap", "0"],
         ["scan-conjecture", "--u", "0", "--nmax", "0", "--weight-cap", "32", "--index-cap", "0"],
         ["scan-conjecture", "--u", "0", "--nmax", "0", "--weight-cap", "0", "--index-cap", "6"],
+        # basis pairs * (nmax + 1) * u values at MAX_SCAN_SIZE: 193^2 * 3 * 1
+        ["scan-conjecture", "--u", "0", "--weight-cap", "32"],
     ],
-    ids=["verify-nmax-16", "verify-pairs-1000", "verify-caps-12-3", "scan-nmax-12", "scan-weight-cap-32", "scan-index-cap-6"],
+    ids=["verify-nmax-16", "verify-pairs-1000", "verify-caps-12-3", "scan-nmax-12", "scan-weight-cap-32", "scan-index-cap-6", "scan-size-at-its-limit"],
 )
 def test_verify_and_scan_size_limits_are_inclusive(capsys, argv):
     code, out, _ = run(capsys, *argv)

@@ -42,6 +42,8 @@ COMMANDS = [
     ["verify", "--suite", "stability", "--family", "Crochet", "--params", "0,2"],
     ["verify", "--suite", "stability", "--family", "crochet", "--params", "1,1", "--algebra", "Q"],
     ["verify", "--suite", "stability", "--family", "scal", "--params", "1,1/2", "--nmax", "2"],
+    # a failing M run, its first escape at (E6, E6, n = 2)
+    ["verify", "--suite", "stability", "--family", "crochet", "--params", "1,1", "--algebra", "M", "--weight-cap", "8", "--nmax", "2"],
     # the other suites, with and without caps
     ["verify", "--suite", "associativity", "--family", "crochet", "--params", "1/3,997/1000", "--weight-cap", "4", "--index-cap", "1", "--nmax", "2"],
     ["verify", "--suite", "poisson", "--family", "orc", "--params", "7/5"],

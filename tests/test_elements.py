@@ -31,7 +31,7 @@ from jacobiforms import (
     serre,
     to_json_dict,
 )
-from jacobiforms.elements import linear_combination, power
+from jacobiforms.elements import _MEMBERSHIP, escapes, linear_combination, power
 
 
 def test_generator_bidegrees():
@@ -144,6 +144,15 @@ def test_membership():
     assert membership(E4 * B, "Jtilde")
     with pytest.raises(ValueError):
         membership(E4, "bogus")
+
+
+@pytest.mark.parametrize("algebra", sorted(_MEMBERSHIP))
+def test_each_membership_test_reads_only_the_a_and_b_exponents(algebra):
+    # escapes decides membership on the (A, B) grade of a product alone
+    test = _MEMBERSHIP[algebra]
+    for a in range(-4, 5):
+        for b in range(5):
+            assert {test((e4, e6, a, b)) for e4 in (0, 1, 7) for e6 in (0, 2, 5)} == {test((0, 0, a, b))}
 
 
 def test_parse_basic():
@@ -491,6 +500,31 @@ def test_linear_combination_expands_products_exactly(terms):
     assert value.terms() == _reference_sum(terms)
     negated = [(-coeff, *factors) for coeff, *factors in terms]
     assert linear_combination(terms + negated) == ZERO
+
+
+@settings(max_examples=150)
+@given(st.lists(st.tuples(coeffs, small_elements, small_elements), max_size=5), st.sampled_from(sorted(_MEMBERSHIP)))
+def test_escapes_is_non_membership_of_the_sum(terms, algebra):
+    # mixed denominators, zero coefficients and negative A exponents; the
+    # negated terms cancel the part outside the algebra as well
+    assert escapes(terms, algebra) == (not membership(linear_combination(terms), algebra))
+    assert not escapes(terms + [(-c, x, y) for c, x, y in terms], algebra)
+
+
+def test_escapes_edge_cases():
+    assert not escapes([], "Jtilde")
+    assert escapes([(1, A_INV, E4)], "Jtilde") and not escapes([(1, A_INV, E4)], "K")
+    # each product escapes, their sum does not
+    assert not escapes([(F(1, 2), A_INV, B), (F(-1, 3), B, A_INV), (F(-1, 6), F2, ONE)], "Jtilde")
+    assert escapes([(1, F2, F2)], "M") and not escapes([(1, F2, F2)], "Q")
+    with pytest.raises(ValueError, match="unknown algebra"):
+        escapes([(1, E4, E4)], "bogus")
+    # the part outside leaves the packed range, in a grade and in a key
+    half = 2 ** 20
+    with pytest.raises(BidegreeError):
+        escapes([(1, monomial(a=-half), monomial(a=-half - 1))], "Jtilde")
+    with pytest.raises(BidegreeError):
+        escapes([(1, monomial(e4=half, a=-1), monomial(e4=half))], "Jtilde")
 
 
 def test_linear_combination_edge_cases():

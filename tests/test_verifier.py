@@ -507,8 +507,8 @@ def test_stability_computes_each_unordered_pair_once(monkeypatch):
     from jacobiforms import verifier
 
     calls = []
-    true_star = verifier.star_truncated
-    monkeypatch.setattr(verifier, "star_truncated", lambda *args: calls.append(args[2:]) or true_star(*args))
+    true_orders = verifier.escaping_orders
+    monkeypatch.setattr(verifier, "escaping_orders", lambda *args: calls.append(args[2:4]) or true_orders(*args))
     basis = monomial_basis(4, 1)
     assert check_stability(crochet(0, F(7, 5)), "Jtilde", 2, basis).passed
     assert len(calls) == len(set(calls)) == len(basis) * (len(basis) + 1) // 2
