@@ -121,17 +121,17 @@ from .verifier import (
     series_consistency,
 )
 
+from . import brackets, classifier, derivations, elements, qseries, verifier
+
 __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Drop all memoized intermediates (keeps long parameter sweeps bounded)."""
-    from . import brackets as _brackets
-    from . import derivations as _derivations
-    from . import elements as _elements
-    from . import qseries as _qseries
-
-    _brackets.clear_caches()
-    _derivations.clear_caches()
-    _elements._exponents.cache_clear()
-    _qseries.clear_caches()
+    """Empty every module-level memo (lru_cache) of the package: unpacked
+    monomials, power sequences, binomials and their integer rows, Bernoulli
+    numbers, generator powers and capped bases.  Long sweeps call it to stay
+    bounded; afterwards the package computes as a fresh process does."""
+    for module in (elements, derivations, brackets, classifier, qseries, verifier):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()

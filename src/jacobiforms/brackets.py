@@ -76,13 +76,18 @@ class BracketFamily:
             raise ValueError("bracket families require an admissible derivation")
 
 
+def _denominator(c_den: int, n: int) -> int:
+    """D(c, n) = den(c)^n * n!, a denominator of every binomial of the n-th bracket."""
+    return c_den ** n * factorial(n)
+
+
 @lru_cache(maxsize=1 << 14)
 def _integer_row(k: int, p: int, c_num: int, c_den: int, n: int) -> tuple[int, ...]:
     """gbinom(k + c*p + n - 1, j) for j = 0..n, the binomials the n-th
-    bracket takes from a component of bidegree (k, p), times
-    D(c, n) = c_den^n * n!: integers, keyed on integers only."""
+    bracket takes from a component of bidegree (k, p), times D(c, n):
+    integers, keyed on integers only."""
     top = k + Fraction(c_num, c_den) * p + n - 1
-    scale = c_den ** n * factorial(n)
+    scale = _denominator(c_den, n)
     return tuple(int(gbinom(top, j) * scale) for j in range(n + 1))
 
 
@@ -114,7 +119,7 @@ def bracket_sum(family: BracketFamily, terms) -> BigradedElement:
     if any(n < 0 for _, n, _, _ in terms):
         raise ValueError("bracket order must be nonnegative")
     d, c = family.derivation, family.c
-    scale = {n: c.denominator ** n * factorial(n) for _, n, _, _ in terms}  # D(c, n)
+    scale = {n: _denominator(c.denominator, n) for n in {n for _, n, _, _ in terms}}
     top = max(scale.values(), default=1)
     parts = (_bracket_terms(c, n, _powers(d, x, n), _powers(d, y, n), s * (top // scale[n]) ** 2) for s, n, x, y in terms)
     return linear_combination(chain.from_iterable(parts), top * top)
@@ -125,29 +130,27 @@ def bracket_n(family: BracketFamily, n: int, f: BigradedElement, g: BigradedElem
     return bracket_sum(family, ((1, n, f, g),))
 
 
-def star_truncated(family: BracketFamily, order: int, f: BigradedElement, g: BigradedElement) -> list[BigradedElement]:
-    """mu_0(f, g), ..., mu_order(f, g), the coefficients of hbar^0..hbar^order
-    of the star product f * g: the powers of D of each component are read
-    once for all orders, and each order is one integer sum."""
+def _orders(family: BracketFamily, order: int, f: BigradedElement, g: BigradedElement) -> list:
+    """(n, terms of mu_n(f, g) at scale 1) for n = 0..order: the powers of
+    D of each component are read once for all orders."""
     if order < 0:
         raise ValueError("bracket order must be nonnegative")
     d, c = family.derivation, family.c
     f_parts, g_parts = _powers(d, f, order), _powers(d, g, order)
-    return [
-        linear_combination(_bracket_terms(c, n, f_parts, g_parts, 1), (c.denominator ** n * factorial(n)) ** 2)
-        for n in range(order + 1)
-    ]
+    return [(n, _bracket_terms(c, n, f_parts, g_parts, 1)) for n in range(order + 1)]
+
+
+def star_truncated(family: BracketFamily, order: int, f: BigradedElement, g: BigradedElement) -> list[BigradedElement]:
+    """mu_0(f, g), ..., mu_order(f, g), the coefficients of hbar^0..hbar^order
+    of the star product f * g, each order one integer sum."""
+    return [linear_combination(terms, _denominator(family.c.denominator, n) ** 2) for n, terms in _orders(family, order, f, g)]
 
 
 def escaping_orders(family: BracketFamily, order: int, f: BigradedElement, g: BigradedElement, algebra: str) -> list[bool]:
     """For n = 0..order, whether mu_n(f, g) has a monomial outside the named
     subalgebra, read from the same terms as star_truncated by `escapes`,
     which forms only the products that can leave the algebra."""
-    if order < 0:
-        raise ValueError("bracket order must be nonnegative")
-    d, c = family.derivation, family.c
-    f_parts, g_parts = _powers(d, f, order), _powers(d, g, order)
-    return [escapes(_bracket_terms(c, n, f_parts, g_parts, 1), algebra) for n in range(order + 1)]
+    return [escapes(terms, algebra) for _, terms in _orders(family, order, f, g)]
 
 
 def cm_bracket(v: Derivation, mu, n: int, f: BigradedElement, g: BigradedElement) -> BigradedElement:
@@ -230,8 +233,3 @@ def rc_localized(u, v) -> BracketFamily:
 def mu1(family: BracketFamily):
     """First bracket of the family as a bilinear callable."""
     return lambda f, g: bracket_n(family, 1, f, g)
-
-
-def clear_caches() -> None:
-    gbinom.cache_clear()
-    _integer_row.cache_clear()

@@ -7,7 +7,9 @@ configuration and seed.  Exit codes: 0 all checks passed, 1 a check failed,
 2 usage error, 3 an internal invariant was violated.  expand accepts
 truncation orders 0 <= N <= 200, windows 1 <= G <= 1000 and element
 exponents of size at most 8; bracket accepts orders 0 <= n <= 300 and deriv
-powers 0 <= power <= 300, the depth of one power sequence; verify
+powers 0 <= power <= 300, the depth of one power sequence, and that depth
+times the spread of the exponent of A times the terms of each input at most
+MAX_BRACKET_SIZE and MAX_DERIV_SIZE; verify
 and scan-conjecture bound their sizes by VERIFY_LIMITS and SCAN_LIMITS, the
 associativity suite its basis size times nmax by MAX_ASSOCIATIVITY_SIZE, and
 scan-conjecture its rows, basis pairs times (nmax + 1) per u, by
@@ -33,6 +35,7 @@ from .elements import (
     InternalInvariantError,
     ParseError,
     format_element,
+    membership,
     parse_element,
     to_json_dict,
 )
@@ -75,6 +78,11 @@ def _u_values(text: str) -> list[Fraction]:
     if not u_values:
         raise UsageError("--u needs at least one value")
     return u_values
+
+
+def _largest_exponent(*elements: BigradedElement) -> int:
+    """The largest size of an exponent in the monomials of the elements."""
+    return max((abs(e) for f in elements for m in f.terms() for e in m), default=0)
 
 
 def _element(text: str, allow_f2: bool) -> BigradedElement:
@@ -145,11 +153,16 @@ def _build(kind: str, table: dict, name: str, params: list[Fraction]):
 # -------------------------------------------------------------- subcommands
 
 
-def _check_sizes(args, limits: dict, low: int = 0) -> None:
+# Least values above 0: a window holds a w exponent, a bidegree check a pair.
+_LEAST = {"G": 1, "pairs": 1}
+
+
+def _check_sizes(args, limits: dict) -> None:
     """The one bound rule of size options: reject one above its bound or
-    below low (0, where a negative size would make the checks vacuous)."""
+    below its least value, _LEAST's or 0 (a negative size is vacuous)."""
     for name, limit in limits.items():
         value = getattr(args, name)
+        low = _LEAST.get(name, 0)
         if value is not None and not low <= value <= limit:
             raise UsageError(f"--{name.replace('_', '-')} must be between {low} and {limit}, got {value}")
 
@@ -185,21 +198,17 @@ _EXPANSIONS = {
 
 
 def _cmd_expand(args) -> int:
-    _check_sizes(args, {"N": MAX_Q_ORDER})
-    _check_sizes(args, {"G": MAX_WINDOW}, low=1)
-    n, window = args.N, args.G
-    f = None
-    if args.what == "element":
-        if not args.element:
-            raise UsageError("--what element requires --element")
-        f = _element(args.element, args.allow_f2)
-        if any(abs(e) > MAX_ELEMENT_EXPONENT for m in f.terms() for e in m):
-            raise UsageError(f"--element exponents must be at most {MAX_ELEMENT_EXPONENT} in size, got {args.element!r}")
-    if f is None:
-        series = _EXPANSIONS[args.what](n, window)
+    _check_sizes(args, {"N": MAX_Q_ORDER, "G": MAX_WINDOW})
+    if args.what != "element":
+        series = _EXPANSIONS[args.what](args.N, args.G)
+    elif not args.element:
+        raise UsageError("--what element requires --element")
     else:
+        f = _element(args.element, args.allow_f2)
+        if _largest_exponent(f) > MAX_ELEMENT_EXPONENT:
+            raise UsageError(f"--element exponents must be at most {MAX_ELEMENT_EXPONENT} in size, got {args.element!r}")
         try:
-            series = qseries.evaluate(f, qseries.make_bundle(n, window))
+            series = qseries.evaluate(f, qseries.make_bundle(args.N))
         except ValueError as exc:  # negative A exponents
             raise UsageError(str(exc)) from exc
     if args.json:
@@ -214,14 +223,28 @@ def _cmd_expand(args) -> int:
         for order in range(series.q_order + 1):
             print(f"q^{order}: {qseries.format_wpoly(series.coefficient(order))}")
         if args.what == "J1":
-            print(f"# window: coefficients exact for |w-exponent| <= {window}")
+            print(f"# window: coefficients exact for |w-exponent| <= {args.G}")
     return 0
 
 
-# Largest --n of bracket and --power of deriv: each sets the depth of one
-# power sequence, one more application of the derivation per step, and the
-# terms of a power grow with it.
+# Largest --n of bracket and --power of deriv, the depth p of one power
+# sequence.  The terms of the p-th power grow with p and with the spread of
+# the exponent of A over the powers: the input's largest exponent size, at
+# most p, or p for a derivation whose images hold A^-1.  So p times that
+# spread, times the inputs' terms, is bounded too, from measured cost
+# (README); a bracket, two sequences and their products, costs more.
 MAX_POWER = 300
+MAX_DERIV_SIZE = 9000
+MAX_BRACKET_SIZE = 900
+
+
+def _check_spread(command: str, limit: int, option: str, p: int, d: derivations.Derivation, inputs: dict) -> None:
+    """Reject p times the exponent spread of the named inputs under p powers
+    of d times each input's terms above limit: a sum costs what its terms do."""
+    localizing = not all(membership(image, "Jtilde") for image in d.images)
+    spread = p if localizing else min(p, _largest_exponent(*inputs.values()))
+    terms = {f"terms of {name}": len(x.terms()) for name, x in inputs.items()}
+    _check_product(command, limit, {option: p, "exponent spread": spread, **terms})
 
 
 def _cmd_bracket(args) -> int:
@@ -229,15 +252,15 @@ def _cmd_bracket(args) -> int:
     _check_sizes(args, {"n": MAX_POWER})
     f = _element(args.f, args.allow_f2)
     g = _element(args.g, args.allow_f2)
-    if args.family == "rc":
-        if len(params):
-            raise UsageError("family rc takes no parameters")
-        try:
-            value = brackets.rc_classical(args.n, f, g)
-        except ValueError as exc:  # an input outside C[E4, E6]
-            raise UsageError(str(exc)) from exc
-    else:
-        value = brackets.bracket_n(_build("family", _FAMILIES, args.family, params), args.n, f, g)
+    rc = args.family == "rc"  # the classical bracket: rc_localized(0, 0) on C[E4, E6]
+    if rc and params:
+        raise UsageError("family rc takes no parameters")
+    family = brackets.rc_localized(0, 0) if rc else _build("family", _FAMILIES, args.family, params)
+    _check_spread("bracket", MAX_BRACKET_SIZE, "--n", args.n, family.derivation, {"--f": f, "--g": g})
+    try:
+        value = brackets.rc_classical(args.n, f, g) if rc else brackets.bracket_n(family, args.n, f, g)
+    except ValueError as exc:  # an input outside C[E4, E6], or an exponent out of range
+        raise UsageError(str(exc)) from exc
     _emit_element(value, args.json)
     return 0
 
@@ -247,6 +270,7 @@ def _cmd_deriv(args) -> int:
     _check_sizes(args, {"power": MAX_POWER})
     d = _build("derivation", _DERIVATIONS, args.name, params)
     f = _element(args.input, args.allow_f2)
+    _check_spread("deriv", MAX_DERIV_SIZE, "--power", args.power, d, {"--input": f})
     value = derivations.iterate(d, args.power, f)
     _emit_element(value, args.json)
     return 0
@@ -293,13 +317,8 @@ def _cmd_verify(args) -> int:
         elif args.suite == "poisson":
             report = verifier.check_poisson(brackets.mu1(fam), basis, claim=f"poisson.{tag}")
         elif args.suite == "bidegree":
-            pairs = [
-                (
-                    verifier.random_homogeneous(rng, weight_cap, index_cap),
-                    verifier.random_homogeneous(rng, weight_cap, index_cap),
-                )
-                for _ in range(args.pairs)
-            ]
+            draw = lambda: verifier.random_homogeneous(rng, weight_cap, index_cap)
+            pairs = [(draw(), draw()) for _ in range(args.pairs)]
             report = verifier.check_bidegree_law(fam, args.nmax, pairs, claim=f"bidegree.{tag}")
         else:
             report = verifier.check_stability(fam, args.algebra, args.nmax, basis, claim=f"stability.{args.algebra}.{tag}")
@@ -441,10 +460,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()  # once per process: parsing leaves it as it was
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         args._argv = list(argv) if argv is not None else sys.argv[1:]
         return args.func(args)
     except SystemExit as exc:  # argparse has printed its usage error or help

@@ -252,8 +252,3 @@ def partial_u(u) -> Derivation:
 
 def zero_derivation() -> Derivation:
     return Derivation(ZERO, ZERO, ZERO, ZERO)
-
-
-def clear_caches() -> None:
-    """Drop the memoised power sequences (bounds memory in long scans)."""
-    _iterate.cache_clear()

@@ -27,7 +27,7 @@ reduces a list of rows (an element is one row) to lowest terms, and
 square-and-multiply of elements, coefficients, series and generator
 powers, and `parse_element` reads text in one loop over its terms.
 Values are immutable, so an element caches its split into homogeneous
-components and, for `escapes`, its split by the exponents of A and B.
+components and, per subalgebra, the rows by (A, B) grade `escapes` reads.
 The subalgebras M, Jtilde and Q are each defined once, by a monomial test
 and generators, which `membership`, `monomial_basis` and the stability
 check read.
@@ -154,7 +154,7 @@ def _accumulate(acc: dict, left: dict, right: dict, scale: int = 1) -> None:
 class BigradedElement:
     """A finite rational combination of monomials in E4, E6, A^{+-1}, B."""
 
-    __slots__ = ("_num", "_den", "_hash", "_split", "_graded", "_outside")
+    __slots__ = ("_num", "_den", "_hash", "_split", "_outside")
 
     def __init__(self, terms: Mapping | None = None):
         coeffs: dict = {}
@@ -163,7 +163,7 @@ class BigradedElement:
             coeffs[key] = coeffs.get(key, 0) + Fraction(c)
         (num,), den = _numerators([coeffs])
         (self._num,), self._den = _normalized([num], den)
-        self._hash = self._split = self._graded = self._outside = None
+        self._hash = self._split = self._outside = None
 
     @classmethod
     def _raw(cls, num: dict, den: int, product: bool = False) -> "BigradedElement":
@@ -174,7 +174,7 @@ class BigradedElement:
             _check_product_keys(num)
         el = cls.__new__(cls)
         (el._num,), el._den = _normalized([num], den)
-        el._hash = el._split = el._graded = el._outside = None
+        el._hash = el._split = el._outside = None
         return el
 
     # ------------------------------------------------------------------ basics
@@ -295,31 +295,16 @@ class BigradedElement:
                 split = self._split = tuple((Bidegree(*d), BigradedElement._raw(num, self._den)) for d, num in parts)
         return ((split, self),) if type(split) is Bidegree else split
 
-    def _rows_by_grade(self) -> tuple:
-        """(grade, row) pairs: the numerators split by the A and B exponents
-        of their monomials, the grade of A^a B^b being its packed key, so
-        that a product's grade is the sum of its factors'.  Cached in
-        _graded."""
-        graded = self._graded
-        if graded is None:
-            rows: dict = {}
-            for k, c in self._num.items():
-                _, _, a, b = _exponents(k)
-                rows.setdefault(a * _GENERATOR_KEYS[2] + b, {})[k] = c
-            graded = self._graded = tuple(rows.items())
-        return graded
-
     def _outside_rows(self, algebra: str) -> "_OutsideRows":
-        """Grade -> the row of the monomials of self that a monomial of that
-        grade multiplies out of the named subalgebra, filled in as grades
-        are asked for; cached per algebra in _outside."""
-        cache = self._outside
-        if cache is None:
-            cache = self._outside = {}
-        rows = cache.get(algebra)
-        if rows is None:
-            rows = cache[algebra] = _OutsideRows(self._num, self._rows_by_grade(), _membership_test(algebra))
-        return rows
+        """Self's rows by grade and, for each grade asked for, the row of
+        the monomials that a monomial of that grade multiplies out of the
+        named subalgebra; cached per algebra in _outside."""
+        try:  # read for every term escapes folds: a hit makes no call
+            return self._outside[algebra]
+        except (TypeError, KeyError):  # no cache yet (None), or none for the algebra
+            cache = self._outside = self._outside or {}
+            rows = cache[algebra] = _OutsideRows(self._num, _membership_test(algebra))
+            return rows
 
     def homogeneous_components(self) -> dict[Bidegree, "BigradedElement"]:
         """The homogeneous pieces by bidegree, in bidegree order, in a new
@@ -396,11 +381,19 @@ class _OutsideRows(dict):
     """Grade g -> the numerators of an element's monomials whose grade plus
     g fails a subalgebra's monomial test, as one row, filled in as grades
     are asked for; when every monomial fails, the row is the element's own
-    numerators, not a copy."""
+    numerators, not a copy.  The rows attribute holds the (grade, row)
+    pairs it is made from: the numerators split by the A and B exponents
+    of their monomials, the grade of A^a B^b being its packed key, so that
+    a product's grade is the sum of its factors'."""
 
-    def __init__(self, num, rows, test):
-        super().__init__()
-        self.num, self.rows, self.test = num, rows, test
+    __slots__ = ("num", "rows", "test")
+
+    def __init__(self, num, test):  # dict.__new__ has made the empty dict
+        rows: dict = {}
+        for k, c in num.items():
+            _, _, a, b = _exponents(k)
+            rows.setdefault(a * _GENERATOR_KEYS[2] + b, {})[k] = c
+        self.num, self.rows, self.test = num, tuple(rows.items()), test
 
     def __missing__(self, grade):
         _check_product_keys([grade + g for g, _ in self.rows])  # grades of products, as keys
@@ -416,20 +409,19 @@ def escapes(terms, algebra: str) -> bool:
 
     A subalgebra's monomial test reads only the A and B exponents, which
     add under multiplication.  So the part of x * y outside the algebra is
-    the sum, over the rows of x by grade (_rows_by_grade), of each row
-    times the monomials of y that its grade sends outside (cached by y in
-    _outside_rows), and only those products are formed, into integers over
-    one common denominator as in linear_combination.  The sum lies inside
-    exactly when its part outside is zero.  An exponent of that part out of
-    range raises BidegreeError; the part inside is never formed, so its
-    exponents are not checked."""
+    the sum, over the rows of x by grade, of each row times the monomials
+    of y that its grade sends outside (both read from _outside_rows), and
+    only those products are formed, over one common denominator as in
+    linear_combination.  The sum lies inside exactly when that part is
+    zero.  An exponent of that part out of range raises BidegreeError; the
+    part inside is never formed, so its exponents are not checked."""
     _membership_test(algebra)  # an unknown name raises, with or without terms
     num: dict = {}
     den = 1
     for c, x, y in terms:
         y_outside = y._outside_rows(algebra)
         scale = 0  # set at the term's first product outside, if any
-        for gx, x_row in x._rows_by_grade():
+        for gx, x_row in x._outside_rows(algebra).rows:
             y_row = y_outside[gx]
             if y_row:
                 if not scale:

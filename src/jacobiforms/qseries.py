@@ -560,7 +560,3 @@ def evaluate_quasimodular(f: BigradedElement, bundle: JacobiSeriesBundle) -> QSe
 def delta_series(bundle: JacobiSeriesBundle) -> QSeries:
     e4, e6 = bundle.e4, bundle.e6
     return combination(((Fraction(1, 1728), e4 * e4, e4), (Fraction(-1, 1728), e6, e6)), bundle.q_order)
-
-
-def clear_caches() -> None:
-    _generator_power.cache_clear()

@@ -8,10 +8,8 @@ the conjecture scan included, yields its failures as witnesses into
 carries the first, with the inputs and both sides.  Stability and the
 conjecture scan read one membership sweep, `_membership_rows`, which
 decides each unordered basis pair once, from only the products that can
-leave the algebra, and yields the rows and the first escape of the loop
-over all ordered pairs.  For one u of the benchmark's scan (37 monomials,
-orders 0..3) that is 6,362 of the 35,030 multiply-adds of the 6,688
-products, and no bracket; BENCH_17.json has the times.
+leave the algebra, forming no bracket, and yields the rows and the first
+escape of the loop over all ordered pairs.
 """
 
 from __future__ import annotations
@@ -193,8 +191,7 @@ def _membership_rows(family: BracketFamily, algebra: str, n_max: int, basis: lis
     when it lies outside the algebra, else None.
 
     Membership is decided by `escaping_orders`, which forms only the parts
-    of products outside the algebra (at u = 1/12 of the benchmark's scan,
-    6,362 of 35,030 multiply-adds, and no bracket); an escape is built in
+    of products outside the algebra, and no bracket; an escape is built in
     full, by bracket_n, for its witness.  mu_n(g, f) = (-1)^n mu_n(f, g)
     and membership ignores sign, so the decision is made once per
     unordered pair i <= j and (i, j) with i > j reads the flags of (j, i);

@@ -219,6 +219,15 @@ BAD_INPUTS = {
     "deriv-summed-exponent-above-limit": ["deriv", "--name", "serre", "--input", "E4^1000000*E4^1000000"],
     "deriv-three-factors-above-limit": ["deriv", "--name", "serre", "--input", "E4^1000000*E4^1000000*E4^1000000"],
     "deriv-arity": ["deriv", "--name", "serre_ab", "--param", "1", "--input", "B"],
+    # each size within its bound, the power (or order) times the exponent spread
+    # times the inputs' terms not
+    "deriv-power-times-exponent-above-limit": ["deriv", "--name", "serre_ab", "--param", "1,1", "--input", "E4^31*A", "--power", "300"],
+    "deriv-power-squared-above-limit": ["deriv", "--name", "serre_ab", "--param", "1,1", "--input", "E4^1000000", "--power", "95"],
+    "deriv-localizing-power-above-limit": ["deriv", "--name", "partial_u", "--param", "0", "--input", "A", "--power", "95"],
+    "bracket-n-times-exponent-above-limit": ["bracket", "--family", "accol", "--params", "1,1,0", "--n", "300", "--f", "E4^4", "--g", "B"],
+    "bracket-localizing-n-above-limit": ["bracket", "--family", "Crochet", "--params", "1/12,2", "--n", "31", "--f", "A", "--g", "B"],
+    "bracket-rc-n-times-exponent-above-limit": ["bracket", "--family", "rc", "--n", "31", "--f", "E4", "--g", "E6"],
+    "deriv-terms-above-limit": ["deriv", "--name", "serre_ab", "--param", "1,1", "--input", "E4^16*A + E6^16*B", "--power", "300"],
     # numbers in element text and options are ASCII digits: an Arabic-Indic
     # two is no exponent, no order and no parameter
     "deriv-unicode-digit": ["deriv", "--name", "serre", "--input", "E4^\u0662"],
@@ -234,6 +243,8 @@ BAD_INPUTS = {
     "vinset-blank-u-values": ["verify", "--suite", "vinset", "--u= , "],
     "verify-negative-nmax": ["verify", "--suite", "associativity", "--family", "accol", "--params", "1,1,0", "--nmax", "-1"],
     "verify-negative-pairs": ["verify", "--suite", "bidegree", "--family", "src", "--pairs", "-1"],
+    # no pairs, no check: it would pass without checking anything
+    "verify-zero-pairs": ["verify", "--suite", "bidegree", "--family", "src", "--nmax", "0", "--pairs", "0"],
     "verify-negative-weight-cap": ["verify", "--suite", "poisson", "--family", "src", "--weight-cap", "-4"],
     "verify-negative-index-cap": ["verify", "--suite", "poisson", "--family", "src", "--index-cap", "-1"],
     "scan-negative-nmax": ["scan-conjecture", "--u", "0", "--nmax", "-1"],
@@ -322,10 +333,27 @@ def test_expand_bad_sizes_are_usage_errors(capsys, argv):
             ["scan-conjecture", "--u", "0,1", "--weight-cap", "32"],
             "scan-conjecture needs basis pairs * (--nmax + 1) * --u values <= 111747, got 37249 * 3 * 2",
         ),
+        (["verify", "--suite", "bidegree", "--family", "src", "--nmax", "0", "--pairs", "0"], "--pairs must be between 1 and 1000, got 0"),
+        (
+            ["deriv", "--name", "serre_ab", "--param", "1,1", "--input", "E4^100*E6^100*A^100*B^100", "--power", "300"],
+            "deriv needs --power * exponent spread * terms of --input <= 9000, got 300 * 100 * 1",
+        ),
+        (
+            ["bracket", "--family", "accol", "--params", "1,1,0", "--n", "300", "--f", "E4^1000000*A^1000000*B^1000000", "--g", "E6^1000000*B^1000000"],
+            "bracket needs --n * exponent spread * terms of --f * terms of --g <= 900, got 300 * 300 * 1 * 1",
+        ),
+        # a derivation whose images hold A^-1 spreads the exponent of A by one per power
+        (["bracket", "--family", "Crochet", "--params", "1/12,2", "--n", "300", "--f", "A", "--g", "B"], "bracket needs --n * exponent spread * terms of --f * terms of --g <= 900, got 300 * 300 * 1 * 1"),
+        # a sum costs at most what its terms do, so each input's terms count
+        (
+            ["bracket", "--family", "accol", "--params", "1,1,0", "--n", "300", "--f", "E4*A*B + E6", "--g", "B + A"],
+            "bracket needs --n * exponent spread * terms of --f * terms of --g <= 900, got 300 * 1 * 2 * 2",
+        ),
     ],
     ids=[
         "N-negative", "N-above", "G-zero", "G-above", "N-before-G", "n-negative", "rc-n-above", "power-negative", "power-above",
         "bracket-params-first", "deriv-params-first", "N-unicode", "params-unicode", "associativity-size", "scan-size", "scan-size-u-values",
+        "pairs-zero", "deriv-spread", "bracket-spread", "bracket-localizing-spread", "bracket-terms",
     ],
 )
 def test_size_bounds_name_the_option_and_its_range(capsys, argv, line):
@@ -362,6 +390,7 @@ def test_expand_element_exponent_limit_is_inclusive(capsys):
     [
         ["verify", "--suite", "associativity", "--family", "src", "--nmax", "16"],
         ["verify", "--suite", "bidegree", "--family", "src", "--nmax", "0", "--pairs", "1000"],
+        ["verify", "--suite", "bidegree", "--family", "src", "--nmax", "0", "--pairs", "1"],
         ["verify", "--suite", "bidegree", "--family", "src", "--pairs", "2", "--weight-cap", "12", "--index-cap", "3"],
         ["scan-conjecture", "--u", "0", "--nmax", "12", "--weight-cap", "0", "--index-cap", "0"],
         ["scan-conjecture", "--u", "0", "--nmax", "0", "--weight-cap", "32", "--index-cap", "0"],
@@ -369,7 +398,7 @@ def test_expand_element_exponent_limit_is_inclusive(capsys):
         # basis pairs * (nmax + 1) * u values at MAX_SCAN_SIZE: 193^2 * 3 * 1
         ["scan-conjecture", "--u", "0", "--weight-cap", "32"],
     ],
-    ids=["verify-nmax-16", "verify-pairs-1000", "verify-caps-12-3", "scan-nmax-12", "scan-weight-cap-32", "scan-index-cap-6", "scan-size-at-its-limit"],
+    ids=["verify-nmax-16", "verify-pairs-1000", "verify-pairs-1", "verify-caps-12-3", "scan-nmax-12", "scan-weight-cap-32", "scan-index-cap-6", "scan-size-at-its-limit"],
 )
 def test_verify_and_scan_size_limits_are_inclusive(capsys, argv):
     code, out, _ = run(capsys, *argv)
@@ -396,6 +425,39 @@ def test_verify_associativity_size_limit_is_inclusive(capsys, monkeypatch, caps,
     assert code == 0
     assert "[PASS]" in out
     assert seen == [(size, int(nmax))]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the README's bracket, 300 * 3: about 17 s
+        ["bracket", "--family", "accol", "--params", "1,1,0", "--f", "E4^3*A*B^2", "--g", "E6^2*B^3", "--n", "300"],
+        ["bracket", "--family", "Crochet", "--params", "1/12,2", "--f", "A", "--g", "B", "--n", "30"],
+        ["bracket", "--family", "rc", "--f", "E4^1000000", "--g", "E6", "--n", "30"],
+        ["deriv", "--name", "serre_ab", "--param", "1,1", "--input", "E4^30*E6^30*A^30*B^30", "--power", "300"],
+        ["deriv", "--name", "serre_ab", "--param", "1,1", "--input", "E4^1000000*A^-999999", "--power", "94"],
+        ["deriv", "--name", "partial_u", "--param", "0", "--input", "A", "--power", "94"],
+        ["bracket", "--family", "accol", "--params", "1,1,0", "--f", "E4*A*B + E6 + A", "--g", "E6*B", "--n", "300"],
+        ["deriv", "--name", "serre_ab", "--param", "1,1", "--input", "E4^15*A + E6^15*B", "--power", "300"],
+    ],
+    ids=[
+        "bracket-300x3", "bracket-localizing-30x30", "bracket-rc-30x30", "deriv-300x30", "deriv-94x94", "deriv-localizing-94x94",
+        "bracket-300x1x3x1", "deriv-300x15x2",
+    ],
+)
+def test_power_times_exponent_spread_limit_is_inclusive(capsys, monkeypatch, argv):
+    # the commands themselves would run for seconds to minutes; the bound is
+    # what is tested, so the power sequence and the bracket are stubs
+    from jacobiforms import brackets, derivations
+
+    seen = []
+    monkeypatch.setattr(derivations, "iterate", lambda d, r, f: seen.append(r) or f)
+    monkeypatch.setattr(brackets, "bracket_n", lambda family, n, f, g: seen.append(n) or f)
+    monkeypatch.setattr(brackets, "rc_classical", lambda n, f, g: seen.append(n) or f)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.strip()
+    assert seen == [int(argv[-1])]
 
 
 @pytest.mark.parametrize(

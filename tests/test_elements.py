@@ -457,6 +457,32 @@ def test_clear_caches_empties_the_unpacked_monomials():
     assert _exponents.cache_info().currsize == 0
 
 
+def test_clear_caches_empties_every_module_level_memo():
+    # every lru_cache defined at the top level of a module of the package,
+    # found by walking the package, each filled by one small call of its layer
+    import importlib
+    import pkgutil
+    import random
+
+    import jacobiforms
+    from jacobiforms import accol, bracket_n, evaluate, make_bundle, qseries, verifier
+
+    memos = {}
+    for info in pkgutil.iter_modules(jacobiforms.__path__):
+        module = importlib.import_module(f"jacobiforms.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info") and value.__module__ == module.__name__:
+                memos[f"{info.name}.{name}"] = value
+    verifier.random_homogeneous(random.Random(0))
+    qseries.bernoulli(4)
+    bracket_n(accol(1, 2, F(7, 5)), 2, E4 + A, B)
+    evaluate(E4 * B, make_bundle(2))
+    assert len(memos) >= 7
+    assert [name for name, memo in memos.items() if not memo.cache_info().currsize] == []
+    jacobiforms.clear_caches()
+    assert [name for name, memo in memos.items() if memo.cache_info().currsize] == []
+
+
 def _fold(pairs):
     total = ZERO
     for c, el in pairs:
