@@ -1,19 +1,22 @@
 """Command line front end.
 
 Subcommands: expand, bracket, deriv, verify, classify, iso, scan-conjecture.
-All numbers on the command line are exact rationals written p/q; nothing is
-ever parsed as floating point.  Output is deterministic for a fixed
-configuration and seed.  Exit codes: 0 all checks passed, 1 a check failed,
-2 usage error, 3 an internal invariant was violated.  expand accepts
-truncation orders 0 <= N <= 200, windows 1 <= G <= 1000 and element
-exponents of size at most 8; bracket accepts orders 0 <= n <= 300 and deriv
-powers 0 <= power <= 300, the depth of one power sequence, and that depth
-times the spread of the exponent of A times the terms of each input at most
-MAX_BRACKET_SIZE and MAX_DERIV_SIZE; verify
-and scan-conjecture bound their sizes by VERIFY_LIMITS and SCAN_LIMITS, the
-associativity suite its basis size times nmax by MAX_ASSOCIATIVITY_SIZE, and
-scan-conjecture its rows, basis pairs times (nmax + 1) per u, by
-MAX_SCAN_SIZE.
+Every command takes --json; verify alone takes --seed, the seed of its
+bidegree suite; expand, bracket and deriv, the commands that read element
+text, take --allow-f2.  All numbers on the command line are exact rationals
+written p or p/q, at most MAX_DIGITS digits above and below the line (100 in
+element text); nothing is ever parsed as floating point.  Output is
+deterministic for a fixed configuration and seed.  Exit codes: 0 all checks
+passed, 1 a check failed, 2 usage error, 3 an internal invariant was
+violated.  main checks every size option against its (least, largest) range
+in SIZE_RANGES.  Sizes that multiply are bounded by the commands: in bracket
+and deriv, the depth of one power sequence times the spread of the exponent
+of A times the terms of each input, by MAX_BRACKET_SIZE and MAX_DERIV_SIZE,
+and that depth times the digits of the parameters by MAX_PARAMETER_SIZE;
+in the associativity suite, its basis size times nmax, by
+MAX_ASSOCIATIVITY_SIZE; in scan-conjecture, its rows, basis pairs times
+(nmax + 1) per u, by MAX_SCAN_SIZE.  expand accepts element exponents of
+size at most MAX_ELEMENT_EXPONENT.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import json
 import math
 import os
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -48,13 +52,26 @@ class UsageError(Exception):
     """An input out of range; not a ValueError, so argparse passes it on."""
 
 
+# The most digits above and below the line of a rational option: at 12
+# the slowest verify run took twice as long as with small parameters, at 21
+# over three times (README).
+MAX_DIGITS = 12
+# p or p/q in ASCII digits, q not zero; Fraction also reads any Unicode
+# digit, decimals and exponents ("1e999999999", a billion digits)
+_RATIONAL = re.compile(r"([+-]?)([0-9]+)(?:/(0*[1-9][0-9]*))?")
+
+
 def _rational(text: str) -> Fraction:
-    try:
-        if not text.isascii():  # Fraction reads any Unicode decimal digit
-            raise ValueError(text)
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError):
+    match = _RATIONAL.fullmatch(text.strip())
+    if not match:
         raise UsageError(f"not a rational: {text!r}")
+    # the digits of the numbers, not of the text: leading zeros go first
+    sign, num, den = match.groups()
+    num, den = num.lstrip("0") or "0", (den or "1").lstrip("0")
+    digits = max(len(num), len(den))
+    if digits > MAX_DIGITS:
+        raise UsageError(f"a numerator or denominator has at most {MAX_DIGITS} digits, got {digits}")
+    return Fraction(int(sign + num), int(den))
 
 
 def _integer(text: str) -> int:
@@ -141,8 +158,6 @@ _DERIVATIONS = {
 
 def _build(kind: str, table: dict, name: str, params: list[Fraction]):
     """The named family or derivation, checking the parameter count."""
-    if name not in table:
-        raise UsageError(f"unknown {kind} {name!r}")
     builder = table[name]
     arity = len(inspect.signature(builder).parameters)
     if len(params) != arity:
@@ -153,18 +168,13 @@ def _build(kind: str, table: dict, name: str, params: list[Fraction]):
 # -------------------------------------------------------------- subcommands
 
 
-# Least values above 0: a window holds a w exponent, a bidegree check a pair.
-_LEAST = {"G": 1, "pairs": 1}
-
-
-def _check_sizes(args, limits: dict) -> None:
-    """The one bound rule of size options: reject one above its bound or
-    below its least value, _LEAST's or 0 (a negative size is vacuous)."""
-    for name, limit in limits.items():
+def _check_sizes(args, ranges: dict) -> None:
+    """The one bound rule of size options: reject one outside its
+    (least, largest) range."""
+    for name, (low, high) in ranges.items():
         value = getattr(args, name)
-        low = _LEAST.get(name, 0)
-        if value is not None and not low <= value <= limit:
-            raise UsageError(f"--{name.replace('_', '-')} must be between {low} and {limit}, got {value}")
+        if value is not None and not low <= value <= high:
+            raise UsageError(f"--{name.replace('_', '-')} must be between {low} and {high}, got {value}")
 
 
 def _check_product(command: str, limit: int, factors: dict) -> None:
@@ -198,7 +208,6 @@ _EXPANSIONS = {
 
 
 def _cmd_expand(args) -> int:
-    _check_sizes(args, {"N": MAX_Q_ORDER, "G": MAX_WINDOW})
     if args.what != "element":
         series = _EXPANSIONS[args.what](args.N, args.G)
     elif not args.element:
@@ -236,27 +245,34 @@ def _cmd_expand(args) -> int:
 MAX_POWER = 300
 MAX_DERIV_SIZE = 9000
 MAX_BRACKET_SIZE = 900
+# A derivation parameter enters the p-th power of the derivation up to its
+# p-th power and c enters D(c, n) = den(c)^n * n!, so the digits of every
+# coefficient grow with p times the digits of the parameters: bounded at
+# the README's slowest bracket, 300 * 6; the slowest shape it accepts took
+# about a minute (README), and far above it a coefficient cannot be printed.
+MAX_PARAMETER_SIZE = 1800
 
 
-def _check_spread(command: str, limit: int, option: str, p: int, d: derivations.Derivation, inputs: dict) -> None:
+def _check_spread(command: str, limit: int, option: str, p: int, d: derivations.Derivation, params: list, inputs: dict) -> None:
     """Reject p times the exponent spread of the named inputs under p powers
-    of d times each input's terms above limit: a sum costs what its terms do."""
+    of d times each input's terms above limit: a sum costs what its terms do;
+    then p times the digits of the parameters above MAX_PARAMETER_SIZE."""
     localizing = not all(membership(image, "Jtilde") for image in d.images)
     spread = p if localizing else min(p, _largest_exponent(*inputs.values()))
     terms = {f"terms of {name}": len(x.terms()) for name, x in inputs.items()}
     _check_product(command, limit, {option: p, "exponent spread": spread, **terms})
+    digits = sum(len(str(max(abs(x.numerator), x.denominator))) for x in params)
+    _check_product(command, MAX_PARAMETER_SIZE, {option: p, "parameter digits": digits})
 
 
 def _cmd_bracket(args) -> int:
-    params = _rational_list(args.params)
-    _check_sizes(args, {"n": MAX_POWER})
     f = _element(args.f, args.allow_f2)
     g = _element(args.g, args.allow_f2)
     rc = args.family == "rc"  # the classical bracket: rc_localized(0, 0) on C[E4, E6]
-    if rc and params:
+    if rc and args.params:
         raise UsageError("family rc takes no parameters")
-    family = brackets.rc_localized(0, 0) if rc else _build("family", _FAMILIES, args.family, params)
-    _check_spread("bracket", MAX_BRACKET_SIZE, "--n", args.n, family.derivation, {"--f": f, "--g": g})
+    family = brackets.rc_localized(0, 0) if rc else _build("family", _FAMILIES, args.family, args.params)
+    _check_spread("bracket", MAX_BRACKET_SIZE, "--n", args.n, family.derivation, args.params, {"--f": f, "--g": g})
     try:
         value = brackets.rc_classical(args.n, f, g) if rc else brackets.bracket_n(family, args.n, f, g)
     except ValueError as exc:  # an input outside C[E4, E6], or an exponent out of range
@@ -266,20 +282,14 @@ def _cmd_bracket(args) -> int:
 
 
 def _cmd_deriv(args) -> int:
-    params = _rational_list(args.param)
-    _check_sizes(args, {"power": MAX_POWER})
-    d = _build("derivation", _DERIVATIONS, args.name, params)
+    d = _build("derivation", _DERIVATIONS, args.name, args.param)
     f = _element(args.input, args.allow_f2)
-    _check_spread("deriv", MAX_DERIV_SIZE, "--power", args.power, d, {"--input": f})
+    _check_spread("deriv", MAX_DERIV_SIZE, "--power", args.power, d, args.param, {"--input": f})
     value = derivations.iterate(d, args.power, f)
     _emit_element(value, args.json)
     return 0
 
 
-# Largest sizes verify and scan-conjecture accept: one at its bound, the
-# others at their defaults, runs in at most about a minute and a half (README).
-VERIFY_LIMITS = {"nmax": 16, "pairs": 1000, "weight_cap": 12, "index_cap": 3}
-SCAN_LIMITS = {"nmax": 12, "weight_cap": 32, "index_cap": 6}
 # Sizes multiply: the associativity suite costs about (basis size * nmax)^3,
 # so that product is bounded too, at the 53 monomials of --index-cap 3 times
 # the default --nmax 3.  The suite checks about half the ordered triples, which
@@ -293,8 +303,6 @@ MAX_SCAN_SIZE = 193 ** 2 * 3
 
 
 def _cmd_verify(args) -> int:
-    _check_sizes(args, VERIFY_LIMITS)
-    params = _rational_list(args.params)
     rng = random.Random(args.seed)
     if args.suite == "vinset":
         u_values = _u_values(args.u) if args.u else [Fraction(0), Fraction(1, 12), Fraction(-1, 6), Fraction(1)]
@@ -302,8 +310,8 @@ def _cmd_verify(args) -> int:
     else:
         if not args.family:
             raise UsageError(f"suite {args.suite} requires --family")
-        fam = _build("family", _FAMILIES, args.family, params)
-        tag = f"{args.family}[{','.join(str(p) for p in params)}]"
+        fam = _build("family", _FAMILIES, args.family, args.params)
+        tag = f"{args.family}[{','.join(str(p) for p in args.params)}]"
         weight_cap = args.weight_cap if args.weight_cap is not None else 8
         index_cap = args.index_cap if args.index_cap is not None else 2
         capped = args.weight_cap is not None or args.index_cap is not None
@@ -327,10 +335,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    values = _rational_list(args.params)
-    if len(values) != 10:
+    if len(args.params) != 10:
         raise UsageError("classify takes ten comma-separated rationals")
-    p = classifier.PoissonParams.of(*values)
+    p = classifier.PoissonParams.of(*args.params)
     residuals = classifier.relations_residual(p)
     labels = classifier.classify(p)
     payload = {
@@ -352,16 +359,14 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_iso(args) -> int:
-    src_triple = _rational_list(args.from_params)
-    dst_triple = _rational_list(args.to_params)
-    if len(src_triple) != 3 or len(dst_triple) != 3:
+    if len(args.src_triple) != 3 or len(args.dst_triple) != 3:
         raise UsageError("iso takes --from a,b,c and --to a2,b2,c2")
-    flag, scaling = classifier.modular_isomorphic(dst_triple, src_triple)
+    flag, scaling = classifier.modular_isomorphic(args.dst_triple, args.src_triple)
     payload = {
         "isomorphic": flag,
         "scaling": [str(s) for s in scaling] if scaling else None,
-        "normal_form_from": [str(x) for x in classifier.normal_form(*src_triple)],
-        "normal_form_to": [str(x) for x in classifier.normal_form(*dst_triple)],
+        "normal_form_from": [str(x) for x in classifier.normal_form(*args.src_triple)],
+        "normal_form_to": [str(x) for x in classifier.normal_form(*args.dst_triple)],
     }
     if args.json:
         print(json.dumps(payload, sort_keys=True))
@@ -373,7 +378,6 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    _check_sizes(args, SCAN_LIMITS)
     u_values = _u_values(args.u)
     pairs = len(verifier.monomial_basis(args.weight_cap, args.index_cap)) ** 2
     _check_product("scan-conjecture", MAX_SCAN_SIZE, {"basis pairs": pairs, "(--nmax + 1)": args.nmax + 1, "--u values": len(u_values)})
@@ -394,6 +398,19 @@ def _cmd_scan(args) -> int:
 
 # --------------------------------------------------------------------- main
 
+# The least and largest value of each size option, by command.  A negative
+# size is vacuous; a window holds a w exponent and a bidegree check a pair,
+# so --G and --pairs start at 1.  verify and scan-conjecture run
+# in at most about a minute and a half with one size at its largest and the
+# others at their defaults (README).
+SIZE_RANGES = {
+    "expand": {"N": (0, MAX_Q_ORDER), "G": (1, MAX_WINDOW)},
+    "bracket": {"n": (0, MAX_POWER)},
+    "deriv": {"power": (0, MAX_POWER)},
+    "verify": {"nmax": (0, 16), "pairs": (1, 1000), "weight_cap": (0, 12), "index_cap": (0, 3)},
+    "scan-conjecture": {"nmax": (0, 12), "weight_cap": (0, 32), "index_cap": (0, 6)},
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -402,29 +419,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--seed", type=_integer, default=0, help="seed for random sampling")
-    common.add_argument("--allow-f2", action="store_true", help="accept F2 in element text, rewriting it as B*A^-1")
+    # the commands that read element text
+    element_text = argparse.ArgumentParser(add_help=False, parents=[common])
+    element_text.add_argument("--allow-f2", action="store_true", help="accept F2 in element text, rewriting it as B*A^-1")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("expand", parents=[common], help="q-expansions of the generators")
+    p = sub.add_parser("expand", parents=[element_text], help="q-expansions of the generators")
     p.add_argument("--what", required=True, choices=[*_EXPANSIONS, "element"])
     p.add_argument("--element", default=None)
     p.add_argument("--N", type=_integer, default=10)
     p.add_argument("--G", type=_integer, default=24)
     p.set_defaults(func=_cmd_expand)
 
-    p = sub.add_parser("bracket", parents=[common], help="evaluate one bracket of a family")
+    p = sub.add_parser("bracket", parents=[element_text], help="evaluate one bracket of a family")
     p.add_argument("--family", required=True, choices=sorted(_FAMILIES) + ["rc"])
-    p.add_argument("--params", default="")
+    p.add_argument("--params", type=_rational_list, default="")
     p.add_argument("--n", type=_integer, required=True)
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
     p.set_defaults(func=_cmd_bracket)
 
-    p = sub.add_parser("deriv", parents=[common], help="apply a named derivation")
+    p = sub.add_parser("deriv", parents=[element_text], help="apply a named derivation")
     p.add_argument("--name", required=True, choices=sorted(_DERIVATIONS))
-    p.add_argument("--param", default="")
+    p.add_argument("--param", type=_rational_list, default="")
     p.add_argument("--input", required=True)
     p.add_argument("--power", type=_integer, default=1)
     p.set_defaults(func=_cmd_deriv)
@@ -432,7 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common], help="run a verification suite")
     p.add_argument("--suite", required=True, choices=["associativity", "poisson", "bidegree", "stability", "vinset"])
     p.add_argument("--family", default=None, choices=sorted(_FAMILIES))
-    p.add_argument("--params", default="")
+    p.add_argument("--params", type=_rational_list, default="")
+    p.add_argument("--seed", type=_integer, default=0, help="seed of the bidegree suite's random pairs")
     p.add_argument("--nmax", type=_integer, default=3)
     p.add_argument("--pairs", type=_integer, default=50)
     p.add_argument("--weight-cap", type=_integer, default=None)
@@ -442,12 +461,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("classify", parents=[common], help="classify a ten-parameter bracket")
-    p.add_argument("--params", required=True, help="alpha,beta,gamma,delta,lambda,mu,theta,epsilon,xi,eta")
+    p.add_argument("--params", type=_rational_list, required=True, help="alpha,beta,gamma,delta,lambda,mu,theta,epsilon,xi,eta")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("iso", parents=[common], help="decide conjugacy of two (a,b,c) families")
-    p.add_argument("--from", dest="from_params", required=True)
-    p.add_argument("--to", dest="to_params", required=True)
+    p.add_argument("--from", dest="src_triple", type=_rational_list, required=True)
+    p.add_argument("--to", dest="dst_triple", type=_rational_list, required=True)
     p.set_defaults(func=_cmd_iso)
 
     p = sub.add_parser("scan-conjecture", parents=[common], help="membership scan on the stability line")
@@ -467,6 +486,7 @@ def main(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
         args._argv = list(argv) if argv is not None else sys.argv[1:]
+        _check_sizes(args, SIZE_RANGES.get(args.command, {}))
         return args.func(args)
     except SystemExit as exc:  # argparse has printed its usage error or help
         return USAGE_ERROR if exc.code not in (0, None) else 0

@@ -522,6 +522,10 @@ def monomial_basis(weight_cap: int, index_cap: int, algebra: str = "Jtilde") -> 
 # ---------------------------------------------------------------------- text
 
 _MAX_EXPONENT = 10 ** 6
+# The most digits of a number in element text, and of the numerators and
+# the common denominator of a parsed element: int() refuses more than 4300,
+# and a coefficient of more than 4300 digits cannot be printed.
+_MAX_DIGITS = 100
 
 _TOKEN = re.compile(r"(?P<name>E4|E6|F2|A|B)|(?P<int>[0-9]+)|(?P<op>[-+*/^])|(?P<bad>\S)")
 
@@ -531,7 +535,12 @@ def _tokenize(text: str):
     for match in _TOKEN.finditer(text):
         if match.lastgroup == "bad":
             raise ParseError(f"unexpected character {match.group()!r}", match.start())
-        tokens.append((match.lastgroup, match.group(), match.start()))
+        value = match.group()
+        if match.lastgroup == "int":
+            value = value.lstrip("0") or "0"
+            if len(value) > _MAX_DIGITS:
+                raise ParseError(f"number of more than {_MAX_DIGITS} digits", match.start())
+        tokens.append((match.lastgroup, value, match.start()))
     return tokens
 
 
@@ -594,7 +603,11 @@ def parse_element(text: str, allow_f2: bool = False) -> BigradedElement:
             more = take("op", "*")
         total[exps] = total.get(exps, 0) + coeff
         if take("end"):
-            return BigradedElement(total)
+            # terms add up, so the sums must keep to the digits of one number
+            element = BigradedElement(total)
+            if max([element._den, *map(abs, element._num.values())]) >= 10 ** _MAX_DIGITS:
+                raise ParseError(f"coefficients of more than {_MAX_DIGITS} digits over a common denominator", 0)
+            return element
 
 
 def _format_monomial(m) -> str:

@@ -192,6 +192,14 @@ def test_params_from_mu1_rejects_escaping_brackets():
         params_from_mu1(mu1(crochet(F(1), F(1))))
 
 
+def test_params_from_mu1_rejects_a_bracket_off_the_classical_one():
+    from jacobiforms import src
+
+    classical = mu1(src())
+    with pytest.raises(ValueError, match="^bracket does not restrict to the classical first bracket$"):
+        params_from_mu1(lambda f, g: 2 * classical(f, g))
+
+
 @pytest.mark.parametrize("mu", [F(0), F(1), F(-3), F(7, 2)])
 def test_oberdieck_bracket_sits_in_family_b(mu):
     p = params_from_mu1(mu1(orc(mu)))

@@ -273,6 +273,25 @@ BAD_INPUTS = {
     "scan-size-above-limit-at-nmax-12": ["scan-conjecture", "--u", "0", "--nmax", "12", "--weight-cap", "16", "--index-cap", "3"],
     "scan-size-just-above-limit": ["scan-conjecture", "--u", "0", "--nmax", "12", "--weight-cap", "32", "--index-cap", "1"],
     "scan-size-above-limit-by-u-values": ["scan-conjecture", "--u", "0,1", "--weight-cap", "32"],
+    # numbers too long for int() or str(): at most 100 digits in element text
+    # and 12 in a rational option, and the power (or order) times the digits
+    # of the parameters bounded
+    "deriv-long-coefficient": ["deriv", "--name", "serre", "--input", "7" * 5000 + "*E4"],
+    # terms on one monomial add up: 50 distinct 100-digit denominators make one of over 4300 digits
+    "deriv-summed-coefficients": ["deriv", "--name", "serre", "--input", " + ".join(f"1/{10 ** 99 + 2 * k + 1}*E4" for k in range(50))],
+    "deriv-long-parameter": ["deriv", "--name", "serre_ab", "--param", "1/1" + "0" * 100 + ",1", "--input", "A", "--power", "300"],
+    "deriv-parameter-digits-above-limit": ["deriv", "--name", "serre_ab", "--param", "1/1" + "0" * 20 + ",1", "--input", "A", "--power", "300"],
+    "bracket-long-coefficients": ["bracket", "--family", "accol", "--params", "1,1,0", "--n", "1", "--f", "7" * 3000 + "*E4", "--g", "7" * 3000 + "*E6"],
+    "iso-long-numbers": ["iso", "--from", "7" * 3000 + "," + "7" * 3000 + ",1", "--to", "1,1,1"],
+    "bracket-long-parameter": [
+        "bracket", "--family", "accol", "--params", "1,1,1/1000000000000000000000000000057", "--f", "E4^3*A*B^2", "--g", "E6^2*B^3", "--n", "300",
+    ],
+    "bracket-parameter-digits-above-limit": [
+        "bracket", "--family", "accol", "--params", "1,1,1/1000000007", "--f", "E4^3*A*B^2", "--g", "E6^2*B^3", "--n", "300",
+    ],
+    "verify-long-parameter": ["verify", "--suite", "poisson", "--family", "orc", "--params", "1/1234567890123"],
+    "scan-long-u": ["scan-conjecture", "--u", "1/1234567890123", "--nmax", "0"],
+    "expand-long-exponent": ["expand", "--what", "element", "--element", "E4^" + "1" * 5000],
 }
 
 
@@ -349,11 +368,29 @@ def test_expand_bad_sizes_are_usage_errors(capsys, argv):
             ["bracket", "--family", "accol", "--params", "1,1,0", "--n", "300", "--f", "E4*A*B + E6", "--g", "B + A"],
             "bracket needs --n * exponent spread * terms of --f * terms of --g <= 900, got 300 * 1 * 2 * 2",
         ),
+        (["expand", "--what", "element"], "--what element requires --element"),
+        (["deriv", "--name", "serre", "--input", "7" * 101 + "*E4"], f"bad element '{'7' * 101}*E4': number of more than 100 digits (at position 0)"),
+        (["iso", "--from", "7" * 3000 + ",1,1", "--to", "1,1,1"], "a numerator or denominator has at most 12 digits, got 3000"),
+        (
+            ["deriv", "--name", "serre", "--input", f"1/{10 ** 99 + 1}*E4 + 1/{10 ** 99 + 3}*E4"],
+            f"bad element '1/{10 ** 99 + 1}*E4 + 1/{10 ** 99 + 3}*E4': coefficients of more than 100 digits over a common denominator (at position 0)",
+        ),
+        (
+            ["deriv", "--name", "serre_ab", "--param", "1/1000000007,1", "--input", "A", "--power", "300"],
+            "deriv needs --power * parameter digits <= 1800, got 300 * 11",
+        ),
+        (
+            ["bracket", "--family", "accol", "--params", "1,1,1/1000000007", "--f", "E4^3*A*B^2", "--g", "E6^2*B^3", "--n", "300"],
+            "bracket needs --n * parameter digits <= 1800, got 300 * 12",
+        ),
+        # a bad rational is read in parsing, before any bound
+        (["verify", "--suite", "poisson", "--family", "orc", "--params", "x", "--nmax", "17"], "not a rational: 'x'"),
     ],
     ids=[
         "N-negative", "N-above", "G-zero", "G-above", "N-before-G", "n-negative", "rc-n-above", "power-negative", "power-above",
         "bracket-params-first", "deriv-params-first", "N-unicode", "params-unicode", "associativity-size", "scan-size", "scan-size-u-values",
-        "pairs-zero", "deriv-spread", "bracket-spread", "bracket-localizing-spread", "bracket-terms",
+        "pairs-zero", "deriv-spread", "bracket-spread", "bracket-localizing-spread", "bracket-terms", "element-needs-text",
+        "element-long-number", "rational-long-number", "element-summed-coefficients", "deriv-parameter-digits", "bracket-parameter-digits", "verify-params-first",
     ],
 )
 def test_size_bounds_name_the_option_and_its_range(capsys, argv, line):
@@ -439,10 +476,19 @@ def test_verify_associativity_size_limit_is_inclusive(capsys, monkeypatch, caps,
         ["deriv", "--name", "partial_u", "--param", "0", "--input", "A", "--power", "94"],
         ["bracket", "--family", "accol", "--params", "1,1,0", "--f", "E4*A*B + E6 + A", "--g", "E6*B", "--n", "300"],
         ["deriv", "--name", "serre_ab", "--param", "1,1", "--input", "E4^15*A + E6^15*B", "--power", "300"],
+        # the README's slowest bracket and its deriv: p times the parameter digits 300 * 6 and 300 * 5
+        ["bracket", "--family", "accol", "--params", "355/113,-17/19,7/5", "--f", "E4^3*A*B^2", "--g", "E6^2*B^3", "--n", "300"],
+        ["deriv", "--name", "serre_ab", "--param", "355/113,-17/19", "--input", "E4^30*E6^30*A^30*B^30", "--power", "300"],
+        # parameters of 12 digits: 75 * 24 and 128 * 14
+        ["deriv", "--name", "serre_ab", "--param", "1/100000000007,1/100000000007", "--input", "E4^1000000*A^-999999", "--power", "75"],
+        ["bracket", "--family", "accol", "--params", "0,0,1/100000000007", "--f", "E4^3", "--g", "E6^2", "--n", "128"],
+        # a long coefficient enters once, not per power
+        ["bracket", "--family", "accol", "--params", "1,1,0", "--f", "7" * 100 + "*E4^3*A*B^2", "--g", "7" * 100 + "*E6^2*B^3", "--n", "300"],
     ],
     ids=[
         "bracket-300x3", "bracket-localizing-30x30", "bracket-rc-30x30", "deriv-300x30", "deriv-94x94", "deriv-localizing-94x94",
-        "bracket-300x1x3x1", "deriv-300x15x2",
+        "bracket-300x1x3x1", "deriv-300x15x2", "bracket-300-digits-6", "deriv-300-digits-5", "deriv-75-digits-24", "bracket-128-digits-14",
+        "bracket-long-coefficients-300x3",
     ],
 )
 def test_power_times_exponent_spread_limit_is_inclusive(capsys, monkeypatch, argv):
@@ -495,6 +541,14 @@ def test_negative_rationals_via_equals_form(capsys):
     assert json.loads(out)["isomorphic"] is True
 
 
+def test_leading_zeros_do_not_count_as_digits(capsys):
+    # the digit bounds are on the numbers, not on the text
+    code, out, _ = run(capsys, "deriv", "--name", "serre_ab", "--param=-00000000000001/0000000000006,1/" + "0" * 5000 + "3", "--input", "A")
+    assert (code, out) == (0, "-1/6*B\n")
+    code, out, _ = run(capsys, "deriv", "--name", "serre", "--input", "0" * 5000 + "7/" + "0" * 200 + "3*E4")
+    assert (code, out) == (0, "-7/9*E6\n")
+
+
 def test_a_reader_that_closes_early_gets_no_traceback():
     # `| head -1` on a scan of about 2 MB of rows: the closed pipe ends the
     # output, not the scan, which exits with its own status and a quiet stderr
@@ -509,3 +563,49 @@ def test_a_reader_that_closes_early_gets_no_traceback():
     err = proc.stderr.read()
     assert (proc.wait(timeout=60), err) == (0, b"")
     assert first == b"u=0 v=1 n=0 f=(1) g=(1) in_Jtilde=true\n"
+
+
+# each command takes the options it reads: --json everywhere, --seed for the
+# bidegree suite of verify, --allow-f2 where element text is read
+OPTIONS = {
+    "expand": ["--json", "--allow-f2", "--what", "--element", "--N", "--G"],
+    "bracket": ["--json", "--allow-f2", "--family", "--params", "--n", "--f", "--g"],
+    "deriv": ["--json", "--allow-f2", "--name", "--param", "--input", "--power"],
+    "verify": ["--json", "--suite", "--family", "--params", "--seed", "--nmax", "--pairs", "--weight-cap", "--index-cap", "--algebra", "--u"],
+    "classify": ["--json", "--params"],
+    "iso": ["--json", "--from", "--to"],
+    "scan-conjecture": ["--json", "--u", "--nmax", "--weight-cap", "--index-cap"],
+}
+
+
+def test_each_command_takes_only_the_options_it_reads():
+    import argparse
+
+    from jacobiforms.cli import _PARSER
+
+    (commands,) = [action for action in _PARSER._actions if isinstance(action, argparse._SubParsersAction)]
+    got = {name: sorted(s for action in p._actions for s in action.option_strings) for name, p in commands.choices.items()}
+    assert got == {name: sorted(["-h", "--help", *options]) for name, options in OPTIONS.items()}
+
+
+SEED, ALLOW_F2 = ["--seed", "1"], ["--allow-f2"]
+DROPPED_OPTIONS = {
+    "expand-seed": (["expand", "--what", "A", "--N", "1"], SEED),
+    "bracket-seed": (["bracket", "--family", "rc", "--n", "1", "--f", "E4", "--g", "E6"], SEED),
+    "deriv-seed": (["deriv", "--name", "serre", "--input", "E4"], SEED),
+    "classify-seed": (["classify", "--params", "4,6,2,-2,0,0,0,0,0,0"], SEED),
+    "iso-seed": (["iso", "--from", "2,3,5", "--to", "1,6,5"], SEED),
+    "scan-seed": (["scan-conjecture", "--u", "0", "--nmax", "0", "--weight-cap", "0"], SEED),
+    "verify-allow-f2": (["verify", "--suite", "vinset", "--u", "0"], ALLOW_F2),
+    "classify-allow-f2": (["classify", "--params", "4,6,2,-2,0,0,0,0,0,0"], ALLOW_F2),
+    "iso-allow-f2": (["iso", "--from", "2,3,5", "--to", "1,6,5"], ALLOW_F2),
+    "scan-allow-f2": (["scan-conjecture", "--u", "0", "--nmax", "0", "--weight-cap", "0"], ALLOW_F2),
+}
+
+
+@pytest.mark.parametrize("argv, dropped", DROPPED_OPTIONS.values(), ids=DROPPED_OPTIONS.keys())
+def test_an_option_the_command_does_not_read_is_a_usage_error(capsys, argv, dropped):
+    assert run(capsys, *argv)[0] == 0
+    code, out, err = run(capsys, *argv, *dropped)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: unrecognized arguments: {' '.join(dropped)}\n")

@@ -301,6 +301,11 @@ def test_euler_commutator_zero_derivation():
     assert euler_commutator_check(zero_derivation(), F(5))
 
 
+def test_euler_commutator_fails_for_a_derivation_of_weight_four():
+    # W o d - d o W = 4d for the commutator of two admissible derivations
+    assert not euler_commutator_check(commutator(serre(), oberdieck()), F(0))
+
+
 def test_pochhammer():
     w = EulerWeighting(F(0))
     f = E4 * E6  # weight 10

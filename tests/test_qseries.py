@@ -749,3 +749,13 @@ def test_jtilde_oracle_catches_a_flipped_j1g_term(bundle8):
     flipped = replace(bundle8, j1g=-bundle8.j1g)
     checked, mismatched = jtilde_mismatches(flipped, orc, range(1, 5))
     assert mismatched >= checked // 2
+
+
+def test_golden_check_refuses_a_wrong_row():
+    from jacobiforms import qseries
+
+    series = qseries.theta_quotient_A(2)
+    rows = (qseries._A_Q0, qseries._A_Q1, qseries._A_Q2)
+    assert qseries._golden_checked(series, rows, "theta quotient") is series
+    with pytest.raises(InternalInvariantError, match=r"^theta quotient mismatch at q\^1: "):
+        qseries._golden_checked(series, (rows[0], rows[1] * F(2), rows[2]), "theta quotient")

@@ -393,6 +393,22 @@ def test_bidegree_law_report(rng):
     assert check_bidegree_law(rc_localized(F(1, 12), F(0)), 3, pairs).passed
 
 
+def test_bidegree_law_fails_for_a_derivation_of_weight_four():
+    # serre o oberdieck - oberdieck o serre raises the weight by four, so
+    # BracketFamily refuses it; around it, mu_1(B, E4) lands in weight 8
+    from jacobiforms import commutator, oberdieck, serre
+
+    family = SimpleNamespace(derivation=commutator(serre(), oberdieck()), c=F(0))
+    report = check_bidegree_law(family, 1, [(B, E4)])
+    assert not report.passed
+    assert report.witness == {
+        "identity": "bidegree",
+        "inputs": {"f": B, "g": E4, "n": 1, "expected": (6, 1)},
+        "lhs": F(-4, 9) * E4 * E6 * A,
+        "rhs": None,
+    }
+
+
 def test_stability_dichotomy_alpha():
     # stable exactly when alpha = 0
     assert check_stability(crochet(0, F(7, 5)), "Jtilde", 3).passed
@@ -545,6 +561,29 @@ def test_vinset_displays_fail_with_the_wrong_closed_form(monkeypatch):
     }
 
 
+def test_vinset_iff_fails_when_every_family_is_on_the_line(monkeypatch):
+    from jacobiforms import verifier
+
+    on_line = verifier.rc_localized
+    monkeypatch.setattr(verifier, "rc_localized", lambda u, v: on_line(u, 12 * u + 1))
+    displays, iff, line_identity = check_vinset([F(0)])
+    assert line_identity.passed and not iff.passed
+    assert iff.witness == {"identity": "iff", "inputs": {"u": F(0), "v": F(0), "stable": True}, "lhs": None, "rhs": None}
+
+
+def test_vinset_line_identity_fails_with_the_wrong_index_weight(monkeypatch):
+    from jacobiforms import verifier
+
+    true_accol = verifier.accol
+    monkeypatch.setattr(verifier, "accol", lambda a, b, c: true_accol(a, b, c + 1))
+    displays, iff, line_identity = check_vinset([F(0)])
+    assert displays.passed and iff.passed and not line_identity.passed
+    witness = line_identity.witness
+    assert witness["identity"] == "line-identity" and witness["inputs"]["u"] == F(0)
+    f, g = witness["inputs"]["f"], witness["inputs"]["g"]
+    assert witness["lhs"] == bracket_n(rc_localized(0, 1), 1, f, g) != witness["rhs"]
+
+
 def test_vinset_line_identity_value_of_c():
     # on the line the matching index weight is v itself, not -v/3
     u = F(1)
@@ -568,6 +607,17 @@ def test_scan_conjecture_small():
     assert report.details
     assert all(row[-1] for row in report.details)
     assert report.params["pairs"] == len(monomial_basis(8, 2)) ** 2
+
+
+def test_scan_conjecture_fails_when_the_off_line_brackets_stay_in_the_algebra(monkeypatch):
+    # every family on the line: the scan rows pass, the negative direction does not
+    from jacobiforms import verifier
+
+    on_line = verifier.rc_localized
+    monkeypatch.setattr(verifier, "rc_localized", lambda u, v: on_line(u, 12 * u + 1))
+    report = scan_conjecture([F(0)], 1, 4, 1)
+    assert not report.passed and all(row[-1] for row in report.details)
+    assert report.witness == {"identity": "negative-direction", "inputs": {"u": F(0), "v": F(0)}, "lhs": None, "rhs": None}
 
 
 def test_scan_conjecture_rows_name_their_monomials():
