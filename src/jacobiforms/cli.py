@@ -59,12 +59,18 @@ MAX_DIGITS = 12
 # p or p/q in ASCII digits, q not zero; Fraction also reads any Unicode
 # digit, decimals and exponents ("1e999999999", a billion digits)
 _RATIONAL = re.compile(r"([+-]?)([0-9]+)(?:/(0*[1-9][0-9]*))?")
+# An error line quotes at most this many characters of command-line text
+MAX_ECHO = 240
+
+
+def _echo(text: str) -> str:
+    return repr(text) if len(text) <= MAX_ECHO else f"{text[:MAX_ECHO]!r}... ({len(text)} characters)"
 
 
 def _rational(text: str) -> Fraction:
     match = _RATIONAL.fullmatch(text.strip())
     if not match:
-        raise UsageError(f"not a rational: {text!r}")
+        raise UsageError(f"not a rational: {_echo(text)}")
     # the digits of the numbers, not of the text: leading zeros go first
     sign, num, den = match.groups()
     num, den = num.lstrip("0") or "0", (den or "1").lstrip("0")
@@ -78,11 +84,11 @@ def _integer(text: str) -> int:
     """The type of the integer options: int, which reads any Unicode decimal
     digit, of ASCII text only; argparse's own line for non-integers."""
     if not text.isascii():
-        raise UsageError(f"not an integer: {text!r}")
+        raise UsageError(f"not an integer: {_echo(text)}")
     try:
         return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {_echo(text)}") from None
 
 
 def _rational_list(text: str) -> list[Fraction]:
@@ -106,7 +112,7 @@ def _element(text: str, allow_f2: bool) -> BigradedElement:
     try:
         return parse_element(text, allow_f2=allow_f2)
     except (ParseError, BidegreeError) as exc:
-        raise UsageError(f"bad element {text!r}: {exc}")
+        raise UsageError(f"bad element {_echo(text)}: {exc}")
 
 
 def _emit_element(value: BigradedElement, as_json: bool) -> None:
@@ -215,7 +221,7 @@ def _cmd_expand(args) -> int:
     else:
         f = _element(args.element, args.allow_f2)
         if _largest_exponent(f) > MAX_ELEMENT_EXPONENT:
-            raise UsageError(f"--element exponents must be at most {MAX_ELEMENT_EXPONENT} in size, got {args.element!r}")
+            raise UsageError(f"--element exponents must be at most {MAX_ELEMENT_EXPONENT} in size, got {_echo(args.element)}")
         try:
             series = qseries.evaluate(f, qseries.make_bundle(args.N))
         except ValueError as exc:  # negative A exponents

@@ -128,14 +128,17 @@ def check_poisson(
     """Skew-symmetry, Leibniz in each argument and the Jacobi identity for
     a bilinear first bracket, over basis tuples.
 
-    Each distinct identity is checked once.  The bracket of two basis
-    elements is computed once, into a table.  Skew-symmetry at (i, j) is
-    the one at (j, i), and Leibniz at (i, j, k) the one at (j, i, k)
-    (f*g = g*f), so both are checked for i <= j only; the Jacobi sum is
-    the same for the three rotations of (i, j, k), so it is checked for
-    the smallest.  Every skipped copy comes later in the loop order than
-    the copy checked, so the first witness is that of the loop over all
-    ordered tuples.
+    Each distinct identity is checked once, from a table of the brackets
+    of basis pairs: skew-symmetry and Leibniz for i <= j only (f*g = g*f),
+    Jacobi for i < j < k only, as J = {f,{g,h}} - {g,{f,h}} + {h,{f,g}}
+    from the upper triangle.  Skew-symmetry is checked first, and once it
+    holds on the basis, linearity in the second argument makes J the
+    rotation sum {f,{g,h}} + {g,{h,f}} + {h,{f,g}}, which rotating the
+    arguments keeps and swapping f and g negates term by term.  So J is
+    alternating, zero at a repeated index, and fails at a triple exactly
+    when at the sorted one.  Every skipped copy comes later in the loop
+    order than the copy checked, so the first witness is that of the loop
+    over all ordered tuples.
     """
     basis = list(GENERATORS) if basis is None else basis
     table = [[mu1(f, g) for g in basis] for f in basis]
@@ -154,9 +157,8 @@ def check_poisson(
                         rhs = linear_combination(((1, f, table[j][k]), (1, table[i][k], g)))
                         if lhs != rhs:
                             yield _witness("leibniz", {"f": f, "g": g, "h": h}, lhs, rhs)
-                    if (i, j, k) <= (j, k, i) and (i, j, k) <= (k, i, j):
-                        rotations = ((i, j, k), (j, k, i), (k, i, j))
-                        jac = linear_combination((1, mu1(basis[x], table[y][z])) for x, y, z in rotations)
+                    if i < j < k:
+                        jac = linear_combination(((1, mu1(f, table[j][k])), (-1, mu1(g, table[i][k])), (1, mu1(h, table[i][j]))))
                         if jac != ZERO:
                             yield _witness("jacobi", {"f": f, "g": g, "h": h}, jac, ZERO)
 

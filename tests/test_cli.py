@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import jacobiforms
+from jacobiforms import cli
 from jacobiforms.cli import main
 
 
@@ -395,6 +396,35 @@ def test_expand_bad_sizes_are_usage_errors(capsys, argv):
 )
 def test_size_bounds_name_the_option_and_its_range(capsys, argv, line):
     assert run(capsys, *argv) == (2, "", f"error: {line}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["deriv", "--name", "serre", "--input", "7" * 5000 + "*E4"], "number of more than 100 digits (at position 0)"),
+        (["expand", "--what", "element", "--element", "*".join(["E4^8"] * 1000)], None),
+        (["bracket", "--family", "orc", "--params", "x" * 5000, "--n", "1", "--f", "A", "--g", "B"], None),
+    ],
+    ids=["element-text", "element-exponents", "rational"],
+)
+def test_an_error_line_repeats_long_text_cut_with_its_length(capsys, argv, reason):
+    text = max(argv, key=len)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{text[:cli.MAX_ECHO]!r}... ({len(text)} characters)" in err
+    assert len(err) < cli.MAX_ECHO + 120
+    if reason:
+        assert err.endswith(f": {reason}\n")
+
+
+def test_a_bad_integer_option_is_quoted_cut_with_its_length(capsys):
+    text = "9" * 5000 + "x"
+    code, out, err = run(capsys, "expand", "--what", "A", "--N", text)
+    assert (code, out) == (2, "")
+    last = err.splitlines()[-1]
+    assert last.endswith(f"argument --N: invalid int value: {text[:cli.MAX_ECHO]!r}... (5001 characters)")
+    assert len(err) < 1000
 
 
 def test_vinset_empty_u_keeps_the_default_values(capsys):

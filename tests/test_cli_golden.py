@@ -48,6 +48,8 @@ COMMANDS = [
     ["verify", "--suite", "associativity", "--family", "crochet", "--params", "1/3,997/1000", "--weight-cap", "4", "--index-cap", "1", "--nmax", "2"],
     ["verify", "--suite", "poisson", "--family", "orc", "--params", "7/5"],
     ["verify", "--suite", "poisson", "--family", "Crochet", "--params", "1/12,2", "--weight-cap", "4", "--index-cap", "1"],
+    # the default caps spelled out: 29 monomials, 3,654 Jacobi triples
+    ["verify", "--suite", "poisson", "--family", "accol", "--params", "1,1,0", "--weight-cap", "8", "--index-cap", "2"],
     ["verify", "--suite", "bidegree", "--family", "scal", "--params", "1,-3/4", "--pairs", "5", "--seed", "7"],
     ["verify", "--suite", "bidegree", "--family", "accol", "--params", "1,2,3", "--pairs", "3", "--weight-cap", "6", "--index-cap", "1"],
     ["verify", "--suite", "stability", "--family", "accol", "--params", "1,1,1", "--algebra", "M"],

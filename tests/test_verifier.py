@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import random
 from fractions import Fraction as F
 from types import SimpleNamespace
@@ -372,19 +374,85 @@ def test_poisson_report_equals_the_all_ordered_tuples_loop(mu1, seed, size):
 
 def test_poisson_brackets_each_basis_pair_once_and_each_identity_once():
     bracket = bracket_from_params(family_b(2, F(-1, 3), F(5, 7)))
-    calls = []
+    calls, values = [], []
 
     def counting(f, g):
         calls.append((f, g))
-        return bracket(f, g)
+        values.append(bracket(f, g))
+        return values[-1]
 
     basis = monomial_basis(4, 1)
     n = len(basis)
     assert n == 7
     assert check_poisson(counting, basis).passed
     # n^2 table entries, n^2(n+1)/2 Leibniz left sides, 3 per Jacobi
-    # necklace of which there are (n^3 + 2n)/3
-    assert len(calls) == n * n + n * n * (n + 1) // 2 + n ** 3 + 2 * n == 602
+    # triple i < j < k, of which there are C(n, 3)
+    assert len(calls) == n * n + n * n * (n + 1) // 2 + 3 * math.comb(n, 3) == 350
+    # the table is the first n^2 calls, row by row; a Jacobi call is one
+    # whose second argument is not a basis element, and it reads the
+    # upper triangle of the table only, each of its entries
+    assert calls[: n * n] == [(f, g) for f in basis for g in basis]
+    upper = {id(values[n * a + b]) for a in range(n) for b in range(a + 1, n)}
+    jacobi = [g for _, g in calls[n * n :] if not any(g is h for h in basis)]
+    assert len(jacobi) == 3 * math.comb(n, 3)
+    assert {id(g) for g in jacobi} == upper and len(upper) == math.comb(n, 2)
+
+
+_OFF_MANIFOLD = [
+    PoissonParams.of(1, 2, 3, 4, 5, 6, 7, 8, 9, F(1, 10)),
+    PoissonParams.of(F(-1, 2), 0, 1, 0, F(2, 3), -1, 0, 3, F(1, 3), 0),
+    PoissonParams.of(0, 0, 0, 0, 0, 0, 0, 0, 1, 1),
+]
+_ATLAS_ROWS = [family_a(2, F(1, 3)), family_b(2, F(-1, 3), F(5, 7)), family_c1(3), family_c2(F(-1, 2)), family_d(F(1, 2), 2), family_e(1, F(1, 4))]
+
+
+def _jacobi_sum(mu1, f, g, h):
+    return linear_combination((1, mu1(x, mu1(y, z))) for x, y, z in ((f, g, h), (g, h, f), (h, f, g)))
+
+
+def _sign(perm):
+    return (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+
+
+@pytest.mark.parametrize("row", _OFF_MANIFOLD)
+def test_jacobi_sum_is_alternating_once_skew_symmetry_holds(row):
+    # check_poisson reads Jacobi at i < j < k only: the sum at a permuted
+    # triple is the sign of the permutation times the sum at the sorted one,
+    # and a repeated index gives zero
+    mu1 = bracket_from_params(row)
+    basis = monomial_basis(4, 1)
+    assert len(basis) == 7
+    failing = 0
+    for triple in itertools.combinations(basis, 3):
+        sorted_sum = _jacobi_sum(mu1, *triple)
+        failing += sorted_sum != ZERO
+        for perm in itertools.permutations(range(3)):
+            assert _jacobi_sum(mu1, *(triple[x] for x in perm)) == _sign(perm) * sorted_sum
+    assert failing  # the row is off the manifold on this basis
+    for f, h in itertools.product(basis, repeat=2):
+        assert _jacobi_sum(mu1, f, f, h) == _jacobi_sum(mu1, f, h, f) == _jacobi_sum(mu1, h, f, f) == ZERO
+
+
+@pytest.mark.parametrize("row", _ATLAS_ROWS + _OFF_MANIFOLD)
+def test_poisson_report_on_the_full_basis_equals_the_all_ordered_tuples_loop(row):
+    mu1 = bracket_from_params(row)
+    basis = monomial_basis(4, 1)
+    got = check_poisson(mu1, basis).to_json_dict()
+    assert got == _poisson_all_ordered_tuples(mu1, basis).to_json_dict()
+    assert got["status"] == ("fail" if row in _OFF_MANIFOLD else "pass")
+    if row in _OFF_MANIFOLD:
+        assert got["witness"]["identity"] == "jacobi"
+
+
+def test_a_bracket_that_is_not_skew_fails_on_skew_symmetry_before_jacobi():
+    # the control for the reduction to i < j < k, which holds only once
+    # skew-symmetry does: the symmetric mutant of the hypothesis strategy
+    bracket = bracket_from_params(_OFF_MANIFOLD[0])
+    symmetric = lambda f, g: bracket(f, g) + rescaled(f * g, lambda m: m[3])
+    basis = monomial_basis(4, 1)
+    got = check_poisson(symmetric, basis).to_json_dict()
+    assert got["status"] == "fail" and got["witness"]["identity"] == "skew-symmetry"
+    assert got == _poisson_all_ordered_tuples(symmetric, basis).to_json_dict()
 
 
 def test_bidegree_law_report(rng):
