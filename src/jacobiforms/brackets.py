@@ -8,12 +8,12 @@ Its n-th bracket on homogeneous pieces of bidegrees (k, p) and (l, q) is
 extended bilinearly over homogeneous components.  Binomials use the falling
 factorial so rational and negative tops (c is a free parameter; A has weight
 -2) need no special casing.  Every binomial in a row of the n-th bracket is
-an integer over D(c, n) = den(c)^n * n!, because gbinom(T/d, j) has a
-denominator dividing d^j * j!; so each row is memoised as integers, read
-straight from `gbinom` once per (bidegree, c, n), each term's coefficient
-is an integer product, and a bracket (or a signed sum of brackets,
-`bracket_sum`) is one integer sum (`linear_combination`) divided once by
-D(c, n)^2.  `escaping_orders` reads the same terms into `elements.escapes`,
+an integer over D(c, n), den(c)^n times the part of n! made of the primes
+of den(c) (`_denominator`; 1 for integer c), so each row is memoised as
+integers, read straight from `gbinom` once per (bidegree, c, n), each
+term's coefficient is an integer product, and a bracket (or a signed sum
+of brackets, `bracket_sum`) is one integer sum (`linear_combination`)
+divided once by D(c, n)^2.  `escaping_orders` reads the same terms into `elements.escapes`,
 which decides whether a bracket leaves a subalgebra without forming it.
 The powers D^r of a component are its memoised power sequence
 (`derivations.power_sequence`).  No element is built per product.  The
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import factorial
+from math import factorial, gcd
 
 from .elements import (
     BigradedElement,
@@ -77,8 +77,25 @@ class BracketFamily:
 
 
 def _denominator(c_den: int, n: int) -> int:
-    """D(c, n) = den(c)^n * n!, a denominator of every binomial of the n-th bracket."""
-    return c_den ** n * factorial(n)
+    """D(c, n) = d^n * prod over primes l dividing d of l^v_l(n!), d = den(c):
+    a common denominator of every binomial of the n-th bracket, 1 when c is
+    an integer.
+
+    A top k + c*p + n - 1 is T/d for an integer T, and
+    gbinom(T/d, j) = prod_{i<j} (T - i*d) / (d^j * j!).  For a prime l not
+    dividing d the j factors form an arithmetic progression whose step d is
+    a unit modulo every power of l, so among them at least floor(j / l^e)
+    are divisible by l^e, and summing over e, l^v_l(j!) divides their
+    product (Legendre's formula).  So the denominator divides d^j times the
+    part of j! made of the primes of d, which divides D(c, n) for j <= n.
+    D(c, n) divides D(c, m) for n <= m, as bracket_sum needs when it mixes
+    orders."""
+    whole = rest = factorial(n)
+    common = gcd(rest, c_den)
+    while common > 1:  # strip from n! every prime of d: each is in common
+        rest //= common
+        common = gcd(rest, common)
+    return c_den ** n * (whole // rest)
 
 
 @lru_cache(maxsize=1 << 14)
@@ -88,7 +105,10 @@ def _integer_row(k: int, p: int, c_num: int, c_den: int, n: int) -> tuple[int, .
     integers, keyed on integers only."""
     top = k + Fraction(c_num, c_den) * p + n - 1
     scale = _denominator(c_den, n)
-    return tuple(int(gbinom(top, j) * scale) for j in range(n + 1))
+    row = tuple(gbinom(top, j) * scale for j in range(n + 1))
+    if any(x.denominator != 1 for x in row):
+        raise InternalInvariantError(f"a binomial of order {n} is not an integer over D(c, {n}) = {scale}")
+    return tuple(x.numerator for x in row)
 
 
 def _powers(d: Derivation, x: BigradedElement, order: int) -> list:

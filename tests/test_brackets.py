@@ -1,7 +1,6 @@
 import itertools
 import random
 from fractions import Fraction as F
-from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +14,7 @@ from jacobiforms import (
     E4,
     E6,
     GENERATORS,
+    InternalInvariantError,
     ZERO,
     accol,
     bracket_n,
@@ -33,7 +33,8 @@ from jacobiforms import (
     src,
     star_truncated,
 )
-from jacobiforms.brackets import BracketFamily, _integer_row
+from jacobiforms import brackets
+from jacobiforms.brackets import BracketFamily, _denominator, _integer_row
 from jacobiforms.derivations import Derivation
 from jacobiforms.verifier import random_homogeneous
 
@@ -140,7 +141,7 @@ def test_binomial_rows_are_the_bracket_binomials():
         bracket_n(fam, n, E4 + A, B + E6)
         for k, p in parts:
             row = _integer_row(k, p, fam.c.numerator, fam.c.denominator, n)
-            denominator = fam.c.denominator ** n * factorial(n)
+            denominator = _denominator(fam.c.denominator, n)
             assert tuple(F(x, denominator) for x in row) == tuple(gbinom(k + fam.c * p + n - 1, j) for j in range(n + 1))
     assert _integer_row.cache_info().currsize == 5 * len(parts)
     jacobiforms.clear_caches()
@@ -155,12 +156,53 @@ INDEX_WEIGHTS = [F(0), F(-3, 4), F(7, 5), F(1, 12), F(997, 1000)]
 def test_integer_rows_are_the_binomial_rows_over_the_row_denominator():
     for c in INDEX_WEIGHTS:
         for n in range(6):
-            denominator = c.denominator ** n * factorial(n)
+            denominator = _denominator(c.denominator, n)
             for k in range(-6, 9):
                 for p in range(-2, 4):
                     row = _integer_row(k, p, c.numerator, c.denominator, n)
                     assert all(type(x) is int for x in row)
                     assert tuple(F(x, denominator) for x in row) == tuple(gbinom(k + c * p + n - 1, j) for j in range(n + 1))
+
+
+def _legendre(prime, n):
+    """v_prime(n!), by Legendre's formula."""
+    return sum(n // prime ** e for e in range(1, n.bit_length() + 1))
+
+
+def test_row_denominator_is_den_c_to_the_n_times_the_primes_of_den_c_in_n_factorial():
+    assert [_denominator(1, n) for n in (0, 1, 5, 300)] == [1, 1, 1, 1]
+    assert _denominator(12, 6) == 12 ** 6 * 2 ** _legendre(2, 6) * 3 ** _legendre(3, 6)
+    assert _denominator(1000, 10) == 1000 ** 10 * 2 ** _legendre(2, 10) * 5 ** _legendre(5, 10)
+    assert _denominator(7, 6) == 7 ** 6
+    # each order's scale divides the next one's, as bracket_sum needs
+    for d in (1, 4, 12, 30, 1000):
+        assert all(_denominator(d, n + 1) % _denominator(d, n) == 0 for n in range(20))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.fractions(min_value=-50, max_value=50, max_denominator=360),
+    st.integers(-12, 24),
+    st.integers(-4, 6),
+    st.integers(0, 12),
+)
+def test_every_row_entry_is_an_integer_over_the_smallest_scale(c, k, p, n):
+    scale = _denominator(c.denominator, n)
+    binomials = [gbinom(k + c * p + n - 1, j) for j in range(n + 1)]
+    assert all((b * scale).denominator == 1 for b in binomials)
+    assert _integer_row.__wrapped__(k, p, c.numerator, c.denominator, n) == tuple(int(b * scale) for b in binomials)
+
+
+@pytest.mark.parametrize("prime", [2, 3])
+def test_a_scale_without_one_prime_power_leaves_a_fraction(monkeypatch, prime):
+    # c = 1/12, p = 1: the top's numerator is prime to 12, so the last
+    # binomial of order 6 needs every factor of 12^6 * 2^4 * 3^2
+    true_denominator = _denominator
+    monkeypatch.setattr(brackets, "_denominator", lambda d, n: true_denominator(d, n) // prime ** _legendre(prime, n))
+    scale = brackets._denominator(12, 6)
+    assert (gbinom(F(1, 12) + 5, 6) * scale).denominator == prime ** _legendre(prime, 6)
+    with pytest.raises(InternalInvariantError):
+        _integer_row.__wrapped__(0, 1, 1, 12, 6)
 
 
 def test_clear_caches_empties_the_integer_rows():
