@@ -14,6 +14,7 @@ from .elements import (
     Bidegree,
     BidegreeError,
     BigradedElement,
+    BudgetExceeded,
     E4,
     E6,
     F2,
@@ -32,6 +33,7 @@ from .elements import (
     monomial_basis,
     parse_element,
     to_json_dict,
+    work_budget,
 )
 from .derivations import (
     Derivation,

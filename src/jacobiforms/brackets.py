@@ -13,8 +13,9 @@ of den(c) (`_denominator`; 1 for integer c), so each row is memoised as
 integers, read straight from `gbinom` once per (bidegree, c, n), each
 term's coefficient is an integer product, and a bracket (or a signed sum
 of brackets, `bracket_sum`) is one integer sum (`linear_combination`)
-divided once by D(c, n)^2.  `escaping_orders` reads the same terms into `elements.escapes`,
-which decides whether a bracket leaves a subalgebra without forming it.
+divided once by D(c, n)^2.  `escaping_orders` reads the same terms into
+`elements.escapes`, which decides whether a bracket leaves a subalgebra
+without forming it.
 The powers D^r of a component are its memoised power sequence
 (`derivations.power_sequence`).  No element is built per product.  The
 same sequence is also computable in the Connes-Moscovici Pochhammer form,

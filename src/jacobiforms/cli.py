@@ -9,14 +9,15 @@ element text); nothing is ever parsed as floating point.  Output is
 deterministic for a fixed configuration and seed.  Exit codes: 0 all checks
 passed, 1 a check failed, 2 usage error, 3 an internal invariant was
 violated.  main checks every size option against its (least, largest) range
-in SIZE_RANGES.  Sizes that multiply are bounded by the commands: in bracket
-and deriv, the depth of one power sequence times the spread of the exponent
-of A times the terms of each input, by MAX_BRACKET_SIZE and MAX_DERIV_SIZE,
-and that depth times the digits of the parameters by MAX_PARAMETER_SIZE;
-in the associativity suite, its basis size times nmax, by
-MAX_ASSOCIATIVITY_SIZE; in scan-conjecture, its rows, basis pairs times
-(nmax + 1) per u, by MAX_SCAN_SIZE.  expand accepts element exponents of
-size at most MAX_ELEMENT_EXPONENT.
+in SIZE_RANGES, and runs expand, bracket and deriv, whose cost depends on
+their element text, under WORK_BUDGET, a count of the multiply-adds of the
+kernel's product loop: past it a command exits 2 with nothing on stdout.
+Sizes that multiply are bounded by the commands: in bracket and deriv, the
+depth of one power sequence times the digits of the parameters and of the
+largest input exponent, by MAX_PARAMETER_SIZE; in the associativity suite,
+its basis size times nmax, by MAX_ASSOCIATIVITY_SIZE; in scan-conjecture,
+its rows, basis pairs times (nmax + 1) per u, by MAX_SCAN_SIZE.  expand
+accepts element exponents of size at most MAX_ELEMENT_EXPONENT.
 """
 
 from __future__ import annotations
@@ -36,12 +37,13 @@ from .elements import (
     SUBALGEBRA_GENERATORS,
     BidegreeError,
     BigradedElement,
+    BudgetExceeded,
     InternalInvariantError,
     ParseError,
     format_element,
-    membership,
     parse_element,
     to_json_dict,
+    work_budget,
 )
 
 USAGE_ERROR = 2
@@ -243,32 +245,18 @@ def _cmd_expand(args) -> int:
 
 
 # Largest --n of bracket and --power of deriv, the depth p of one power
-# sequence.  The terms of the p-th power grow with p and with the spread of
-# the exponent of A over the powers: the input's largest exponent size, at
-# most p, or p for a derivation whose images hold A^-1.  So p times that
-# spread, times the inputs' terms, is bounded too, from measured cost
-# (README); a bracket, two sequences and their products, costs more.
+# sequence.  The p-th power holds a parameter up to its p-th power and an
+# input exponent e as about e^p, and p times the digits of the parameters
+# and of the largest exponent is bounded so that every accepted result can
+# be printed (README).
 MAX_POWER = 300
-MAX_DERIV_SIZE = 9000
-MAX_BRACKET_SIZE = 900
-# A derivation parameter enters the p-th power of the derivation up to its
-# p-th power and c enters D(c, n) = den(c)^n * n!, so the digits of every
-# coefficient grow with p times the digits of the parameters: bounded at
-# the README's slowest bracket, 300 * 6; the slowest shape it accepts took
-# about a minute (README), and far above it a coefficient cannot be printed.
-MAX_PARAMETER_SIZE = 1800
+MAX_PARAMETER_SIZE = 2400
 
 
-def _check_spread(command: str, limit: int, option: str, p: int, d: derivations.Derivation, params: list, inputs: dict) -> None:
-    """Reject p times the exponent spread of the named inputs under p powers
-    of d times each input's terms above limit: a sum costs what its terms do;
-    then p times the digits of the parameters above MAX_PARAMETER_SIZE."""
-    localizing = not all(membership(image, "Jtilde") for image in d.images)
-    spread = p if localizing else min(p, _largest_exponent(*inputs.values()))
-    terms = {f"terms of {name}": len(x.terms()) for name, x in inputs.items()}
-    _check_product(command, limit, {option: p, "exponent spread": spread, **terms})
-    digits = sum(len(str(max(abs(x.numerator), x.denominator))) for x in params)
-    _check_product(command, MAX_PARAMETER_SIZE, {option: p, "parameter digits": digits})
+def _check_digits(command: str, option: str, p: int, params: list, *inputs: BigradedElement) -> None:
+    """Reject p times the digits of params and of the inputs' largest exponent above MAX_PARAMETER_SIZE."""
+    digits = sum(len(str(max(abs(x.numerator), x.denominator))) for x in params) + len(str(_largest_exponent(*inputs)))
+    _check_product(command, MAX_PARAMETER_SIZE, {option: p, "(parameter digits + exponent digits)": digits})
 
 
 def _cmd_bracket(args) -> int:
@@ -278,7 +266,7 @@ def _cmd_bracket(args) -> int:
     if rc and args.params:
         raise UsageError("family rc takes no parameters")
     family = brackets.rc_localized(0, 0) if rc else _build("family", _FAMILIES, args.family, args.params)
-    _check_spread("bracket", MAX_BRACKET_SIZE, "--n", args.n, family.derivation, args.params, {"--f": f, "--g": g})
+    _check_digits("bracket", "--n", args.n, args.params, f, g)
     try:
         value = brackets.rc_classical(args.n, f, g) if rc else brackets.bracket_n(family, args.n, f, g)
     except ValueError as exc:  # an input outside C[E4, E6], or an exponent out of range
@@ -290,7 +278,7 @@ def _cmd_bracket(args) -> int:
 def _cmd_deriv(args) -> int:
     d = _build("derivation", _DERIVATIONS, args.name, args.param)
     f = _element(args.input, args.allow_f2)
-    _check_spread("deriv", MAX_DERIV_SIZE, "--power", args.power, d, args.param, {"--input": f})
+    _check_digits("deriv", "--power", args.power, args.param, f)
     value = derivations.iterate(d, args.power, f)
     _emit_element(value, args.json)
     return 0
@@ -416,6 +404,9 @@ SIZE_RANGES = {
     "verify": {"nmax": (0, 16), "pairs": (1, 1000), "weight_cap": (0, 12), "index_cap": (0, 3)},
     "scan-conjecture": {"nmax": (0, 12), "weight_cap": (0, 32), "index_cap": (0, 6)},
 }
+# The multiply-adds of the product loop (elements.work_budget) that each
+# command whose cost depends on its element text may spend (README).
+WORK_BUDGET = {"expand": 200_000_000, "bracket": 3_000_000, "deriv": 10_000_000}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -493,11 +484,15 @@ def main(argv=None) -> int:
         args = _PARSER.parse_args(argv)
         args._argv = list(argv) if argv is not None else sys.argv[1:]
         _check_sizes(args, SIZE_RANGES.get(args.command, {}))
-        return args.func(args)
+        with work_budget(WORK_BUDGET.get(args.command)):
+            return args.func(args)
     except SystemExit as exc:  # argparse has printed its usage error or help
         return USAGE_ERROR if exc.code not in (0, None) else 0
     except (UsageError, BidegreeError) as exc:  # an input, or a result of one, out of range
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except BudgetExceeded:  # raised before any output: a command prints when it ends
+        print(f"error: {args.command} exceeds its work budget of {WORK_BUDGET[args.command]} multiply-adds", file=sys.stderr)
         return USAGE_ERROR
     except InternalInvariantError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)

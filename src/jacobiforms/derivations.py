@@ -16,8 +16,8 @@ is returned as a plain (unchecked) Derivation.  `make_derivation` and
 
 The powers D^0(f), D^1(f), ... of a derivation on an element are memoised
 as one list per (D, f), extended in place when a deeper power is asked
-for: `iterate` reads one power from it and the bracket engine a whole
-sequence, each with one memo lookup and no recursion.
+for: the bracket engine reads a whole sequence with one memo lookup and no
+recursion.  `iterate` needs one power, and keeps only the last.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ class Derivation:
         return hash(self.images)
 
     def __hash__(self) -> int:
-        # hashed once per instance: every _iterate memo lookup hashes its derivation
+        # hashed once per instance: every power_sequence lookup hashes its derivation
         return self._hash
 
     def is_admissible(self) -> bool:
@@ -123,10 +123,13 @@ def power_sequence(d: Derivation, r: int, f: BigradedElement) -> list[BigradedEl
 
 
 def iterate(d: Derivation, r: int, f: BigradedElement) -> BigradedElement:
-    """r-fold application of d; iterate(d, 0, f) is f."""
+    """r-fold application of d, keeping only the last power (a deep power
+    costs the memory of one, not of a sequence); iterate(d, 0, f) is f."""
     if r < 0:
         raise ValueError("iteration count must be nonnegative")
-    return power_sequence(d, r, f)[r]
+    for _ in range(r):
+        f = d(f)
+    return f
 
 
 def commutator(d1: Derivation, d2: Derivation) -> Derivation:

@@ -21,11 +21,13 @@ module knows the encoding; the rest of the package sees Monomials.
 One loop, `_accumulate`, multiplies rows of integer numerators keyed by
 integers: every sum and product of `linear_combination`, derivation
 application and q-series product, and the part outside a subalgebra that
-`escapes` forms to decide membership.  One normaliser, `_normalized`,
-reduces a list of rows (an element is one row) to lowest terms, and
-`_numerators` is the one conversion from Fractions.  `power` is the one
-square-and-multiply of elements, coefficients, series and generator
-powers, and `parse_element` reads text in one loop over its terms.
+`escapes` forms to decide membership; under `work_budget` it counts its
+multiply-adds, which bounds the work of any computation.  One normaliser,
+`_normalized`, reduces a list of rows (an element is one row) to lowest
+terms, and `_numerators` is the one conversion from Fractions.  `power`
+is the one square-and-multiply of elements, coefficients, series and
+generator powers, and `parse_element` reads text in one loop over its
+terms.
 Values are immutable, so an element caches its split into homogeneous
 components and, per subalgebra, the rows by (A, B) grade `escapes` reads.
 The subalgebras M, Jtilde and Q are each defined once, by a monomial test
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import math
 import re
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, NamedTuple, Union
@@ -138,11 +141,38 @@ def _check_product_keys(num) -> None:
             raise BidegreeError(f"an exponent leaves [-{_LIMIT}, {_LIMIT})")
 
 
+class BudgetExceeded(Exception):
+    """The allowance of work_budget is spent; not a ValueError, so no handler of bad input catches it."""
+
+
+_allowance = None  # the multiply-adds the product loop may still perform; None, unbounded
+
+
+@contextmanager
+def work_budget(multiply_adds: int | None):
+    """Allow the product loop multiply_adds multiply-adds in the body (None:
+    no bound), a count the same on every machine; past it the loop raises
+    BudgetExceeded before a product, its row as it was.  On leaving, the
+    allowance is as before."""
+    global _allowance
+    saved, _allowance = _allowance, multiply_adds
+    try:
+        yield
+    finally:
+        _allowance = saved
+
+
 def _accumulate(acc: dict, left: dict, right: dict, scale: int = 1) -> None:
     """acc += scale * left * right, for rows keyed by integers that add
     under multiplication (packed monomials, w exponents), their values
     integer numerators (Fractions in LaurentPolyW): the one product loop of
-    elements, derivations and series."""
+    elements, derivations and series, which first charges its
+    multiply-adds to the allowance of work_budget, if any."""
+    global _allowance
+    if _allowance is not None:  # None: unbounded, nothing to count
+        _allowance -= len(left) * len(right)
+        if _allowance < 0:
+            raise BudgetExceeded
     get = acc.get
     for k1, c1 in left.items():
         c1 *= scale

@@ -11,6 +11,7 @@ from jacobiforms import (
     A,
     A_INV,
     B,
+    BudgetExceeded,
     E4,
     E6,
     GENERATORS,
@@ -27,11 +28,13 @@ from jacobiforms import (
     membership,
     monomial,
     orc,
+    parse_element,
     rc_classical,
     rc_localized,
     scal,
     src,
     star_truncated,
+    work_budget,
 )
 from jacobiforms import brackets
 from jacobiforms.brackets import BracketFamily, _denominator, _integer_row
@@ -203,6 +206,29 @@ def test_a_scale_without_one_prime_power_leaves_a_fraction(monkeypatch, prime):
     assert (gbinom(F(1, 12) + 5, 6) * scale).denominator == prime ** _legendre(prime, 6)
     with pytest.raises(InternalInvariantError):
         _integer_row.__wrapped__(0, 1, 1, 12, 6)
+
+
+@pytest.mark.parametrize("allowance", [30, 300, 1000])
+def test_a_refusal_midway_leaves_the_library_as_it_was(allowance):
+    # a work budget spent in the middle of a bracket, of a power and of a
+    # membership sweep leaves the power memo, the escape rows (_OutsideRows)
+    # and the split into components as a fresh computation has them: the
+    # same calls without a budget give what they give after clear_caches()
+    family = rc_localized(F(1, 12), 2)
+    calls = (
+        lambda: bracket_n(family, 12, f, g),
+        lambda: iterate(family.derivation, 12, f),
+        lambda: escaping_orders(family, 12, f, g, "Jtilde"),
+    )
+    jacobiforms.clear_caches()
+    f, g = parse_element("E4*A + B^2"), parse_element("E6*A^-1 + B")
+    for call in calls:
+        with pytest.raises(BudgetExceeded), work_budget(allowance):
+            call()
+    after = [call() for call in calls]
+    jacobiforms.clear_caches()
+    f, g = parse_element("E4*A + B^2"), parse_element("E6*A^-1 + B")
+    assert after == [call() for call in calls]
 
 
 def test_clear_caches_empties_the_integer_rows():

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import jacobiforms
-from jacobiforms import cli
+from jacobiforms import E4, cli
 from jacobiforms.cli import main
 
 
@@ -220,15 +220,6 @@ BAD_INPUTS = {
     "deriv-summed-exponent-above-limit": ["deriv", "--name", "serre", "--input", "E4^1000000*E4^1000000"],
     "deriv-three-factors-above-limit": ["deriv", "--name", "serre", "--input", "E4^1000000*E4^1000000*E4^1000000"],
     "deriv-arity": ["deriv", "--name", "serre_ab", "--param", "1", "--input", "B"],
-    # each size within its bound, the power (or order) times the exponent spread
-    # times the inputs' terms not
-    "deriv-power-times-exponent-above-limit": ["deriv", "--name", "serre_ab", "--param", "1,1", "--input", "E4^31*A", "--power", "300"],
-    "deriv-power-squared-above-limit": ["deriv", "--name", "serre_ab", "--param", "1,1", "--input", "E4^1000000", "--power", "95"],
-    "deriv-localizing-power-above-limit": ["deriv", "--name", "partial_u", "--param", "0", "--input", "A", "--power", "95"],
-    "bracket-n-times-exponent-above-limit": ["bracket", "--family", "accol", "--params", "1,1,0", "--n", "300", "--f", "E4^4", "--g", "B"],
-    "bracket-localizing-n-above-limit": ["bracket", "--family", "Crochet", "--params", "1/12,2", "--n", "31", "--f", "A", "--g", "B"],
-    "bracket-rc-n-times-exponent-above-limit": ["bracket", "--family", "rc", "--n", "31", "--f", "E4", "--g", "E6"],
-    "deriv-terms-above-limit": ["deriv", "--name", "serre_ab", "--param", "1,1", "--input", "E4^16*A + E6^16*B", "--power", "300"],
     # numbers in element text and options are ASCII digits: an Arabic-Indic
     # two is no exponent, no order and no parameter
     "deriv-unicode-digit": ["deriv", "--name", "serre", "--input", "E4^\u0662"],
@@ -276,7 +267,7 @@ BAD_INPUTS = {
     "scan-size-above-limit-by-u-values": ["scan-conjecture", "--u", "0,1", "--weight-cap", "32"],
     # numbers too long for int() or str(): at most 100 digits in element text
     # and 12 in a rational option, and the power (or order) times the digits
-    # of the parameters bounded
+    # of the parameters and of the largest exponent bounded
     "deriv-long-coefficient": ["deriv", "--name", "serre", "--input", "7" * 5000 + "*E4"],
     # terms on one monomial add up: 50 distinct 100-digit denominators make one of over 4300 digits
     "deriv-summed-coefficients": ["deriv", "--name", "serre", "--input", " + ".join(f"1/{10 ** 99 + 2 * k + 1}*E4" for k in range(50))],
@@ -354,20 +345,10 @@ def test_expand_bad_sizes_are_usage_errors(capsys, argv):
             "scan-conjecture needs basis pairs * (--nmax + 1) * --u values <= 111747, got 37249 * 3 * 2",
         ),
         (["verify", "--suite", "bidegree", "--family", "src", "--nmax", "0", "--pairs", "0"], "--pairs must be between 1 and 1000, got 0"),
-        (
-            ["deriv", "--name", "serre_ab", "--param", "1,1", "--input", "E4^100*E6^100*A^100*B^100", "--power", "300"],
-            "deriv needs --power * exponent spread * terms of --input <= 9000, got 300 * 100 * 1",
-        ),
+        # exponents of 10^6 have 7 digits, and 1,1,0 three: 300 * 10 above 2400
         (
             ["bracket", "--family", "accol", "--params", "1,1,0", "--n", "300", "--f", "E4^1000000*A^1000000*B^1000000", "--g", "E6^1000000*B^1000000"],
-            "bracket needs --n * exponent spread * terms of --f * terms of --g <= 900, got 300 * 300 * 1 * 1",
-        ),
-        # a derivation whose images hold A^-1 spreads the exponent of A by one per power
-        (["bracket", "--family", "Crochet", "--params", "1/12,2", "--n", "300", "--f", "A", "--g", "B"], "bracket needs --n * exponent spread * terms of --f * terms of --g <= 900, got 300 * 300 * 1 * 1"),
-        # a sum costs at most what its terms do, so each input's terms count
-        (
-            ["bracket", "--family", "accol", "--params", "1,1,0", "--n", "300", "--f", "E4*A*B + E6", "--g", "B + A"],
-            "bracket needs --n * exponent spread * terms of --f * terms of --g <= 900, got 300 * 1 * 2 * 2",
+            "bracket needs --n * (parameter digits + exponent digits) <= 2400, got 300 * 10",
         ),
         (["expand", "--what", "element"], "--what element requires --element"),
         (["deriv", "--name", "serre", "--input", "7" * 101 + "*E4"], f"bad element '{'7' * 101}*E4': number of more than 100 digits (at position 0)"),
@@ -378,11 +359,11 @@ def test_expand_bad_sizes_are_usage_errors(capsys, argv):
         ),
         (
             ["deriv", "--name", "serre_ab", "--param", "1/1000000007,1", "--input", "A", "--power", "300"],
-            "deriv needs --power * parameter digits <= 1800, got 300 * 11",
+            "deriv needs --power * (parameter digits + exponent digits) <= 2400, got 300 * 12",
         ),
         (
             ["bracket", "--family", "accol", "--params", "1,1,1/1000000007", "--f", "E4^3*A*B^2", "--g", "E6^2*B^3", "--n", "300"],
-            "bracket needs --n * parameter digits <= 1800, got 300 * 12",
+            "bracket needs --n * (parameter digits + exponent digits) <= 2400, got 300 * 13",
         ),
         # a bad rational is read in parsing, before any bound
         (["verify", "--suite", "poisson", "--family", "orc", "--params", "x", "--nmax", "17"], "not a rational: 'x'"),
@@ -390,7 +371,7 @@ def test_expand_bad_sizes_are_usage_errors(capsys, argv):
     ids=[
         "N-negative", "N-above", "G-zero", "G-above", "N-before-G", "n-negative", "rc-n-above", "power-negative", "power-above",
         "bracket-params-first", "deriv-params-first", "N-unicode", "params-unicode", "associativity-size", "scan-size", "scan-size-u-values",
-        "pairs-zero", "deriv-spread", "bracket-spread", "bracket-localizing-spread", "bracket-terms", "element-needs-text",
+        "pairs-zero", "bracket-exponent-digits", "element-needs-text",
         "element-long-number", "rational-long-number", "element-summed-coefficients", "deriv-parameter-digits", "bracket-parameter-digits", "verify-params-first",
     ],
 )
@@ -494,35 +475,49 @@ def test_verify_associativity_size_limit_is_inclusive(capsys, monkeypatch, caps,
     assert seen == [(size, int(nmax))]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        # the README's bracket, 300 * 3: about 17 s
-        ["bracket", "--family", "accol", "--params", "1,1,0", "--f", "E4^3*A*B^2", "--g", "E6^2*B^3", "--n", "300"],
-        ["bracket", "--family", "Crochet", "--params", "1/12,2", "--f", "A", "--g", "B", "--n", "30"],
-        ["bracket", "--family", "rc", "--f", "E4^1000000", "--g", "E6", "--n", "30"],
-        ["deriv", "--name", "serre_ab", "--param", "1,1", "--input", "E4^30*E6^30*A^30*B^30", "--power", "300"],
-        ["deriv", "--name", "serre_ab", "--param", "1,1", "--input", "E4^1000000*A^-999999", "--power", "94"],
-        ["deriv", "--name", "partial_u", "--param", "0", "--input", "A", "--power", "94"],
-        ["bracket", "--family", "accol", "--params", "1,1,0", "--f", "E4*A*B + E6 + A", "--g", "E6*B", "--n", "300"],
-        ["deriv", "--name", "serre_ab", "--param", "1,1", "--input", "E4^15*A + E6^15*B", "--power", "300"],
-        # the README's slowest bracket and its deriv: p times the parameter digits 300 * 6 and 300 * 5
-        ["bracket", "--family", "accol", "--params", "355/113,-17/19,7/5", "--f", "E4^3*A*B^2", "--g", "E6^2*B^3", "--n", "300"],
-        ["deriv", "--name", "serre_ab", "--param", "355/113,-17/19", "--input", "E4^30*E6^30*A^30*B^30", "--power", "300"],
-        # parameters of 12 digits: 75 * 24 and 128 * 14
-        ["deriv", "--name", "serre_ab", "--param", "1/100000000007,1/100000000007", "--input", "E4^1000000*A^-999999", "--power", "75"],
-        ["bracket", "--family", "accol", "--params", "0,0,1/100000000007", "--f", "E4^3", "--g", "E6^2", "--n", "128"],
-        # a long coefficient enters once, not per power
-        ["bracket", "--family", "accol", "--params", "1,1,0", "--f", "7" * 100 + "*E4^3*A*B^2", "--g", "7" * 100 + "*E6^2*B^3", "--n", "300"],
-    ],
-    ids=[
-        "bracket-300x3", "bracket-localizing-30x30", "bracket-rc-30x30", "deriv-300x30", "deriv-94x94", "deriv-localizing-94x94",
-        "bracket-300x1x3x1", "deriv-300x15x2", "bracket-300-digits-6", "deriv-300-digits-5", "deriv-75-digits-24", "bracket-128-digits-14",
-        "bracket-long-coefficients-300x3",
-    ],
-)
-def test_power_times_exponent_spread_limit_is_inclusive(capsys, monkeypatch, argv):
-    # the commands themselves would run for seconds to minutes; the bound is
+# Shapes the static bounds accept, each measured within its work budget in
+# a fresh process (multiply-adds, seconds; README): deep powers of inputs
+# with many terms, large exponents, long coefficients or many-digit
+# parameters, and deep powers of one or two small inputs
+ACCEPTED = {
+    "bracket-300x3": ["bracket", "--family", "accol", "--params", "1,1,0", "--f", "E4^3*A*B^2", "--g", "E6^2*B^3", "--n", "300"],  # 2.6e6, 5.4 s
+    "bracket-localizing-30x30": ["bracket", "--family", "Crochet", "--params", "1/12,2", "--f", "A", "--g", "B", "--n", "30"],  # 2.7e4, 0.03 s
+    "bracket-rc-30x30": ["bracket", "--family", "rc", "--f", "E4^1000000", "--g", "E6", "--n", "30"],  # 6.8e4, 0.06 s
+    "deriv-300x30": ["deriv", "--name", "serre_ab", "--param", "1,1", "--input", "E4^30*E6^30*A^30*B^30", "--power", "300"],  # 3.4e6, 9.5 s
+    "deriv-94x94": ["deriv", "--name", "serre_ab", "--param", "1,1", "--input", "E4^1000000*A^-999999", "--power", "94"],  # 2.9e5, 0.9 s
+    "deriv-localizing-94x94": ["deriv", "--name", "partial_u", "--param", "0", "--input", "A", "--power", "94"],  # 17, 0.0 s
+    "bracket-300x1x3x1": ["bracket", "--family", "accol", "--params", "1,1,0", "--f", "E4*A*B + E6 + A", "--g", "E6*B", "--n", "300"],  # 1.8e6, 4.0 s
+    "deriv-300x15x2": ["deriv", "--name", "serre_ab", "--param", "1,1", "--input", "E4^15*A + E6^15*B", "--power", "300"],  # 1.1e5, 0.2 s
+    # the README's slowest bracket and its deriv: 300 * (6 + 1) and 300 * (5 + 2)
+    "bracket-300-digits-6": [
+        "bracket", "--family", "accol", "--params", "355/113,-17/19,7/5", "--f", "E4^3*A*B^2", "--g", "E6^2*B^3", "--n", "300",
+    ],  # 2.6e6, 23.6 s
+    "deriv-300-digits-5": [
+        "deriv", "--name", "serre_ab", "--param", "355/113,-17/19", "--input", "E4^30*E6^30*A^30*B^30", "--power", "300",
+    ],  # 3.4e6, 12.7 s
+    # parameters of 12 digits: 75 * (24 + 7) and 128 * (14 + 1)
+    "deriv-75-digits-24": [
+        "deriv", "--name", "serre_ab", "--param", "1/100000000007,1/100000000007", "--input", "E4^1000000*A^-999999", "--power", "75",
+    ],  # 1.5e5, 0.6 s
+    "bracket-128-digits-14": ["bracket", "--family", "accol", "--params", "0,0,1/100000000007", "--f", "E4^3", "--g", "E6^2", "--n", "128"],  # 2.0e4, 0.1 s
+    # a long coefficient enters once, not per power
+    "bracket-long-coefficients-300x3": [
+        "bracket", "--family", "accol", "--params", "1,1,0", "--f", "7" * 100 + "*E4^3*A*B^2", "--g", "7" * 100 + "*E6^2*B^3", "--n", "300",
+    ],  # 2.6e6, 7.6 s
+    "deriv-power-times-exponent": ["deriv", "--name", "serre_ab", "--param", "1,1", "--input", "E4^31*A", "--power", "300"],  # 6.3e4, 0.1 s
+    "deriv-power-squared": ["deriv", "--name", "serre_ab", "--param", "1,1", "--input", "E4^1000000", "--power", "95"],  # 4.6e3, 0.01 s
+    "deriv-localizing-power": ["deriv", "--name", "partial_u", "--param", "0", "--input", "A", "--power", "95"],  # 17, 0.0 s
+    "bracket-n-times-exponent": ["bracket", "--family", "accol", "--params", "1,1,0", "--n", "300", "--f", "E4^4", "--g", "B"],  # 3.5e5, 0.6 s
+    "bracket-localizing-n": ["bracket", "--family", "Crochet", "--params", "1/12,2", "--n", "31", "--f", "A", "--g", "B"],  # 3.1e4, 0.02 s
+    "bracket-rc-n-times-exponent": ["bracket", "--family", "rc", "--n", "31", "--f", "E4", "--g", "E6"],  # 3.8e4, 0.02 s
+    "deriv-terms": ["deriv", "--name", "serre_ab", "--param", "1,1", "--input", "E4^16*A + E6^16*B", "--power", "300"],  # 1.1e5, 0.3 s
+    "bracket-terms": ["bracket", "--family", "accol", "--params", "1,1,0", "--n", "300", "--f", "E4*A*B + E6", "--g", "B + A"],  # 2.3e6, 2.7 s
+}
+
+
+@pytest.mark.parametrize("argv", ACCEPTED.values(), ids=ACCEPTED.keys())
+def test_power_times_digits_limit_is_inclusive(capsys, monkeypatch, argv):
+    # the commands themselves would run for seconds; the static bounds are
     # what is tested, so the power sequence and the bracket are stubs
     from jacobiforms import brackets, derivations
 
@@ -533,7 +528,68 @@ def test_power_times_exponent_spread_limit_is_inclusive(capsys, monkeypatch, arg
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert out.strip()
-    assert seen == [int(argv[-1])]
+    assert seen == [int(argv[argv.index("--n" if "--n" in argv else "--power") + 1])]
+
+
+@pytest.mark.parametrize("name", ["bracket-localizing-n", "bracket-rc-n-times-exponent", "deriv-localizing-power", "deriv-terms"])
+def test_cheap_deep_shapes_run_within_the_budget(capsys, name):
+    code, out, err = run(capsys, *ACCEPTED[name])
+    assert (code, err) == (0, "")
+    assert out.strip()
+
+
+# One shape per command that its work budget refuses (README).  Each runs
+# for seconds before the real budget is spent, so here the budget is
+# lowered and the refusal comes at once.
+BUDGET_REFUSALS = {
+    "deriv": ["deriv", "--name", "serre_ab", "--param", "1,1", "--input", "E4^100*E6^100*A^100*B^100", "--power", "300"],
+    "bracket": ["bracket", "--family", "Crochet", "--params", "1/12,2", "--n", "300", "--f", "A", "--g", "B"],
+    "expand": ["expand", "--what", "element", "--element", "A^8*B^8", "--N", "200"],
+}
+
+
+@pytest.mark.parametrize("argv", BUDGET_REFUSALS.values(), ids=BUDGET_REFUSALS.keys())
+def test_past_its_work_budget_a_command_prints_one_error_line(capsys, monkeypatch, argv):
+    from jacobiforms import elements
+
+    monkeypatch.setitem(cli.WORK_BUDGET, argv[0], 20_000)
+    first = run(capsys, *argv)
+    assert first == (2, "", f"error: {argv[0]} exceeds its work budget of 20000 multiply-adds\n")
+    assert run(capsys, *argv) == first
+    assert elements._allowance is None
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["bracket", "--family", "rc", "--n", "2", "--f", "E4", "--g", "E6"], 0),
+        (BUDGET_REFUSALS["bracket"], 2),
+        (["bracket", "--family", "rc", "--n", "2", "--f", "A", "--g", "E6"], 2),
+        (["bracket", "--family", "rc", "--n", "2", "--f", "E4^2", "--g", "E6"], 3),
+        (["verify", "--suite", "stability", "--family", "crochet", "--params", "1,1", "--nmax", "1"], 1),
+    ],
+    ids=["passed", "past-the-budget", "usage-error", "internal-error", "failed-check"],
+)
+def test_main_leaves_the_allowance_unbounded_after_every_command(capsys, monkeypatch, argv, code):
+    # so an in-process scan-conjecture that follows, as the benchmark's scan
+    # op runs, is never charged
+    from jacobiforms import brackets, elements, verifier
+    from jacobiforms.elements import InternalInvariantError
+
+    def broken(n, f, g):
+        if f == E4 ** 2:
+            raise InternalInvariantError("a stand-in for a broken invariant")
+        return real_rc(n, f, g)
+
+    real_rc, real_scan = brackets.rc_classical, verifier.scan_conjecture
+    monkeypatch.setattr(brackets, "rc_classical", broken)
+    monkeypatch.setitem(cli.WORK_BUDGET, "bracket", 20_000)
+    assert run(capsys, *argv)[0] == code
+    assert elements._allowance is None
+    seen = []
+    monkeypatch.setattr(verifier, "scan_conjecture", lambda *args: seen.append(elements._allowance) or real_scan(*args))
+    assert run(capsys, "scan-conjecture", "--u", "0", "--nmax", "1", "--weight-cap", "4", "--index-cap", "1")[0] == 0
+    assert seen == [None]
 
 
 @pytest.mark.parametrize(

@@ -199,9 +199,9 @@ def test_equal_derivations_hash_alike_and_share_the_iterate_memo():
     assert d1 is not d2 and d1 == d2
     assert hash(rc_localized(1, 13).derivation) == hash(rc_localized(1, 13).derivation)
     f = E4 * A + B ** 2
-    iterate(d1, 2, f)
+    power_sequence(d1, 2, f)
     before = _iterate.cache_info()
-    iterate(d2, 2, f)
+    power_sequence(d2, 2, f)
     after = _iterate.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
@@ -234,9 +234,9 @@ def test_powers_read_in_any_order_are_the_applied_powers(name, f, orders):
 def test_deep_power_read_before_shallow_one():
     d, f = partial_u(F(7, 5)), E4 * A + B ** 2
     jacobiforms.clear_caches()
-    assert iterate(d, 7, f) == _applied(d, 7, f)
+    assert power_sequence(d, 7, f)[7] == _applied(d, 7, f)
     before = _iterate.cache_info()
-    assert iterate(d, 3, f) == _applied(d, 3, f)
+    assert power_sequence(d, 3, f)[3] == _applied(d, 3, f)
     after = _iterate.cache_info()
     # the shallow power is read from the sequence the deep one left behind
     assert (after.hits, after.misses, after.currsize) == (before.hits + 1, before.misses, before.currsize)
@@ -268,11 +268,19 @@ def test_equal_derivations_share_one_power_sequence():
 
 def test_powers_after_clear_caches():
     d, f = oberdieck(), A * B + E4
-    first = [iterate(d, r, f) for r in range(5)]
+    first = [power_sequence(d, r, f)[r] for r in range(5)]
     jacobiforms.clear_caches()
     assert _iterate.cache_info().currsize == 0
-    assert [iterate(d, r, f) for r in reversed(range(5))] == first[::-1] == [_applied(d, r, f) for r in reversed(range(5))]
+    assert [power_sequence(d, r, f)[r] for r in reversed(range(5))] == first[::-1] == [_applied(d, r, f) for r in reversed(range(5))]
     assert _iterate.cache_info().currsize == 1
+
+
+def test_iterate_keeps_no_power_sequence():
+    # a deep power costs the memory of one power: iterate leaves no memo behind
+    d, f = partial_u(F(7, 5)), E4 * A + B ** 2
+    jacobiforms.clear_caches()
+    assert iterate(d, 6, f) == _applied(d, 6, f)
+    assert _iterate.cache_info().currsize == 0
 
 
 def test_commutator_basic():

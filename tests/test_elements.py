@@ -582,3 +582,32 @@ def _termwise_scaling(lam, mu, f):
 def test_one_pass_rescalings_match_componentwise_reference(f, mu, lam, nu):
     assert EulerWeighting(mu)(f) == _componentwise_weighting(mu, f)
     assert ScalingAutomorphism(lam, nu)(f) == _termwise_scaling(lam, nu, f)
+
+
+def test_the_work_budget_counts_multiply_adds_and_refuses_before_the_product():
+    from jacobiforms import elements
+    from jacobiforms.elements import BudgetExceeded, _accumulate, work_budget
+
+    assert not issubclass(BudgetExceeded, ValueError)
+    left, right = {1: 2, 2: 3}, {10: 5, 20: 7, 30: 11}
+    acc = {}
+    with work_budget(10):
+        _accumulate(acc, left, right)  # 2 * 3 multiply-adds
+        assert elements._allowance == 4
+        before = dict(acc)
+        with pytest.raises(BudgetExceeded):
+            _accumulate(acc, left, right)
+        assert acc == before
+        with pytest.raises(BudgetExceeded):  # once spent, spent
+            _accumulate(acc, {0: 1}, {0: 1})
+    assert elements._allowance is None
+    # a budget inside a budget hands the outer allowance back on leaving
+    with work_budget(100):
+        with work_budget(1):
+            pass
+        assert elements._allowance == 100
+    f = E4 * A + B
+    with work_budget(8):
+        assert f * f == linear_combination([(1, f, f)])  # two products of 2 * 2
+        with pytest.raises(BudgetExceeded):
+            f * f
