@@ -13,7 +13,9 @@ LaurentPolyW of Fractions from a row on demand.  Sums and products of
 series are folded into one set of integer rows by `combination` and
 normalised once; `+`, `-`, `*` and the evaluation maps are calls of it,
 and `**` of `elements.power`; both evaluations are one substitution map,
-`_substituted`, on the memoised powers of the bundle's series.
+`_substituted`, on the memoised powers of the bundle's series and the
+memoised index parts A^a B^b: only A and B rows are wide, E4, E6 and E2
+rows are one term, so the index part is the one product worth keeping.
 
 Every series is exact: each stored coefficient is the true one.  The
 elliptic-zeta series J1 has no finite q^0 row, since xi/(xi-1) has an
@@ -37,9 +39,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import comb, isqrt, lcm
-from operator import mul
 
 from .elements import (
     BigradedElement,
@@ -522,15 +523,27 @@ def _generator_power(bundle: JacobiSeriesBundle, field: str, exponent: int) -> Q
     return getattr(bundle, field) ** exponent
 
 
-def _substituted(f: BigradedElement, bundle: JacobiSeriesBundle, fields) -> QSeries:
-    """f with each monomial m replaced by the product of the memoised
-    powers of the (field, exponent) pairs fields(m), summed in one
-    combination: the one substitution map.  Of three or more factors all
-    but the last are multiplied first."""
-    terms = []
-    for m, c in f.terms().items():
-        *head, last = [_generator_power(bundle, x, e) for x, e in fields(m) if e] or [constant_series(1, bundle.q_order)]
-        terms.append((c, reduce(mul, head), last) if head else (c, last))
+def _power_product(bundle: JacobiSeriesBundle, x: str, i: int, y: str, j: int) -> QSeries:
+    """X^i Y^j for the bundle's series named x and y, from their memoised
+    powers; a product only when both exponents are nonzero, the series 1
+    when neither is."""
+    if i and j:
+        return _generator_power(bundle, x, i) * _generator_power(bundle, y, j)
+    return _generator_power(bundle, x, i) if i else _generator_power(bundle, y, j)
+
+
+# A^a B^b, memoised per (bundle, a, b) and built once per bundle: its rows
+# are wide, so forming it again for each monomial would cost N^2/2 w^2
+_index_part = lru_cache(maxsize=4096)(_power_product)
+
+
+def _substituted(f: BigradedElement, bundle: JacobiSeriesBundle, index_part) -> QSeries:
+    """f with each monomial m = E4^i E6^j X replaced by its modular part
+    E4^i E6^j times its index part index_part(m), the series of X, summed
+    in one combination: the one substitution map.  Modular rows are one
+    term wide, so the modular part costs about N^2/2 multiply-adds and its
+    product with an index part of rows w wide about N^2/2 w."""
+    terms = [(c, _power_product(bundle, "e4", m.e4, "e6", m.e6), index_part(m)) for m, c in f.terms().items()]
     return combination(terms, bundle.q_order)
 
 
@@ -542,7 +555,7 @@ def evaluate(f: BigradedElement, bundle: JacobiSeriesBundle) -> QSeries:
     """
     if not membership(f, "Jtilde"):
         raise ValueError("element has negative A exponents; clear them before evaluating")
-    return _substituted(f, bundle, lambda m: zip(("e4", "e6", "a", "b"), m))
+    return _substituted(f, bundle, lambda m: _index_part(bundle, "a", m.a, "b", m.b))
 
 
 def evaluate_quasimodular(f: BigradedElement, bundle: JacobiSeriesBundle) -> QSeries:
@@ -554,7 +567,7 @@ def evaluate_quasimodular(f: BigradedElement, bundle: JacobiSeriesBundle) -> QSe
     """
     if not membership(f, "Q"):
         raise ValueError("element is not a polynomial in E4, E6, F2")
-    return _substituted(f, bundle, lambda m: (("e4", m.e4), ("e6", m.e6), ("e2", m.b)))
+    return _substituted(f, bundle, lambda m: _generator_power(bundle, "e2", m.b))
 
 
 def delta_series(bundle: JacobiSeriesBundle) -> QSeries:

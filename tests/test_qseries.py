@@ -28,6 +28,7 @@ from jacobiforms import (
     j1g_series,
     j2_series,
     make_bundle,
+    monomial_basis,
     oberdieck,
     oberdieck_series,
     orc,
@@ -215,6 +216,71 @@ def test_quasimodular_evaluation_reads_the_generator_power_memo(bundle):
     assert _generator_power.cache_info().hits > hits
     # the memo holds the series the substitution reads: E2 for F2
     assert first == eisenstein(4, 10) ** 2 * eisenstein(2, 10) - 3 * eisenstein(6, 10) * eisenstein(2, 10) ** 3
+
+
+# monomials that share the index parts A B and A^2 B, so evaluate reads each twice
+SHARED_INDEX_PARTS = E4 ** 3 * A * B - 2 * E6 ** 2 * A * B + F(1, 3) * A * B + E4 * A ** 2 * B - E6 * A ** 2 * B
+
+
+def _evaluation_mismatches(order):
+    """The elements of monomial_basis(8, 3) and SHARED_INDEX_PARTS whose
+    evaluation at q^order is not the plain sum of products of powers of
+    the bundle's series, which reads no memo."""
+    bundle = make_bundle(order)
+
+    def plain(f):
+        return sum(c * bundle.e4 ** m.e4 * bundle.e6 ** m.e6 * bundle.a ** m.a * bundle.b ** m.b for m, c in f.terms().items())
+
+    return [str(f) for f in monomial_basis(8, 3) + [SHARED_INDEX_PARTS] if evaluate(f, bundle) != plain(f)]
+
+
+@pytest.mark.parametrize("order", [6, 9])
+def test_evaluation_is_the_plain_product_of_the_bundle_series(order):
+    assert _evaluation_mismatches(order) == []
+
+
+def test_evaluation_oracle_flags_an_index_part_with_swapped_exponents(monkeypatch):
+    from jacobiforms import qseries
+
+    true_index_part = qseries._index_part
+    monkeypatch.setattr(qseries, "_index_part", lambda bundle, x, i, y, j: true_index_part(bundle, x, j, y, i))
+    assert "A*B^2" in _evaluation_mismatches(6)
+
+
+def test_the_index_part_is_formed_once_per_bundle_and_order():
+    import jacobiforms
+    from jacobiforms.qseries import _generator_power, _index_part
+
+    jacobiforms.clear_caches()
+    f = E4 * A * B ** 2 + E6 * A ** 2 * B
+    bundle = make_bundle(7)
+    first = evaluate(f, bundle)
+    assert _index_part.cache_info()[:2] == (0, 2)  # (hits, misses)
+    assert evaluate(f, make_bundle(7)) == first and _index_part.cache_info()[:2] == (2, 2)
+    evaluate(f, make_bundle(5))
+    assert _index_part.cache_info()[:2] == (2, 4)
+    assert _index_part(bundle, "a", 1, "b", 2) == bundle.a * bundle.b ** 2
+    # a pure power is the generator power itself, and no index part is the series 1
+    assert _index_part(bundle, "a", 0, "b", 3) is _generator_power(bundle, "b", 3)
+    assert _index_part(bundle, "a", 0, "b", 0) == constant_series(1, 7)
+
+
+# Elements of bidegree (4, 1), (0, 2) and (4, 2), as the qseries benchmark draws them.
+GUARD_ELEMENTS = [E4 * B - 2 * E6 * A, B ** 2 + F(1, 3) * E4 * A ** 2, E4 * B ** 2 - E6 * A * B + F(5, 2) * E4 ** 2 * A ** 2]
+
+
+def test_series_consistency_forms_each_index_part_once():
+    # 24,592 multiply-adds when each monomial formed its A^a B^b again, as
+    # a product of wide rows; 21,136 with the memoised index part
+    import jacobiforms
+    from jacobiforms import elements, series_consistency
+
+    bundle = make_bundle(8)
+    jacobiforms.clear_caches()
+    with elements.work_budget(10 ** 9):
+        assert series_consistency(bundle, GUARD_ELEMENTS).passed
+        count = 10 ** 9 - elements._allowance
+    assert count <= 21_136 < 24_592
 
 
 def below_the_cut(exact, truncated, cut):
