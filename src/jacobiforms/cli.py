@@ -16,14 +16,17 @@ Sizes that multiply are bounded by the commands: in bracket and deriv, the
 depth of one power sequence times the digits of the parameters and of the
 largest input exponent, by MAX_PARAMETER_SIZE; in the associativity suite,
 its basis size times nmax, by MAX_ASSOCIATIVITY_SIZE; in scan-conjecture,
-its rows, basis pairs times (nmax + 1) per u, by MAX_SCAN_SIZE.  expand
-accepts element exponents of size at most MAX_ELEMENT_EXPONENT.
+its rows, basis pairs times (nmax + 1) per u, by MAX_SCAN_SIZE.  The
+vinset suite accepts at most MAX_VINSET_U_VALUES --u values, and expand
+element exponents of size at most MAX_ELEMENT_EXPONENT.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import inspect
+import io
 import json
 import math
 import os
@@ -195,7 +198,8 @@ def _check_product(command: str, limit: int, factors: dict) -> None:
 
 # Largest truncation order and window expand accepts; a series product costs
 # about N^2 times the squared row width, so larger values run for minutes.
-# The row width grows with the index, so --element exponents are bounded too.
+# --element exponents are bounded apart from the work budget, which does not
+# see coefficient digits: "A^1000000" at --N 10 ran for over 300 s (README).
 MAX_Q_ORDER = 200
 MAX_WINDOW = 1000
 MAX_ELEMENT_EXPONENT = 8
@@ -294,12 +298,17 @@ MAX_ASSOCIATIVITY_SIZE = 53 * 3
 # times the default --nmax 2 plus one, for one u.  A row costs more at a
 # larger --nmax: the slowest accepted shapes run about 17 s (README).
 MAX_SCAN_SIZE = 193 ** 2 * 3
+# The vinset suite takes 2.6-3.9 ms per --u value, and each distinct value
+# keeps about 13 KiB in the memos: 5,000 values of 12 digits took 20 s and
+# 83 MiB (README).
+MAX_VINSET_U_VALUES = 5000
 
 
 def _cmd_verify(args) -> int:
     rng = random.Random(args.seed)
     if args.suite == "vinset":
         u_values = _u_values(args.u) if args.u else [Fraction(0), Fraction(1, 12), Fraction(-1, 6), Fraction(1)]
+        _check_product("vinset", MAX_VINSET_U_VALUES, {"--u values": len(u_values)})
         reports = verifier.check_vinset(u_values)
     else:
         if not args.family:
@@ -480,55 +489,34 @@ _PARSER = build_parser()  # once per process: parsing leaves it as it was
 
 
 def main(argv=None) -> int:
+    """Run one command; its stdout reaches the caller's stdout in one write
+    when it returns, so a refused or failed command prints nothing there."""
+    out = io.StringIO()
     try:
-        args = _PARSER.parse_args(argv)
-        args._argv = list(argv) if argv is not None else sys.argv[1:]
-        _check_sizes(args, SIZE_RANGES.get(args.command, {}))
-        with work_budget(WORK_BUDGET.get(args.command)):
-            return args.func(args)
-    except SystemExit as exc:  # argparse has printed its usage error or help
-        return USAGE_ERROR if exc.code not in (0, None) else 0
+        with contextlib.redirect_stdout(out):
+            args = _PARSER.parse_args(argv)
+            args._argv = list(argv) if argv is not None else sys.argv[1:]
+            _check_sizes(args, SIZE_RANGES.get(args.command, {}))
+            with work_budget(WORK_BUDGET.get(args.command)):
+                code = args.func(args)
+    except SystemExit as exc:  # argparse has printed its usage error (to stderr) or help
+        code = USAGE_ERROR if exc.code not in (0, None) else 0
     except (UsageError, BidegreeError) as exc:  # an input, or a result of one, out of range
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except BudgetExceeded:  # raised before any output: a command prints when it ends
+    except BudgetExceeded:
         print(f"error: {args.command} exceeds its work budget of {WORK_BUDGET[args.command]} multiply-adds", file=sys.stderr)
         return USAGE_ERROR
     except InternalInvariantError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
-
-
-class _StdoutUntilClosed:
-    """stdout until its reader closes early (`| head`); from then on file
-    descriptor 1 is os.devnull, as the Python docs on SIGPIPE advise, so
-    the command finishes quietly with its own exit status."""
-
-    def __init__(self, stream):
-        self._stream = stream
-
-    def __getattr__(self, name):
-        return getattr(self._stream, name)
-
-    def _quietly(self, method, *args):
-        try:
-            method(*args)
-        except BrokenPipeError:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), self._stream.fileno())
-
-    def write(self, text):
-        self._quietly(self._stream.write, text)
-
-    def flush(self):
-        self._quietly(self._stream.flush)
-
-
-def entrypoint() -> None:
-    sys.stdout = _StdoutUntilClosed(sys.stdout)
-    code = main()
-    sys.stdout.flush()
-    sys.exit(code)
+    try:
+        sys.stdout.write(out.getvalue())
+        sys.stdout.flush()
+    except BrokenPipeError:  # `| head` closed early: fd 1 becomes os.devnull, as the Python docs on SIGPIPE advise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":
-    entrypoint()
+    sys.exit(main())

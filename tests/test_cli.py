@@ -344,6 +344,7 @@ def test_expand_bad_sizes_are_usage_errors(capsys, argv):
             ["scan-conjecture", "--u", "0,1", "--weight-cap", "32"],
             "scan-conjecture needs basis pairs * (--nmax + 1) * --u values <= 111747, got 37249 * 3 * 2",
         ),
+        (["verify", "--suite", "vinset", "--u", ",".join(["0"] * 5001)], "vinset needs --u values <= 5000, got 5001"),
         (["verify", "--suite", "bidegree", "--family", "src", "--nmax", "0", "--pairs", "0"], "--pairs must be between 1 and 1000, got 0"),
         # exponents of 10^6 have 7 digits, and 1,1,0 three: 300 * 10 above 2400
         (
@@ -371,7 +372,7 @@ def test_expand_bad_sizes_are_usage_errors(capsys, argv):
     ids=[
         "N-negative", "N-above", "G-zero", "G-above", "N-before-G", "n-negative", "rc-n-above", "power-negative", "power-above",
         "bracket-params-first", "deriv-params-first", "N-unicode", "params-unicode", "associativity-size", "scan-size", "scan-size-u-values",
-        "pairs-zero", "bracket-exponent-digits", "element-needs-text",
+        "vinset-u-values", "pairs-zero", "bracket-exponent-digits", "element-needs-text",
         "element-long-number", "rational-long-number", "element-summed-coefficients", "deriv-parameter-digits", "bracket-parameter-digits", "verify-params-first",
     ],
 )
@@ -473,6 +474,20 @@ def test_verify_associativity_size_limit_is_inclusive(capsys, monkeypatch, caps,
     assert code == 0
     assert "[PASS]" in out
     assert seen == [(size, int(nmax))]
+
+
+def test_vinset_u_values_limit_is_inclusive(capsys, monkeypatch):
+    # 5,000 values would take about 13 s; the bound is what is tested, so the
+    # suite is replaced by a stub that records how many values it was given
+    from jacobiforms import verifier
+    from jacobiforms.report import VerificationReport
+
+    seen = []
+    monkeypatch.setattr(verifier, "check_vinset", lambda u_values: seen.append(len(u_values)) or [VerificationReport("vinset", "pass")])
+    code, out, _ = run(capsys, "verify", "--suite", "vinset", "--u", ",".join(["0"] * cli.MAX_VINSET_U_VALUES))
+    assert code == 0
+    assert "[PASS]" in out
+    assert seen == [5000]
 
 
 # Shapes the static bounds accept, each measured within its work budget in
@@ -649,6 +664,32 @@ def test_a_reader_that_closes_early_gets_no_traceback():
     err = proc.stderr.read()
     assert (proc.wait(timeout=60), err) == (0, b"")
     assert first == b"u=0 v=1 n=0 f=(1) g=(1) in_Jtilde=true\n"
+
+
+@pytest.mark.parametrize(
+    "error, code, line",
+    [
+        (cli.UsageError("out of range"), 2, "error: out of range"),
+        (jacobiforms.elements.BudgetExceeded(), 2, "error: expand exceeds its work budget of 200000000 multiply-adds"),
+        (jacobiforms.elements.InternalInvariantError("broken"), 3, "internal invariant violated: broken"),
+    ],
+    ids=["usage", "budget", "internal"],
+)
+def test_a_command_that_fails_after_printing_prints_nothing(capsys, monkeypatch, error, code, line):
+    # expand prints a row per power of q; the third row raises, after two are printed
+    from jacobiforms import qseries
+
+    format_wpoly, rows = qseries.format_wpoly, []
+
+    def third_row_raises(poly):
+        rows.append(poly)
+        if len(rows) == 3:
+            raise error
+        return format_wpoly(poly)
+
+    monkeypatch.setattr(qseries, "format_wpoly", third_row_raises)
+    assert run(capsys, "expand", "--what", "A", "--N", "4") == (code, "", line + "\n")
+    assert len(rows) == 3
 
 
 # each command takes the options it reads: --json everywhere, --seed for the
