@@ -165,9 +165,13 @@ class FamilyLabel:
     free: tuple[tuple[str, Fraction], ...]
 
 
-# Atlas rows in label order.  The free names of a row are its builder's
-# positional parameters, each named as the PoissonParams field it sets.
-_ATLAS = {"A": family_a, "B": family_b, "C1": family_c1, "C2": family_c2, "D": family_d, "E": family_e}
+# Atlas rows in label order, each with its builder and free names.  The
+# free names of a row are its builder's positional parameters, each named
+# as the PoissonParams field it sets.
+_ATLAS = {
+    name: (build, tuple(inspect.signature(build).parameters))
+    for name, build in {"A": family_a, "B": family_b, "C1": family_c1, "C2": family_c2, "D": family_d, "E": family_e}.items()
+}
 
 
 def classify(p: PoissonParams) -> list[FamilyLabel]:
@@ -181,8 +185,7 @@ def classify(p: PoissonParams) -> list[FamilyLabel]:
     if not is_admissible(p):
         return []
     labels = []
-    for name, build in _ATLAS.items():
-        keys = inspect.signature(build).parameters
+    for name, (build, keys) in _ATLAS.items():
         values = [getattr(p, key) for key in keys]
         try:
             row = build(*values)

@@ -510,6 +510,8 @@ def main(argv=None) -> int:
     except InternalInvariantError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
+    if sys.stdout is None:  # fd 1 was closed when Python started: the output has nowhere to go
+        return code
     try:
         sys.stdout.write(out.getvalue())
         sys.stdout.flush()

@@ -139,9 +139,20 @@ def check_poisson(
     when at the sorted one.  Every skipped copy comes later in the loop
     order than the copy checked, so the first witness is that of the loop
     over all ordered tuples.
+
+    Each product f*g, i <= j, is formed once, and the Leibniz left sides
+    {f*g, h} are read from a memo of rows keyed by the product's value: it
+    starts with the table's rows, so a product that is a basis element
+    costs no bracket, and pairs with equal products share a row.  An entry
+    is bracketed only when the loop reaches it, so a failing check
+    brackets nothing past its first witness, and a row is dropped after
+    the last pair that forms its product.
     """
     basis = list(GENERATORS) if basis is None else basis
     table = [[mu1(f, g) for g in basis] for f in basis]
+    products = {(i, j): f * basis[j] for i, f in enumerate(basis) for j in range(i, len(basis))}
+    last_pair = {fg: ij for ij, fg in products.items()}
+    rows = dict(zip(basis, table))  # rows[fg][k] = {fg, basis[k]}, None until needed
 
     def witnesses():
         for i, f in enumerate(basis):
@@ -151,16 +162,22 @@ def check_poisson(
                     yield _witness("skew-symmetry", {"f": f, "g": basis[j]}, lhs, rhs)
         for i, f in enumerate(basis):
             for j, g in enumerate(basis):
+                if i <= j:
+                    fg = products[i, j]
+                    row = rows.setdefault(fg, [None] * len(basis))
                 for k, h in enumerate(basis):
                     if i <= j:
-                        lhs = mu1(f * g, h)
+                        if row[k] is None:
+                            row[k] = mu1(fg, h)
                         rhs = linear_combination(((1, f, table[j][k]), (1, table[i][k], g)))
-                        if lhs != rhs:
-                            yield _witness("leibniz", {"f": f, "g": g, "h": h}, lhs, rhs)
+                        if row[k] != rhs:
+                            yield _witness("leibniz", {"f": f, "g": g, "h": h}, row[k], rhs)
                     if i < j < k:
                         jac = linear_combination(((1, mu1(f, table[j][k])), (-1, mu1(g, table[i][k])), (1, mu1(h, table[i][j]))))
                         if jac != ZERO:
                             yield _witness("jacobi", {"f": f, "g": g, "h": h}, jac, ZERO)
+                if i <= j and last_pair[fg] == (i, j):
+                    del rows[fg]
 
     return _first_witness(claim, witnesses(), {"basis_size": len(basis)})
 

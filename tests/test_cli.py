@@ -666,6 +666,18 @@ def test_a_reader_that_closes_early_gets_no_traceback():
     assert first == b"u=0 v=1 n=0 f=(1) g=(1) in_Jtilde=true\n"
 
 
+def test_a_closed_stdout_exits_with_the_commands_own_code():
+    # `>&-`: with fd 1 closed at startup sys.stdout is None, and the output
+    # is dropped as for a reader that closed early
+    src = str(Path(jacobiforms.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "jacobiforms.cli", "expand", "--what", "A", "--N", "2"],
+        stderr=subprocess.PIPE, env=env, preexec_fn=lambda: os.close(1), timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
 @pytest.mark.parametrize(
     "error, code, line",
     [

@@ -44,7 +44,7 @@ from jacobiforms import (
     serre_ab,
 )
 from jacobiforms.derivations import Derivation
-from jacobiforms.elements import linear_combination, rescaled
+from jacobiforms.elements import BigradedElement, linear_combination, rescaled
 from jacobiforms.report import VerificationReport
 from jacobiforms.verifier import _first_witness, _witness
 
@@ -372,8 +372,8 @@ def test_poisson_report_equals_the_all_ordered_tuples_loop(mu1, seed, size):
     assert json.dumps(got, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
-def test_poisson_brackets_each_basis_pair_once_and_each_identity_once():
-    bracket = bracket_from_params(family_b(2, F(-1, 3), F(5, 7)))
+def _counting(bracket):
+    """A copy of the bracket that records its calls and their values."""
     calls, values = [], []
 
     def counting(f, g):
@@ -381,13 +381,21 @@ def test_poisson_brackets_each_basis_pair_once_and_each_identity_once():
         values.append(bracket(f, g))
         return values[-1]
 
+    return counting, calls, values
+
+
+def test_poisson_brackets_each_basis_pair_once_and_each_identity_once():
+    counting, calls, values = _counting(bracket_from_params(family_b(2, F(-1, 3), F(5, 7))))
     basis = monomial_basis(4, 1)
     n = len(basis)
     assert n == 7
     assert check_poisson(counting, basis).passed
-    # n^2 table entries, n^2(n+1)/2 Leibniz left sides, 3 per Jacobi
-    # triple i < j < k, of which there are C(n, 3)
-    assert len(calls) == n * n + n * n * (n + 1) // 2 + 3 * math.comb(n, 3) == 350
+    # n^2 table entries, n Leibniz left sides per distinct product of a
+    # basis pair that is not a basis element (a basis element's are table
+    # entries), 3 per Jacobi triple i < j < k, of which there are C(n, 3)
+    products = {f * g for f, g in itertools.combinations_with_replacement(basis, 2)}
+    assert (len(products), len(products - set(basis))) == (25, 18)
+    assert len(calls) == n * n + n * 18 + 3 * math.comb(n, 3) == 280
     # the table is the first n^2 calls, row by row; a Jacobi call is one
     # whose second argument is not a basis element, and it reads the
     # upper triangle of the table only, each of its entries
@@ -396,6 +404,31 @@ def test_poisson_brackets_each_basis_pair_once_and_each_identity_once():
     jacobi = [g for _, g in calls[n * n :] if not any(g is h for h in basis)]
     assert len(jacobi) == 3 * math.comb(n, 3)
     assert {id(g) for g in jacobi} == upper and len(upper) == math.comb(n, 2)
+
+
+def test_poisson_brackets_each_product_outside_the_basis_once_per_third_element():
+    counting, calls, _ = _counting(bracket_from_params(family_a(2, F(1, 3))))
+    basis = monomial_basis(4, 1)
+    assert check_poisson(counting, basis).passed
+    # a Leibniz left side is a call past the table whose second argument is
+    # a basis element; its first is a product, never a basis element
+    leibniz = [(fg, h) for fg, h in calls[len(basis) ** 2 :] if any(h is x for x in basis)]
+    assert not {fg for fg, _ in leibniz} & set(basis)
+    assert len(set(leibniz)) == len(leibniz) == 18 * len(basis)
+
+
+def test_poisson_forms_each_product_once_per_pair_i_le_j(monkeypatch):
+    # the zero bracket forms no product itself
+    formed, mul = [], BigradedElement.__mul__
+
+    def counting_mul(f, g):
+        formed.append((f, g))
+        return mul(f, g)
+
+    basis = monomial_basis(4, 1)
+    monkeypatch.setattr(BigradedElement, "__mul__", counting_mul)
+    assert check_poisson(lambda f, g: ZERO, basis).passed
+    assert formed == [(f, g) for i, f in enumerate(basis) for g in basis[i:]]
 
 
 _OFF_MANIFOLD = [
@@ -431,6 +464,21 @@ def test_jacobi_sum_is_alternating_once_skew_symmetry_holds(row):
     assert failing  # the row is off the manifold on this basis
     for f, h in itertools.product(basis, repeat=2):
         assert _jacobi_sum(mu1, f, f, h) == _jacobi_sum(mu1, f, h, f) == _jacobi_sum(mu1, h, f, f) == ZERO
+
+
+@pytest.mark.parametrize("row", _OFF_MANIFOLD)
+def test_a_failing_poisson_check_brackets_nothing_past_its_first_witness(row):
+    # the witness is the Jacobi triple (B, A, E6*A) = basis[1:4]; a loop
+    # bracketing {f*g, h} for every pair i <= j and every h took 157 calls
+    # to reach it.  Here: 49 table entries, 45 for the Jacobi triples
+    # (0, j, k), none for the products 1*g, 7 for B*B, 4 for B*A up to
+    # h = E6*A, and 3 for the witness
+    counting, calls, _ = _counting(bracket_from_params(row))
+    basis = monomial_basis(4, 1)
+    got = check_poisson(counting, basis)
+    assert got.witness["identity"] == "jacobi"
+    assert [got.witness["inputs"][x] for x in "fgh"] == basis[1:4]
+    assert len(calls) == 49 + 45 + 7 + 4 + 3 == 108 < 157
 
 
 @pytest.mark.parametrize("row", _ATLAS_ROWS + _OFF_MANIFOLD)
