@@ -86,14 +86,14 @@ def _rational(text: str) -> Fraction:
 
 
 def _integer(text: str) -> int:
-    """The type of the integer options: int, which reads any Unicode decimal
-    digit, of ASCII text only; argparse's own line for non-integers."""
+    """The type of the integer options: [+-]?[0-9]+ in ASCII digits, read
+    and bounded by _rational (int also reads other Unicode digits and
+    underscores); argparse's own line for other ASCII text."""
     if not text.isascii():
         raise UsageError(f"not an integer: {_echo(text)}")
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {_echo(text)}") from None
+    if not re.fullmatch(r"[+-]?[0-9]+", text.strip()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {_echo(text)}")
+    return int(_rational(text))
 
 
 def _rational_list(text: str) -> list[Fraction]:

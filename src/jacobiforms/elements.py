@@ -29,7 +29,8 @@ is the one square-and-multiply of elements, coefficients, series and
 generator powers, and `parse_element` reads text in one loop over its
 terms.
 Values are immutable, so an element caches its split into homogeneous
-components and, per subalgebra, the rows by (A, B) grade `escapes` reads.
+components and, for the last subalgebra asked for, the rows by (A, B)
+grade `escapes` reads.
 The subalgebras M, Jtilde and Q are each defined once, by a monomial test
 and generators, which `membership`, `monomial_basis` and the stability
 check read.
@@ -325,16 +326,13 @@ class BigradedElement:
                 split = self._split = tuple((Bidegree(*d), BigradedElement._raw(num, self._den)) for d, num in parts)
         return ((split, self),) if type(split) is Bidegree else split
 
-    def _outside_rows(self, algebra: str) -> "_OutsideRows":
-        """Self's rows by grade and, for each grade asked for, the row of
-        the monomials that a monomial of that grade multiplies out of the
-        named subalgebra; cached per algebra in _outside."""
-        try:  # read for every term escapes folds: a hit makes no call
-            return self._outside[algebra]
-        except (TypeError, KeyError):  # no cache yet (None), or none for the algebra
-            cache = self._outside = self._outside or {}
-            rows = cache[algebra] = _OutsideRows(self._num, _membership_test(algebra))
-            return rows
+    def _outside_rows(self, test) -> "_OutsideRows":
+        """Self's _OutsideRows for the monomial test: one cache, in
+        _outside, replaced when another test is asked for."""
+        rows = self._outside
+        if rows is None or rows.test is not test:
+            rows = self._outside = _OutsideRows(self._num, test)
+        return rows
 
     def homogeneous_components(self) -> dict[Bidegree, "BigradedElement"]:
         """The homogeneous pieces by bidegree, in bidegree order, in a new
@@ -410,26 +408,28 @@ def linear_combination(terms, divisor: int = 1) -> BigradedElement:
 class _OutsideRows(dict):
     """Grade g -> the numerators of an element's monomials whose grade plus
     g fails a subalgebra's monomial test, as one row, filled in as grades
-    are asked for; when every monomial fails, the row is the element's own
-    numerators, not a copy.  The rows attribute holds the (grade, row)
-    pairs it is made from: the numerators split by the A and B exponents
-    of their monomials, the grade of A^a B^b being its packed key, so that
-    a product's grade is the sum of its factors'."""
+    are asked for.  The rows attribute holds the numerators split by the A
+    and B exponents of their monomials, as (grade, row) pairs, the grade of
+    A^a B^b being its packed key, so that a product's grade is the sum of
+    its factors'.  A grade's verdict, the indices of the rows it sends
+    outside, keys its row in verdicts, so each verdict's row is built once;
+    none failing is one empty row, all failing the element's numerators."""
 
-    __slots__ = ("num", "rows", "test")
+    __slots__ = ("rows", "test", "verdicts")
 
     def __init__(self, num, test):  # dict.__new__ has made the empty dict
         rows: dict = {}
         for k, c in num.items():
             _, _, a, b = _exponents(k)
             rows.setdefault(a * _GENERATOR_KEYS[2] + b, {})[k] = c
-        self.num, self.rows, self.test = num, tuple(rows.items()), test
+        self.rows, self.test, self.verdicts = tuple(rows.items()), test, {(): {}, tuple(range(len(rows))): num}
 
     def __missing__(self, grade):
         _check_product_keys([grade + g for g, _ in self.rows])  # grades of products, as keys
-        failing = [row for g, row in self.rows if not self.test(_exponents(grade + g))]
-        whole = len(failing) == len(self.rows)
-        part = self[grade] = self.num if whole else {k: c for row in failing for k, c in row.items()}
+        verdict = tuple(i for i, (g, _) in enumerate(self.rows) if not self.test(_exponents(grade + g)))
+        if verdict not in self.verdicts:
+            self.verdicts[verdict] = {k: c for i in verdict for k, c in self.rows[i][1].items()}
+        part = self[grade] = self.verdicts[verdict]
         return part
 
 
@@ -445,13 +445,13 @@ def escapes(terms, algebra: str) -> bool:
     linear_combination.  The sum lies inside exactly when that part is
     zero.  An exponent of that part out of range raises BidegreeError; the
     part inside is never formed, so its exponents are not checked."""
-    _membership_test(algebra)  # an unknown name raises, with or without terms
+    test = _membership_test(algebra)  # an unknown name raises, with or without terms
     num: dict = {}
     den = 1
     for c, x, y in terms:
-        y_outside = y._outside_rows(algebra)
+        y_outside = y._outside_rows(test)
         scale = 0  # set at the term's first product outside, if any
-        for gx, x_row in x._outside_rows(algebra).rows:
+        for gx, x_row in x._outside_rows(test).rows:
             y_row = y_outside[gx]
             if y_row:
                 if not scale:

@@ -284,6 +284,8 @@ BAD_INPUTS = {
     "verify-long-parameter": ["verify", "--suite", "poisson", "--family", "orc", "--params", "1/1234567890123"],
     "scan-long-u": ["scan-conjecture", "--u", "1/1234567890123", "--nmax", "0"],
     "expand-long-exponent": ["expand", "--what", "element", "--element", "E4^" + "1" * 5000],
+    # an integer option has at most 12 digits, as a rational one: int() reads 4,300
+    "expand-long-N": ["expand", "--what", "A", "--N", "9" * 4000],
 }
 
 
@@ -407,6 +409,23 @@ def test_a_bad_integer_option_is_quoted_cut_with_its_length(capsys):
     last = err.splitlines()[-1]
     assert last.endswith(f"argument --N: invalid int value: {text[:cli.MAX_ECHO]!r}... (5001 characters)")
     assert len(err) < 1000
+
+
+@pytest.mark.parametrize("text", ["1_0", "0x10", "1e2", "10.0"])
+def test_an_integer_option_reads_what_a_rational_option_reads(capsys, text):
+    # int() reads digit-group underscores, which --params does not; other
+    # text gets argparse's own line, as any option that is not an integer
+    code, out, err = run(capsys, "expand", "--what", "E4", "--N", text)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].endswith(f"argument --N: invalid int value: {text!r}")
+    assert run(capsys, "bracket", "--family", "orc", "--params", text, "--n", "1", "--f", "A", "--g", "B")[::2] == (2, f"error: not a rational: {text!r}\n")
+
+
+def test_a_long_integer_option_is_refused_on_one_short_line(capsys):
+    # leading zeros do not count, and the line does not repeat the digits
+    assert run(capsys, "expand", "--what", "A", "--N", "+" + "0" * 5000 + "2", "--G", "2")[0] == 0
+    code, out, err = run(capsys, "expand", "--what", "A", "--N", "9" * 4000)
+    assert (code, out, err) == (2, "", "error: a numerator or denominator has at most 12 digits, got 4000\n")
 
 
 def test_vinset_empty_u_keeps_the_default_values(capsys):
@@ -656,13 +675,13 @@ def test_a_reader_that_closes_early_gets_no_traceback():
     src = str(Path(jacobiforms.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     argv = ["scan-conjecture", "--u", "0", "--nmax", "2", "--weight-cap", "16", "--index-cap", "3"]
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "jacobiforms.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
-    )
-    first = proc.stdout.readline()
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert (proc.wait(timeout=60), err) == (0, b"")
+    ) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (0, b"")
     assert first == b"u=0 v=1 n=0 f=(1) g=(1) in_Jtilde=true\n"
 
 

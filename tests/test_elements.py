@@ -25,13 +25,15 @@ from jacobiforms import (
     bidegree,
     format_element,
     from_json_dict,
+    iterate,
     membership,
     monomial,
     parse_element,
+    rc_localized,
     serre,
     to_json_dict,
 )
-from jacobiforms.elements import _MEMBERSHIP, escapes, linear_combination, power
+from jacobiforms.elements import _MEMBERSHIP, _OutsideRows, _exponents, _key, escapes, linear_combination, power
 
 
 def test_generator_bidegrees():
@@ -551,6 +553,61 @@ def test_escapes_edge_cases():
         escapes([(1, monomial(a=-half), monomial(a=-half - 1))], "Jtilde")
     with pytest.raises(BidegreeError):
         escapes([(1, monomial(e4=half, a=-1), monomial(e4=half))], "Jtilde")
+
+
+def test_grades_with_one_verdict_share_one_row():
+    # D^3(B) of a deformation has rows at the A exponents 1, 0, -1 and -3; a
+    # grade A^a B^b sends outside Jtilde the rows whose A exponent is below -a
+    x = iterate(rc_localized(F(1, 12), 2).derivation, 3, B)
+    test = _MEMBERSHIP["Jtilde"]
+    outside = x._outside_rows(test)
+    assert len(outside.rows) == 4
+    by_verdict: dict = {}
+    for a in range(-2, 5):
+        for b in range(3):
+            grade = _key((0, 0, a, b))
+            verdict = frozenset(k for k in x._num if not test(_exponents(k + grade)))
+            assert outside[grade] == {k: x._num[k] for k in verdict}
+            by_verdict.setdefault(verdict, []).append(outside[grade])
+    # a = -2, -1, 0 send out 4, 3, 2 rows; a = 1, 2 one; a = 3, 4 none
+    assert sorted(len(rows) for rows in by_verdict.values()) == [3, 3, 3, 6, 6]
+    for rows in by_verdict.values():
+        assert all(row is rows[0] for row in rows)  # one row per verdict, shared by its grades
+    assert len({id(rows[0]) for rows in by_verdict.values()}) == 5
+    assert by_verdict[frozenset()][0] == {} and by_verdict[frozenset(x._num)][0] is x._num
+    assert x._outside_rows(test) is outside
+
+
+ALGEBRA_TURNS = ("Jtilde", "M", "Jtilde", "Q", "K", "Jtilde")
+
+
+def _turns():
+    """Pairs x, y, new on each call, with escapes of x * y for each algebra
+    of ALGEBRA_TURNS as fresh equal elements answer it, each asked once:
+    A * B leaves M and Q, F2 * E4*F2 leaves M and Jtilde."""
+    pairs = [(monomial(a=1), monomial(b=1)), (monomial(a=-1, b=1), E4 * monomial(a=-1, b=1))]
+    for x, y in pairs:
+        yield x, y, [escapes([(1, BigradedElement(x.terms()), BigradedElement(y.terms()))], algebra) for algebra in ALGEBRA_TURNS]
+
+
+def test_an_element_asked_for_another_algebra_answers_as_a_fresh_one():
+    for x, y, fresh in _turns():
+        assert fresh == [not membership(x * y, algebra) for algebra in ALGEBRA_TURNS]
+        assert [escapes([(1, x, y)], algebra) for algebra in ALGEBRA_TURNS] == fresh
+        assert x._outside.test is y._outside.test is _MEMBERSHIP["Jtilde"]  # one cache each, the last test's
+
+
+def test_a_cache_that_keeps_the_first_algebras_rows_fails_the_turns(monkeypatch):
+    # mutation control of the test above: a cache kept for Jtilde answers
+    # every later algebra as Jtilde
+    def first_rows(self, test):
+        if self._outside is None:
+            self._outside = _OutsideRows(self._num, test)
+        return self._outside
+
+    monkeypatch.setattr(BigradedElement, "_outside_rows", first_rows)
+    for x, y, fresh in _turns():
+        assert [escapes([(1, x, y)], algebra) for algebra in ALGEBRA_TURNS] != fresh
 
 
 def test_linear_combination_edge_cases():
