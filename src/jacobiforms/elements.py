@@ -3,9 +3,11 @@
 The four generators carry (weight, index) bidegrees E4:(4,0), E6:(6,0),
 A:(-2,1), B:(0,1).  A monomial E4^i * E6^j * A^k * B^l is homogeneous of
 bidegree (4i + 6j - 2k, k + l); the exponent of A may be negative because
-the algebra is localized at the powers of A.  The weight-two function
-F2 = B * A^-1 is not a stored generator: the parser can rewrite it away,
-so every element has a single canonical monomial basis and equality is a
+the algebra is localized at the powers of A.  Exponents are integers:
+each is read through operator.index, so a float or a string is refused
+with TypeError, never truncated.  The weight-two function F2 = B * A^-1
+is not a stored generator: the parser can rewrite it away, so every
+element has a single canonical monomial basis and equality is a
 dictionary comparison.
 
 Coefficients are exact rationals.  Internally an element keeps integer
@@ -39,6 +41,7 @@ check read.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from contextlib import contextmanager
 from fractions import Fraction
@@ -94,8 +97,8 @@ _GUARD = 2 * _OFFSET
 
 
 def _key(m) -> int:
-    """The packed key of a monomial exponent vector."""
-    e4, e6, a, b = m
+    """The packed key of a monomial exponent vector of integers."""
+    e4, e6, a, b = map(operator.index, m)
     if min(e4, e6, b) < 0 or max(e4, e6, a, b) >= _LIMIT or a < -_LIMIT:
         raise BidegreeError(f"exponents of E4, E6, B must lie in [0, {_LIMIT}) and of A in [-{_LIMIT}, {_LIMIT}), got {tuple(m)}")
     return e4 * _GENERATOR_KEYS[0] + e6 * _GENERATOR_KEYS[1] + a * _GENERATOR_KEYS[2] + b
@@ -678,6 +681,6 @@ def to_json_dict(f: BigradedElement) -> dict:
 def from_json_dict(data: Mapping) -> BigradedElement:
     terms = {}
     for entry in data["terms"]:
-        m = Monomial(int(entry["e4"]), int(entry["e6"]), int(entry["a"]), int(entry["b"]))
+        m = Monomial(*(operator.index(entry[x]) for x in Monomial._fields))
         terms[m] = terms.get(m, Fraction(0)) + Fraction(entry["coeff"])
     return BigradedElement(terms)

@@ -3,6 +3,9 @@
 Series live in q up to a fixed order N; each q-coefficient is a Laurent
 polynomial in w, where w^2 = xi is the elliptic variable (half-integer
 xi powers hide in the theta factors, so w keeps everything polynomial).
+The truncation order N is nonnegative, a series has at least its q^0 row,
+and the exponents of w are integers (read through operator.index): a
+negative order raises ValueError and a float exponent TypeError.
 
 A series stores one row per power of q, a dict {w exponent: integer
 numerator}, over one positive denominator shared by all rows: the rows of
@@ -37,6 +40,7 @@ expand accepts N <= 200.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -68,7 +72,7 @@ class LaurentPolyW:
             for r, c in coeffs.items():
                 c = Fraction(c)
                 if c:
-                    self._coeffs[int(r)] = c
+                    self._coeffs[operator.index(r)] = c
 
     @classmethod
     def _raw(cls, coeffs: dict) -> "LaurentPolyW":
@@ -143,6 +147,8 @@ class QSeries:
 
     def __init__(self, coeffs):
         polys = [c if isinstance(c, LaurentPolyW) else LaurentPolyW(c) for c in coeffs]
+        if not polys:
+            raise ValueError("a series has at least its q^0 row")
         rows, den = _numerators([p._coeffs for p in polys])
         rows, self._den = _normalized(rows, den)
         self._rows, self._hash = tuple(rows), None
@@ -257,7 +263,7 @@ def combination(terms, q_order: int) -> QSeries:
     sum as a product with the row 1.  A zero coefficient skips its term; a
     term that stops short of q^q_order raises ValueError.
     """
-    rows = [{} for _ in range(q_order + 1)]
+    rows = _rows(q_order)
     den = 1
     for term in terms:
         c, x = term[0], term[1]
@@ -285,9 +291,18 @@ def combination(terms, q_order: int) -> QSeries:
 _ONE_ROWS = ({0: 1},)  # the series 1, by which combination multiplies a sum's term
 
 
+def _rows(q_order: int, first: dict | None = None) -> list:
+    """Rows for q^0 through q^q_order, empty but for the q^0 row first:
+    the one place rows are laid out for a given truncation order, so the
+    one check that it is nonnegative."""
+    if q_order < 0:
+        raise ValueError(f"the truncation order must be nonnegative, got {q_order}")
+    return [first or {}] + [{} for _ in range(q_order)]
+
+
 def constant_series(value, q_order: int) -> QSeries:
     c = Fraction(value)
-    return QSeries._raw([{0: c.numerator}] + [{}] * q_order, c.denominator)
+    return QSeries._raw(_rows(q_order, {0: c.numerator}), c.denominator)
 
 
 # ----------------------------------------------------------- number helpers
@@ -325,8 +340,8 @@ def eisenstein(k: int, q_order: int) -> QSeries:
     if k < 2 or k % 2:
         raise ValueError("Eisenstein weight must be an even integer >= 2")
     factor = Fraction(-2 * k) / bernoulli(k)
-    rows = [{0: factor.denominator}]
-    rows += [{0: factor.numerator * sigma(k - 1, n)} for n in range(1, q_order + 1)]
+    rows = _rows(q_order, {0: factor.denominator})
+    rows[1:] = [{0: factor.numerator * sigma(k - 1, n)} for n in range(1, q_order + 1)]
     return QSeries._raw(rows, factor.denominator)
 
 
@@ -337,7 +352,7 @@ def _triangular_series(q_order: int, row) -> QSeries:
     """sum_{n>=0} (-1)^n row(n) q^{n(n+1)/2} through q^q_order: the reduced
     theta series over w - w^{-1} for row(n) = w^{2n} + w^{2n-2} + ... +
     w^{-2n}, and the eta-cube without its q^{1/8} for row(n) = 2n+1."""
-    rows = [{} for _ in range(q_order + 1)]
+    rows = _rows(q_order)
     n = 0
     while n * (n + 1) // 2 <= q_order:
         rows[n * (n + 1) // 2] = {r: (-1) ** n * c for r, c in row(n).items()}
@@ -393,7 +408,7 @@ def _a_and_ratio_squared(q_order: int) -> tuple[QSeries, QSeries]:
     theta = _triangular_series(q_order, lambda n: dict.fromkeys(range(-2 * n, 2 * n + 1, 2), 1))
     ratio = theta * _inverted_unit(_triangular_series(q_order, lambda n: {0: 2 * n + 1}))
     ratio_sq = ratio * ratio
-    gap_sq = QSeries._raw([{2: 1, 0: -2, -2: 1}] + [{}] * q_order, 1)  # (w - w^{-1})^2
+    gap_sq = QSeries._raw(_rows(q_order, {2: 1, 0: -2, -2: 1}), 1)  # (w - w^{-1})^2
     return _golden_checked(gap_sq * ratio_sq, (_A_Q0, _A_Q1, _A_Q2), "theta quotient"), ratio_sq
 
 
@@ -436,12 +451,10 @@ def j1_series(q_order: int, window: int) -> QSeries:
     """
     if window < 1:
         raise ValueError("window must be positive")
-    rows = [{0: 1, **{-2 * d: 2 for d in range(1, window + 1)}}]
+    rows = _rows(q_order, {0: 1, **{-2 * d: 2 for d in range(1, window + 1)}})
     for n in range(1, q_order + 1):
-        row: dict = {}
         for d in _divisors(n):
-            row.update({2 * d: -2, -2 * d: 2})
-        rows.append(row)
+            rows[n].update({2 * d: -2, -2 * d: 2})
     return QSeries._raw(rows, 2)
 
 
@@ -449,8 +462,8 @@ def j1g_series(q_order: int) -> QSeries:
     """Exact J1g = (w - w^{-1}) J1: the q^0 row is (w + w^{-1})/2, the q^n
     row -(sum_{d|n} (w^{2d} - w^{-2d}))(w - w^{-1}).  The gap times J1 cut
     after xi^{-1} is all of it but the -w^{-3} the telescoped q^0 row leaves."""
-    gap = QSeries._raw([{1: 1, -1: -1}] + [{}] * q_order, 1)
-    cut = QSeries._raw([{-3: 1}] + [{}] * q_order, 1)
+    gap = QSeries._raw(_rows(q_order, {1: 1, -1: -1}), 1)
+    cut = QSeries._raw(_rows(q_order, {-3: 1}), 1)
     return gap * j1_series(q_order, 1) + cut
 
 
@@ -463,12 +476,10 @@ def j2_series(q_order: int) -> QSeries:
     in z; it is cross-checked against the weight-0 generator through the
     Fourier-side derivation of A.  Stored over the denominator 6.
     """
-    rows = [{0: 1}]
+    rows = _rows(q_order, {0: 1})
     for n in range(1, q_order + 1):
-        row: dict = {}
         for d in _divisors(n):
-            row[2 * d] = row[-2 * d] = -12 * (n // d)
-        rows.append(row)
+            rows[n][2 * d] = rows[n][-2 * d] = -12 * (n // d)
     return QSeries._raw(rows, 6)
 
 

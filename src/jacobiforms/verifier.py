@@ -129,16 +129,16 @@ def check_poisson(
     a bilinear first bracket, over basis tuples.
 
     Each distinct identity is checked once, from a table of the brackets
-    of basis pairs: skew-symmetry and Leibniz for i <= j only (f*g = g*f),
-    Jacobi for i < j < k only, as J = {f,{g,h}} - {g,{f,h}} + {h,{f,g}}
-    from the upper triangle.  Skew-symmetry is checked first, and once it
-    holds on the basis, linearity in the second argument makes J the
-    rotation sum {f,{g,h}} + {g,{h,f}} + {h,{f,g}}, which rotating the
-    arguments keeps and swapping f and g negates term by term.  So J is
-    alternating, zero at a repeated index, and fails at a triple exactly
-    when at the sorted one.  Every skipped copy comes later in the loop
-    order than the copy checked, so the first witness is that of the loop
-    over all ordered tuples.
+    of basis pairs: skew-symmetry first, then Leibniz, each walking the
+    pairs i <= j once (f*g = g*f), and Jacobi at i < j < k only, as
+    J = {f,{g,h}} - {g,{f,h}} + {h,{f,g}} from the upper triangle.  Once
+    skew-symmetry holds on the basis, linearity in the second argument
+    makes J the rotation sum {f,{g,h}} + {g,{h,f}} + {h,{f,g}}, which
+    rotating the arguments keeps and swapping f and g negates term by
+    term.  So J is alternating, zero at a repeated index, and fails at a
+    triple exactly when at the sorted one.  Every skipped copy comes later
+    in the loop order than the copy checked, so the first witness is that
+    of the loop over all ordered tuples.
 
     Each product f*g, i <= j, is formed once, and the Leibniz left sides
     {f*g, h} are read from a memo of rows keyed by the product's value: it
@@ -155,29 +155,25 @@ def check_poisson(
     rows = dict(zip(basis, table))  # rows[fg][k] = {fg, basis[k]}, None until needed
 
     def witnesses():
-        for i, f in enumerate(basis):
-            for j in range(i, len(basis)):
-                lhs, rhs = table[i][j], -table[j][i]
-                if lhs != rhs:
-                    yield _witness("skew-symmetry", {"f": f, "g": basis[j]}, lhs, rhs)
-        for i, f in enumerate(basis):
-            for j, g in enumerate(basis):
-                if i <= j:
-                    fg = products[i, j]
-                    row = rows.setdefault(fg, [None] * len(basis))
-                for k, h in enumerate(basis):
-                    if i <= j:
-                        if row[k] is None:
-                            row[k] = mu1(fg, h)
-                        rhs = linear_combination(((1, f, table[j][k]), (1, table[i][k], g)))
-                        if row[k] != rhs:
-                            yield _witness("leibniz", {"f": f, "g": g, "h": h}, row[k], rhs)
-                    if i < j < k:
-                        jac = linear_combination(((1, mu1(f, table[j][k])), (-1, mu1(g, table[i][k])), (1, mu1(h, table[i][j]))))
-                        if jac != ZERO:
-                            yield _witness("jacobi", {"f": f, "g": g, "h": h}, jac, ZERO)
-                if i <= j and last_pair[fg] == (i, j):
-                    del rows[fg]
+        for i, j in products:
+            lhs, rhs = table[i][j], -table[j][i]
+            if lhs != rhs:
+                yield _witness("skew-symmetry", {"f": basis[i], "g": basis[j]}, lhs, rhs)
+        for (i, j), fg in products.items():
+            f, g = basis[i], basis[j]
+            row = rows.setdefault(fg, [None] * len(basis))
+            for k, h in enumerate(basis):
+                if row[k] is None:
+                    row[k] = mu1(fg, h)
+                rhs = linear_combination(((1, f, table[j][k]), (1, table[i][k], g)))
+                if row[k] != rhs:
+                    yield _witness("leibniz", {"f": f, "g": g, "h": h}, row[k], rhs)
+                if i < j < k:
+                    jac = linear_combination(((1, mu1(f, table[j][k])), (-1, mu1(g, table[i][k])), (1, mu1(h, table[i][j]))))
+                    if jac != ZERO:
+                        yield _witness("jacobi", {"f": f, "g": g, "h": h}, jac, ZERO)
+            if last_pair[fg] == (i, j):
+                del rows[fg]
 
     return _first_witness(claim, witnesses(), {"basis_size": len(basis)})
 

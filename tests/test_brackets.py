@@ -438,3 +438,9 @@ def test_negative_binomial_tops_need_no_special_case():
     value = bracket_n(fam, 3, A, A)
     if not value.is_zero:
         assert value.bidegree() == (2, 2)
+
+
+def test_the_pochhammer_route_refuses_a_negative_order():
+    fam = accol(0, 0, F(1, 2))
+    with pytest.raises(ValueError, match="^bracket order must be nonnegative$"):
+        cm_bracket(fam.derivation, fam.c, -1, E4, E6)

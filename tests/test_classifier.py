@@ -313,3 +313,8 @@ def test_distinct_index_weights_break_transport():
     target = accol(1, 1, 1)
     f, g = E4 * A, E6
     assert phi(bracket_n(source, 1, f, g)) != bracket_n(target, 1, phi(f), phi(g))
+
+
+def test_poisson_params_take_exactly_ten_values():
+    with pytest.raises(ValueError, match="^expected ten parameters$"):
+        PoissonParams.of(*range(9))

@@ -208,6 +208,7 @@ BAD_INPUTS = {
     "bracket-negative-n": ["bracket", "--family", "orc", "--params", "1", "--n", "-1", "--f", "A", "--g", "B"],
     "bracket-rc-negative-n": ["bracket", "--family", "rc", "--n", "-1", "--f", "E4", "--g", "E6"],
     "bracket-rc-not-modular": ["bracket", "--family", "rc", "--n", "1", "--f", "A", "--g", "E4"],
+    "bracket-rc-params": ["bracket", "--family", "rc", "--params", "1", "--n", "1", "--f", "E4", "--g", "E6"],
     "bracket-negative-B-exponent": ["bracket", "--family", "src", "--n", "1", "--f", "B^-1", "--g", "E4"],
     # the order sets the depth of one power sequence, as --power does for deriv
     "bracket-n-above-limit": ["bracket", "--family", "orc", "--params", "1", "--n", "301", "--f", "1", "--g", "1"],
@@ -325,6 +326,7 @@ def test_expand_bad_sizes_are_usage_errors(capsys, argv):
         (["expand", "--what", "J1", "--N", "-1", "--G", "0"], "--N must be between 0 and 200, got -1"),
         (["bracket", "--family", "orc", "--params", "1", "--n", "-1", "--f", "A", "--g", "B"], "--n must be between 0 and 300, got -1"),
         (["bracket", "--family", "rc", "--n", "301", "--f", "1", "--g", "1"], "--n must be between 0 and 300, got 301"),
+        (["bracket", "--family", "rc", "--params", "1", "--n", "1", "--f", "E4", "--g", "E6"], "family rc takes no parameters"),
         (["deriv", "--name", "serre", "--input", "E4", "--power", "-1"], "--power must be between 0 and 300, got -1"),
         (["deriv", "--name", "serre", "--input", "E4", "--power", "301"], "--power must be between 0 and 300, got 301"),
         # the parameter list is read before the bound is checked
@@ -372,7 +374,7 @@ def test_expand_bad_sizes_are_usage_errors(capsys, argv):
         (["verify", "--suite", "poisson", "--family", "orc", "--params", "x", "--nmax", "17"], "not a rational: 'x'"),
     ],
     ids=[
-        "N-negative", "N-above", "G-zero", "G-above", "N-before-G", "n-negative", "rc-n-above", "power-negative", "power-above",
+        "N-negative", "N-above", "G-zero", "G-above", "N-before-G", "n-negative", "rc-n-above", "rc-params", "power-negative", "power-above",
         "bracket-params-first", "deriv-params-first", "N-unicode", "params-unicode", "associativity-size", "scan-size", "scan-size-u-values",
         "vinset-u-values", "pairs-zero", "bracket-exponent-digits", "element-needs-text",
         "element-long-number", "rational-long-number", "element-summed-coefficients", "deriv-parameter-digits", "bracket-parameter-digits", "verify-params-first",

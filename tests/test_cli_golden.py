@@ -80,6 +80,10 @@ COMMANDS = [
     ["bracket", "--family", "Crochet", "--params", "1/12,2", "--n", "4", "--f", "A^-1*B", "--g", "E6*A^2"],
     ["deriv", "--name", "partial_u", "--param", "1/5", "--input", "A^-2*B^3+E4^2*A^-1", "--power", "6"],
     ["deriv", "--name", "serre_ab", "--param", "1/3,2/5", "--input", "E4^1000000*A^-999999", "--power", "2"],
+    # an inadmissible tuple, whose text form lists its nonzero residuals
+    ["classify", "--params", "1,2,3,4,5,6,7,8,9,10"],
+    # a = b = 0 on both sides: the identity scaling
+    ["iso", "--from", "0,0,1/2", "--to", "0,0,1/2"],
 ]
 
 VARIANTS = [command + extra for command in COMMANDS for extra in ([], ["--json"])]

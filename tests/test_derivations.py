@@ -322,3 +322,8 @@ def test_pochhammer():
     assert pochhammer_apply(w, 3, f, shift=2) == 12 * 13 * 14 * f
     w2 = EulerWeighting(F(1, 2))
     assert pochhammer_apply(w2, 1, A) == F(-3, 2) * A
+
+
+def test_pochhammer_refuses_a_negative_order():
+    with pytest.raises(ValueError, match="^Pochhammer order must be nonnegative$"):
+        pochhammer_apply(EulerWeighting(F(0)), -1, E4)

@@ -28,6 +28,7 @@ from jacobiforms import (
     iterate,
     membership,
     monomial,
+    monomial_basis,
     parse_element,
     rc_localized,
     serre,
@@ -668,3 +669,30 @@ def test_the_work_budget_counts_multiply_adds_and_refuses_before_the_product():
         assert f * f == linear_combination([(1, f, f)])  # two products of 2 * 2
         with pytest.raises(BudgetExceeded):
             f * f
+
+
+@pytest.mark.parametrize("m", [(1.0, 0, 0, 0), (0, 0, "1", 0), (0, 0, 0, 0.5)])
+def test_monomial_exponents_must_be_integers(m):
+    # a float key would compare equal to E4's yet break str() and terms()
+    with pytest.raises(TypeError):
+        BigradedElement({m: 1})
+
+
+@pytest.mark.parametrize("exponent", [1.5, 1.0, "1"])
+def test_json_exponents_must_be_integers(exponent):
+    # int() would read 1.5 as 1, so the element would come back as E4
+    data = to_json_dict(E4)
+    data["terms"][0]["e4"] = exponent
+    with pytest.raises(TypeError):
+        from_json_dict(data)
+
+
+def test_a_fraction_scales_an_element_from_the_right():
+    assert E4 * F(1, 2) == monomial(e4=1, coeff=F(1, 2)) == F(1, 2) * E4
+
+
+def test_refusals_of_a_basis_outside_the_subalgebras_and_of_a_mixed_bidegree():
+    with pytest.raises(ValueError, match="^basis enumeration needs a proper subalgebra of K$"):
+        monomial_basis(4, 1, "K")
+    with pytest.raises(ValueError, match="^element is zero or not homogeneous$"):
+        (E4 + A).bidegree()

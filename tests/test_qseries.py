@@ -825,3 +825,48 @@ def test_golden_check_refuses_a_wrong_row():
     assert qseries._golden_checked(series, rows, "theta quotient") is series
     with pytest.raises(InternalInvariantError, match=r"^theta quotient mismatch at q\^1: "):
         qseries._golden_checked(series, (rows[0], rows[1] * F(2), rows[2]), "theta quotient")
+
+
+@pytest.mark.parametrize("r", [0.5, 2.0, "3"])
+def test_w_exponents_must_be_integers(r):
+    # int() would read 0.5 as the constant term and "3" as w^3
+    with pytest.raises(TypeError):
+        LaurentPolyW({r: 1})
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: eisenstein(4, -1),
+        lambda: j2_series(-1),
+        lambda: j1g_series(-1),
+        lambda: j1_series(-1, 1),
+        lambda: constant_series(1, -1),
+        lambda: theta_quotient_A(-1),
+        lambda: b_series(-1),
+        lambda: make_bundle(-1),
+        lambda: combination((), -1),
+    ],
+    ids=["eisenstein", "j2", "j1g", "j1", "constant", "A", "B", "bundle", "combination"],
+)
+def test_a_negative_truncation_order_is_refused(build):
+    # never a series through q^0 nor an IndexError from an empty row list
+    with pytest.raises(ValueError, match="^the truncation order must be nonnegative, got -1$"):
+        build()
+
+
+def test_a_series_has_at_least_its_q0_row():
+    with pytest.raises(ValueError, match=r"^a series has at least its q\^0 row$"):
+        QSeries([])
+
+
+def test_a_w_polynomial_times_zero_is_zero():
+    assert (LaurentPolyW({2: 1}) * 0).is_zero
+    assert LaurentPolyW({2: 1}) * 0 == LaurentPolyW()
+
+
+def test_refusals_of_a_negative_bernoulli_index_and_an_empty_window():
+    with pytest.raises(ValueError, match="^Bernoulli index must be nonnegative$"):
+        bernoulli(-1)
+    with pytest.raises(ValueError, match="^window must be positive$"):
+        j1_series(3, 0)
