@@ -130,8 +130,8 @@ __version__ = "0.1.0"
 
 def clear_caches() -> None:
     """Empty every module-level memo (lru_cache) of the package: unpacked
-    monomials, power sequences, binomials and their integer rows, Bernoulli
-    numbers, generator powers and capped bases.  Long sweeps call it to stay
+    monomials, power sequences, binomials and their integer rows, generator
+    powers and capped bases.  Long sweeps call it to stay
     bounded; afterwards the package computes as a fresh process does."""
     for module in (elements, derivations, brackets, classifier, qseries, verifier):
         for value in vars(module).values():

@@ -291,7 +291,7 @@ def _cmd_deriv(args) -> int:
 # Sizes multiply: the associativity suite costs about (basis size * nmax)^3,
 # so that product is bounded too, at the 53 monomials of --index-cap 3 times
 # the default --nmax 3.  The suite checks about half the ordered triples, which
-# halves the cost but not its growth.  The Poisson suite ignores --nmax.
+# halves the cost but not its growth.
 MAX_ASSOCIATIVITY_SIZE = 53 * 3
 # The scan prints a row per basis pair, order and u, so their product is
 # bounded, at the 193 monomials of --weight-cap 32 (or --index-cap 6) squared
@@ -303,8 +303,23 @@ MAX_SCAN_SIZE = 193 ** 2 * 3
 # 83 MiB (README).
 MAX_VINSET_U_VALUES = 5000
 
+# The options each verify suite reads.  A suite refuses any other verify
+# option whose parsed value is not its default: the values are compared, not
+# the argv text, since argparse also accepts abbreviations such as --weight.
+_CAPPED_SUITE_OPTIONS = ("family", "params", "nmax", "weight_cap", "index_cap")
+SUITE_OPTIONS = {
+    "associativity": _CAPPED_SUITE_OPTIONS,
+    "poisson": ("family", "params", "weight_cap", "index_cap"),
+    "bidegree": (*_CAPPED_SUITE_OPTIONS, "pairs", "seed"),
+    "stability": (*_CAPPED_SUITE_OPTIONS, "algebra"),
+    "vinset": ("u",),
+}
+
 
 def _cmd_verify(args) -> int:
+    for name in dict.fromkeys(o for options in SUITE_OPTIONS.values() for o in options):
+        if name not in SUITE_OPTIONS[args.suite] and getattr(args, name) != getattr(_VERIFY_DEFAULTS, name):
+            raise UsageError(f"--suite {args.suite} does not read --{name.replace('_', '-')}")
     rng = random.Random(args.seed)
     if args.suite == "vinset":
         u_values = _u_values(args.u) if args.u else [Fraction(0), Fraction(1, 12), Fraction(-1, 6), Fraction(1)]
@@ -318,9 +333,7 @@ def _cmd_verify(args) -> int:
         weight_cap = args.weight_cap if args.weight_cap is not None else 8
         index_cap = args.index_cap if args.index_cap is not None else 2
         capped = args.weight_cap is not None or args.index_cap is not None
-        # --algebra names the subalgebra of the stability suite only
-        algebra = args.algebra if args.suite == "stability" else "Jtilde"
-        basis = verifier.monomial_basis(weight_cap, index_cap, algebra) if capped else None
+        basis = verifier.monomial_basis(weight_cap, index_cap, args.algebra) if capped else None
         if args.suite == "associativity":
             size = len(basis or verifier.GENERATORS)
             _check_product("associativity", MAX_ASSOCIATIVITY_SIZE, {"basis size": size, "--nmax": args.nmax})
@@ -486,6 +499,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _PARSER = build_parser()  # once per process: parsing leaves it as it was
+# The values of verify's options left unset, as parsed: argparse reads the
+# string default of --params through its type, to []
+_VERIFY_DEFAULTS = _PARSER.parse_args(["verify", "--suite", "vinset"])
 
 
 def main(argv=None) -> int:

@@ -240,7 +240,11 @@ class BigradedElement:
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((self._den, frozenset(self._num.items())))
+            num = self._num
+            if num.keys() <= {0}:  # a constant equals its scalar, so hashes as it
+                h = hash(Fraction(num.get(0, 0), self._den))
+            else:
+                h = hash((self._den, frozenset(num.items())))
             self._hash = h
         return h
 

@@ -13,12 +13,13 @@ the exact kernel of `elements`, whose one product loop, one normaliser
 and one conversion from Fractions series share with elements (an element
 is one row keyed by packed monomials).  coefficient(n) builds a
 LaurentPolyW of Fractions from a row on demand.  Sums and products of
-series are folded into one set of integer rows by `combination` and
-normalised once; `+`, `-`, `*` and the evaluation maps are calls of it,
-and `**` of `elements.power`; both evaluations are one substitution map,
-`_substituted`, on the memoised powers of the bundle's series and the
-memoised index parts A^a B^b: only A and B rows are wide, E4, E6 and E2
-rows are one term, so the index part is the one product worth keeping.
+series are folded by `combination` into one set of integer rows over the
+lcm of the terms' denominators and normalised once; `+`, `-`, `*` and the
+evaluation maps are calls of it, and `**` of `elements.power`; both
+evaluations are one substitution map, `_substituted`, on the memoised
+powers of the bundle's series and the memoised index parts A^a B^b: only
+A and B rows are wide, E4, E6 and E2 rows are one term, so the index part
+is the one product worth keeping.
 
 Every series is exact: each stored coefficient is the true one.  The
 elliptic-zeta series J1 has no finite q^0 row, since xi/(xi-1) has an
@@ -44,7 +45,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, isqrt, lcm
+from math import comb, isqrt, lcm, prod
 
 from .elements import (
     BigradedElement,
@@ -101,10 +102,16 @@ class LaurentPolyW:
     def __hash__(self):
         return hash(frozenset(self._coeffs.items()))
 
-    def __add__(self, other: "LaurentPolyW") -> "LaurentPolyW":
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = LaurentPolyW({0: other})
+        elif not isinstance(other, LaurentPolyW):
+            return NotImplemented
         out = dict(self._coeffs)
         _accumulate(out, other._coeffs, {0: 1})
         return LaurentPolyW._raw(out)
+
+    __radd__ = __add__
 
     def __neg__(self):
         return LaurentPolyW._raw({r: -c for r, c in self._coeffs.items()})
@@ -115,6 +122,8 @@ class LaurentPolyW:
             if not c:
                 return LaurentPolyW()
             return LaurentPolyW._raw({r: v * c for r, v in self._coeffs.items()})
+        if not isinstance(other, LaurentPolyW):
+            return NotImplemented
         out: dict = {}
         _accumulate(out, self._coeffs, other._coeffs)
         return LaurentPolyW._raw(out)
@@ -122,6 +131,8 @@ class LaurentPolyW:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        if not isinstance(n, int):
+            return NotImplemented
         return power(self, n, LaurentPolyW({0: 1}))
 
     def __repr__(self):
@@ -179,6 +190,8 @@ class QSeries:
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = constant_series(other, self.q_order)
+        elif not isinstance(other, QSeries):
+            return NotImplemented
         return combination(((1, self), (1, other)), min(self.q_order, other.q_order))
 
     __radd__ = __add__
@@ -186,6 +199,8 @@ class QSeries:
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
             other = constant_series(other, self.q_order)
+        elif not isinstance(other, QSeries):
+            return NotImplemented
         return combination(((1, self), (-1, other)), min(self.q_order, other.q_order))
 
     def __rsub__(self, other):
@@ -203,6 +218,8 @@ class QSeries:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        if not isinstance(n, int):
+            return NotImplemented
         return power(self, n, constant_series(1, self.q_order))
 
     def dtau(self) -> "QSeries":
@@ -258,27 +275,19 @@ def combination(terms, q_order: int) -> QSeries:
     (coeff, x, y) terms through q^q_order, normalised once: the one place
     that decides how sums and products of series are normalised.
 
-    Terms are summed into integer rows over a common denominator that grows
-    as needed, each pair of rows through the product loop of elements, a
-    sum as a product with the row 1.  A zero coefficient skips its term; a
-    term that stops short of q^q_order raises ValueError.
+    Terms are summed into integer rows over the lcm of their denominators,
+    taken before any product, each pair of rows through the product loop of
+    elements, a sum as a product with the row 1.  A zero coefficient drops
+    its term; a term that stops short of q^q_order raises ValueError.
     """
     rows = _rows(q_order)
-    den = 1
-    for term in terms:
-        c, x = term[0], term[1]
-        if not c:
-            continue
-        if min(s.q_order for s in term[1:]) < q_order:
-            raise ValueError(f"a term does not reach q^{q_order}")
-        if len(term) == 3:
-            d, right = c.denominator * x._den * term[2]._den, term[2]._rows
-        else:
-            d, right = c.denominator * x._den, _ONE_ROWS
-        if den % d:  # grow the common denominator and rescale the rows so far
-            grown = lcm(den, d)
-            rows = [{r: v * (grown // den) for r, v in row.items()} for row in rows]
-            den = grown
+    terms = [term for term in terms if term[0]]
+    if any(s.q_order < q_order for term in terms for s in term[1:]):
+        raise ValueError(f"a term does not reach q^{q_order}")
+    dens = [term[0].denominator * prod(s._den for s in term[1:]) for term in terms]
+    den = lcm(*dens)
+    for (c, x, *y), d in zip(terms, dens):
+        right = y[0]._rows if y else _ONE_ROWS
         scale = c.numerator * (den // d)
         for n1, row1 in enumerate(x._rows[: q_order + 1]):
             if row1:
@@ -308,7 +317,6 @@ def constant_series(value, q_order: int) -> QSeries:
 # ----------------------------------------------------------- number helpers
 
 
-@lru_cache(maxsize=512)
 def bernoulli(k: int) -> Fraction:
     """Bernoulli number B_k (B_1 = -1/2 convention)."""
     if k < 0:

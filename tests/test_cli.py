@@ -769,3 +769,22 @@ def test_an_option_the_command_does_not_read_is_a_usage_error(capsys, argv, drop
     code, out, err = run(capsys, *argv, *dropped)
     assert (code, out) == (2, "")
     assert err.endswith(f"error: unrecognized arguments: {' '.join(dropped)}\n")
+
+
+
+# suite -> (a run it accepts, an option it does not read, that option at its default)
+UNREAD_SUITE_OPTIONS = {
+    "associativity": (["--family", "accol", "--params", "1,1,0", "--nmax", "1"], ["--u", "5"], ["--u", ""]),
+    "poisson": (["--family", "accol", "--params", "1,1,0", "--weight-cap", "2", "--index-cap", "1"], ["--nmax", "16"], ["--nmax", "3"]),
+    "bidegree": (["--family", "accol", "--params", "1,1,0", "--nmax", "1", "--pairs", "2"], ["--algebra", "M"], ["--algebra", "Jtilde"]),
+    "stability": (["--family", "accol", "--params", "1,1,0", "--nmax", "1", "--algebra", "M"], ["--seed", "3"], ["--seed", "0"]),
+    "vinset": (["--u", "0"], ["--weight-cap", "4"], ["--params", ""]),
+}
+
+
+@pytest.mark.parametrize("suite", UNREAD_SUITE_OPTIONS)
+def test_a_verify_suite_refuses_an_option_it_does_not_read(capsys, suite):
+    argv, unread, at_default = UNREAD_SUITE_OPTIONS[suite]
+    assert run(capsys, "verify", "--suite", suite, *argv)[0] == 0
+    assert run(capsys, "verify", "--suite", suite, *argv, *at_default)[0] == 0
+    assert run(capsys, "verify", "--suite", suite, *argv, *unread) == (2, "", f"error: --suite {suite} does not read {unread[0]}\n")

@@ -74,6 +74,14 @@ def test_scalar_coercion_and_division():
     assert 1 - ONE == ZERO
 
 
+def test_a_constant_hashes_as_the_scalar_it_equals():
+    from jacobiforms.elements import constant
+
+    assert hash(ZERO) == hash(0) and hash(ONE) == hash(1)
+    assert hash(constant(F(1, 2))) == hash(F(1, 2))
+    assert {1: "x"}[ONE] == "x" and ONE in {1} and F(1, 2) in {constant(F(1, 2))}
+
+
 def test_negative_powers_limited_to_a():
     assert A ** -3 == monomial(a=-3)
     assert (2 * A) ** -1 == F(1, 2) * A_INV

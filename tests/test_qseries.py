@@ -834,6 +834,21 @@ def test_w_exponents_must_be_integers(r):
         LaurentPolyW({r: 1})
 
 
+@pytest.mark.parametrize("operand", [1.5, "x"])
+@pytest.mark.parametrize("op", ["+", "-", "*", "**"])
+@pytest.mark.parametrize("value", [E4 + A, eisenstein(4, 3), LaurentPolyW({2: 1})], ids=["element", "series", "wpoly"])
+def test_a_foreign_operand_is_refused_with_type_error(value, op, operand):
+    # every operator takes an int or a Fraction, or a value of its own type
+    for left, right in ((value, operand), (operand, value)):
+        with pytest.raises(TypeError):
+            eval(f"left {op} right")
+
+
+def test_a_scalar_adds_to_a_w_polynomial_as_its_constant():
+    assert LaurentPolyW({2: 1}) + 1 == LaurentPolyW({2: 1, 0: 1}) == 1 + LaurentPolyW({2: 1})
+    assert LaurentPolyW({2: 1}) + F(-1, 2) == LaurentPolyW({2: 1, 0: F(-1, 2)})
+
+
 @pytest.mark.parametrize(
     "build",
     [
