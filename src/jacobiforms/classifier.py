@@ -372,37 +372,26 @@ def normal_form(a, b, c) -> tuple[Fraction, Fraction, Fraction]:
 
 
 def scaling_between(a, b, a2, b2):
-    """A nonzero (lam, mu) with a2*mu = a*lam and b2*lam = b*mu, or None.
-
-    Solvability only depends on the zero pattern and, when all four are
-    nonzero, on a*b = a2*b2.
-    """
+    """A nonzero (lam, mu) with a2*mu = a*lam and b2*lam = b*mu, or None:
+    one exists exactly when (a, b) and (a2, b2) share a normal form."""
     a, b, a2, b2 = Fraction(a), Fraction(b), Fraction(a2), Fraction(b2)
-    if (a == 0) != (a2 == 0) or (b == 0) != (b2 == 0):
+    if normal_form(a, b, 0) != normal_form(a2, b2, 0):
         return None
     if a != 0:
-        lam, mu = a2, a
-        if b2 * lam != b * mu:
-            return None
-        return (lam, mu)
+        return (a2, a)
     if b != 0:
         return (b, b2)
     return (Fraction(1), Fraction(1))
 
 
 def modular_isomorphic(triple1, triple2):
-    """Decide conjugacy of two (a, b, c) families under generator scalings.
-
-    Returns (flag, scaling); the scaling, when present, is checked through
-    iso_condition.  The index weight c is rigid, so distinct c never match.
-    """
-    a, b, c = (Fraction(x) for x in triple1)
-    a2, b2, c2 = (Fraction(x) for x in triple2)
-    if c != c2:
+    """Decide conjugacy of two (a, b, c) families under generator scalings:
+    they are conjugate exactly when their normal forms, c included, agree.
+    Returns (flag, scaling); a scaling is checked through iso_condition."""
+    if normal_form(*triple1) != normal_form(*triple2):
         return False, None
+    (a, b, _), (a2, b2, _) = triple1, triple2
     scaling = scaling_between(a, b, a2, b2)
-    if scaling is None:
-        return False, None
     if not iso_condition(a, b, a2, b2, *scaling):
         raise InternalInvariantError("solved scaling failed the conjugation conditions")
     return True, scaling

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import inspect
 import io
 import json
@@ -32,6 +33,7 @@ import math
 import os
 import random
 import re
+import shlex
 import sys
 from fractions import Fraction
 
@@ -128,11 +130,11 @@ def _emit_element(value: BigradedElement, as_json: bool) -> None:
 
 
 def _with_reproduce(reports, argv):
-    """Add to each witness the command line that reproduces it; return the
-    reports."""
+    """Add to each witness the command line that reproduces it, quoted for
+    a POSIX shell; return the reports."""
     for r in reports:
         if r.witness is not None:
-            r.witness.setdefault("reproduce", "jacobiforms " + " ".join(argv))
+            r.witness.setdefault("reproduce", shlex.join(["jacobiforms", *argv]))
     return reports
 
 
@@ -221,6 +223,9 @@ _EXPANSIONS = {
 
 def _cmd_expand(args) -> int:
     if args.what != "element":
+        for option in ("element", "allow_f2"):
+            if getattr(args, option):
+                raise UsageError(f"--what {args.what} does not read --{option.replace('_', '-')}")
         series = _EXPANSIONS[args.what](args.N, args.G)
     elif not args.element:
         raise UsageError("--what element requires --element")
@@ -266,13 +271,15 @@ def _check_digits(command: str, option: str, p: int, params: list, *inputs: Bigr
 def _cmd_bracket(args) -> int:
     f = _element(args.f, args.allow_f2)
     g = _element(args.g, args.allow_f2)
-    rc = args.family == "rc"  # the classical bracket: rc_localized(0, 0) on C[E4, E6]
-    if rc and args.params:
-        raise UsageError("family rc takes no parameters")
-    family = brackets.rc_localized(0, 0) if rc else _build("family", _FAMILIES, args.family, args.params)
+    if args.family == "rc":  # the classical bracket on C[E4, E6]
+        if args.params:
+            raise UsageError("family rc takes no parameters")
+        bracket = brackets.rc_classical
+    else:
+        bracket = functools.partial(brackets.bracket_n, _build("family", _FAMILIES, args.family, args.params))
     _check_digits("bracket", "--n", args.n, args.params, f, g)
     try:
-        value = brackets.rc_classical(args.n, f, g) if rc else brackets.bracket_n(family, args.n, f, g)
+        value = bracket(args.n, f, g)
     except ValueError as exc:  # an input outside C[E4, E6], or an exponent out of range
         raise UsageError(str(exc)) from exc
     _emit_element(value, args.json)
@@ -299,8 +306,8 @@ MAX_ASSOCIATIVITY_SIZE = 53 * 3
 # larger --nmax: the slowest accepted shapes run about 17 s (README).
 MAX_SCAN_SIZE = 193 ** 2 * 3
 # The vinset suite takes 2.6-3.9 ms per --u value, and each distinct value
-# keeps about 13 KiB in the memos: 5,000 values of 12 digits took 20 s and
-# 83 MiB (README).
+# keeps about 13 KiB in the memos: 5,000 values of 12 digits took 15-17 s
+# and 85 MiB (README).
 MAX_VINSET_U_VALUES = 5000
 
 # The options each verify suite reads.  A suite refuses any other verify

@@ -14,6 +14,7 @@ from jacobiforms import (
     GENERATORS,
     ZERO,
     BigradedElement,
+    InternalInvariantError,
     PoissonParams,
     ScalingAutomorphism,
     accol,
@@ -318,3 +319,86 @@ def test_distinct_index_weights_break_transport():
 def test_poisson_params_take_exactly_ten_values():
     with pytest.raises(ValueError, match="^expected ten parameters$"):
         PoissonParams.of(*range(9))
+
+
+def _parent_scaling_between(a, b, a2, b2):
+    # the case analysis scaling_between made before it read normal forms
+    a, b, a2, b2 = F(a), F(b), F(a2), F(b2)
+    if (a == 0) != (a2 == 0) or (b == 0) != (b2 == 0):
+        return None
+    if a != 0:
+        lam, mu = a2, a
+        if b2 * lam != b * mu:
+            return None
+        return (lam, mu)
+    if b != 0:
+        return (b, b2)
+    return (F(1), F(1))
+
+
+def _parent_modular_isomorphic(triple1, triple2):
+    a, b, c = (F(x) for x in triple1)
+    a2, b2, c2 = (F(x) for x in triple2)
+    if c != c2:
+        return False, None
+    scaling = _parent_scaling_between(a, b, a2, b2)
+    if scaling is None:
+        return False, None
+    assert iso_condition(a, b, a2, b2, *scaling)
+    return True, scaling
+
+
+ISO_GRID = [F(0), F(1), F(-1), F(2), F(1, 2), F(-3, 4), F(6), F(3)]
+
+
+def test_conjugacy_by_normal_forms_matches_the_case_analysis():
+    # every (a, b, a2, b2) of the grid, zeros included; the conjugate pairs
+    # once more with an unequal index weight
+    conjugate = 0
+    for a, b, a2, b2 in itertools.product(ISO_GRID, repeat=4):
+        expected = _parent_scaling_between(a, b, a2, b2)
+        assert scaling_between(a, b, a2, b2) == expected
+        assert modular_isomorphic((a, b, F(1, 2)), (a2, b2, F(1, 2))) == (expected is not None, expected)
+        if expected is not None:
+            conjugate += 1
+            assert modular_isomorphic((a, b, 0), (a2, b2, 1)) == (False, None)
+    # a = b = a2 = b2 = 0 once; a = a2 = 0 with b, b2 nonzero 7 * 7 times;
+    # a, a2 nonzero with a*b = a2*b2 166 times
+    assert conjugate == 1 + 49 + 166
+
+
+@pytest.mark.parametrize("c, c2", [(0, 0), (0, 1), (F(1, 2), F(-1, 2)), (3, 3)], ids=["0-0", "0-1", "half-minus-half", "3-3"])
+def test_modular_isomorphic_matches_the_case_analysis_on_a_row(c, c2):
+    for a, b, a2, b2 in itertools.product([F(0), F(1), F(-3, 4)], repeat=4):
+        got = modular_isomorphic((a, b, c), (a2, b2, c2))
+        assert got == _parent_modular_isomorphic((a, b, c), (a2, b2, c2))
+        assert got[0] == (normal_form(a, b, c) == normal_form(a2, b2, c2))
+
+
+def test_a_failed_shape_factorization_is_an_internal_error(monkeypatch):
+    from jacobiforms import classifier
+
+    true_bracket = classifier.bracket_from_params
+    p = family_b(1, 2, F(1, 3))
+    monkeypatch.setattr(classifier, "bracket_from_params", lambda q: true_bracket(family_b(q.gamma + 1, q.lam, q.epsilon)))
+    with pytest.raises(InternalInvariantError, match=r"^shape factorization failed on \(E4, A\)$"):
+        rc_shape_extract(p, 1)
+
+
+def test_a_failed_conjugation_on_a_generator_is_an_internal_error(monkeypatch):
+    from jacobiforms import classifier
+
+    assert iso_condition(1, 6, 2, 3, 2, 1)
+    true_serre_ab = classifier.serre_ab
+    monkeypatch.setattr(classifier, "serre_ab", lambda a, b: true_serre_ab(a, b + 1))
+    with pytest.raises(InternalInvariantError, match="^conjugation identity failed on a generator$"):
+        iso_condition(1, 6, 2, 3, 2, 1)
+
+
+def test_a_solved_scaling_that_fails_the_conditions_is_an_internal_error(monkeypatch):
+    from jacobiforms import classifier
+
+    monkeypatch.setattr(classifier, "scaling_between", lambda a, b, a2, b2: (F(1), F(1)))
+    with pytest.raises(InternalInvariantError, match="^solved scaling failed the conjugation conditions$"):
+        modular_isomorphic((1, 6, 0), (2, 3, 0))
+    assert modular_isomorphic((1, 6, 0), (1, 6, 0)) == (True, (1, 1))

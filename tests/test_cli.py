@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -287,6 +288,9 @@ BAD_INPUTS = {
     "expand-long-exponent": ["expand", "--what", "element", "--element", "E4^" + "1" * 5000],
     # an integer option has at most 12 digits, as a rational one: int() reads 4,300
     "expand-long-N": ["expand", "--what", "A", "--N", "9" * 4000],
+    # expand reads element text and --allow-f2 only with --what element
+    "expand-E4-element": ["expand", "--what", "E4", "--N", "2", "--element", "A^-1"],
+    "expand-J1-allow-f2": ["expand", "--what", "J1", "--N", "2", "--allow-f2"],
 }
 
 
@@ -356,6 +360,9 @@ def test_expand_bad_sizes_are_usage_errors(capsys, argv):
             "bracket needs --n * (parameter digits + exponent digits) <= 2400, got 300 * 10",
         ),
         (["expand", "--what", "element"], "--what element requires --element"),
+        (["expand", "--what", "E4", "--N", "2", "--element", "A^-1"], "--what E4 does not read --element"),
+        (["expand", "--what", "Delta", "--allow-f2"], "--what Delta does not read --allow-f2"),
+        (["expand", "--what", "J1", "--G", "3", "--allow-f2", "--element", "F2"], "--what J1 does not read --element"),
         (["deriv", "--name", "serre", "--input", "7" * 101 + "*E4"], f"bad element '{'7' * 101}*E4': number of more than 100 digits (at position 0)"),
         (["iso", "--from", "7" * 3000 + ",1,1", "--to", "1,1,1"], "a numerator or denominator has at most 12 digits, got 3000"),
         (
@@ -376,7 +383,7 @@ def test_expand_bad_sizes_are_usage_errors(capsys, argv):
     ids=[
         "N-negative", "N-above", "G-zero", "G-above", "N-before-G", "n-negative", "rc-n-above", "rc-params", "power-negative", "power-above",
         "bracket-params-first", "deriv-params-first", "N-unicode", "params-unicode", "associativity-size", "scan-size", "scan-size-u-values",
-        "vinset-u-values", "pairs-zero", "bracket-exponent-digits", "element-needs-text",
+        "vinset-u-values", "pairs-zero", "bracket-exponent-digits", "element-needs-text", "E4-element", "Delta-allow-f2", "J1-both",
         "element-long-number", "rational-long-number", "element-summed-coefficients", "deriv-parameter-digits", "bracket-parameter-digits", "verify-params-first",
     ],
 )
@@ -788,3 +795,21 @@ def test_a_verify_suite_refuses_an_option_it_does_not_read(capsys, suite):
     assert run(capsys, "verify", "--suite", suite, *argv)[0] == 0
     assert run(capsys, "verify", "--suite", suite, *argv, *at_default)[0] == 0
     assert run(capsys, "verify", "--suite", suite, *argv, *unread) == (2, "", f"error: --suite {suite} does not read {unread[0]}\n")
+
+
+def test_expand_reads_allow_f2_with_what_element(capsys):
+    code, out, err = run(capsys, "expand", "--what", "element", "--element", "F2*A", "--N", "2", "--allow-f2")
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "expand", "--what", "element", "--element", "B", "--N", "2")[1]
+
+
+@pytest.mark.parametrize("extra", [[], ["--json"]], ids=["text", "json"])
+def test_a_reproduce_line_pasted_into_a_shell_gives_back_the_argv(capsys, extra):
+    argv = ["verify", "--suite", "stability", "--family", "crochet", "--params", "1, 1", "--nmax", "1", *extra]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (1, "")
+    line = json.loads(out)[0]["witness"]["reproduce"] if extra else json.loads(out.split("witness: ", 1)[1])["reproduce"]
+    assert line == "jacobiforms verify --suite stability --family crochet --params '1, 1' --nmax 1" + (" --json" if extra else "")
+    program, *words = shlex.split(line)
+    assert (program, words) == ("jacobiforms", argv)
+    assert run(capsys, *words) == (code, out, err)

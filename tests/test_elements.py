@@ -704,3 +704,22 @@ def test_refusals_of_a_basis_outside_the_subalgebras_and_of_a_mixed_bidegree():
         monomial_basis(4, 1, "K")
     with pytest.raises(ValueError, match="^element is zero or not homogeneous$"):
         (E4 + A).bidegree()
+
+
+def test_a_monomial_outside_the_packed_range_has_coefficient_zero():
+    edge = 2 ** 21  # exponents lie in [-edge, edge): no element holds such a monomial
+    assert E4.coefficient((edge, 0, 0, 0)) == 0
+    assert (E4 + A).coefficient(Monomial(0, 0, -edge - 1, 0)) == 0
+
+
+def test_an_element_against_a_foreign_operand():
+    assert E4.__eq__("E4") is NotImplemented and E4.__eq__(1.0) is NotImplemented
+    assert E4 != "E4" and not (ONE == 1.0)
+    assert E4.__truediv__(E4) is NotImplemented
+    with pytest.raises(TypeError):
+        E4 / 2.0
+
+
+def test_an_element_minus_a_scalar():
+    assert E4 - 1 == E4 + (-1) == linear_combination(((1, E4), (-1, ONE)))
+    assert E4 - F(1, 2) - E4 == F(-1, 2)

@@ -39,7 +39,7 @@ from jacobiforms import (
     sigma,
     theta_quotient_A,
 )
-from jacobiforms.qseries import LaurentPolyW, QSeries, combination, constant_series, format_wpoly
+from jacobiforms.qseries import LaurentPolyW, QSeries, _inverted_unit, combination, constant_series, format_wpoly
 
 
 def wpoly(xi_pairs):
@@ -885,3 +885,28 @@ def test_refusals_of_a_negative_bernoulli_index_and_an_empty_window():
         bernoulli(-1)
     with pytest.raises(ValueError, match="^window must be positive$"):
         j1_series(3, 0)
+
+
+def test_a_w_polynomial_against_a_foreign_operand():
+    poly = LaurentPolyW({1: 1, -1: 2})
+    assert poly.__eq__({1: 1, -1: 2}) is NotImplemented
+    assert poly != {1: 1, -1: 2} and poly != 1
+    series = eisenstein(4, 2)
+    assert series.__eq__(poly) is NotImplemented and series != 1
+
+
+def test_equal_w_polynomials_hash_alike():
+    poly, same = LaurentPolyW({1: 1, -1: F(2)}), LaurentPolyW({-1: 2, 1: F(1)})
+    assert poly == same and hash(poly) == hash(same)
+    assert len({poly, same, LaurentPolyW({1: 1})}) == 2
+
+
+@pytest.mark.parametrize(
+    "series",
+    [F(1, 2) * eisenstein(4, 3), 2 * eisenstein(4, 3), eisenstein(4, 3) - 1],
+    ids=["fractional", "leading-2", "leading-0"],
+)
+def test_only_a_unit_is_inverted(series):
+    with pytest.raises(ValueError, match="^series inversion requires integer coefficients and a leading term of 1$"):
+        _inverted_unit(series)
+    assert _inverted_unit(eisenstein(4, 3)) * eisenstein(4, 3) == constant_series(1, 3)

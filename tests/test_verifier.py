@@ -840,3 +840,74 @@ def test_negative_order_is_refused_not_passed(check, status_at_one):
     with pytest.raises(ValueError, match="bracket order must be nonnegative"):
         check(-1)
     assert check(1).status == status_at_one
+
+
+def _parent_iff_and_line_identity(u_values):
+    """The iff and line-identity reports of the loops over every sampled v
+    and every ordered generator pair, through the verifier module's names
+    (so monkeypatches apply)."""
+    from jacobiforms import verifier
+
+    def iff():
+        for u in u_values:
+            on_line = 12 * u + 1
+            for v in [on_line, F(0), F(1), F(2)]:
+                stable = verifier.check_stability(verifier.rc_localized(u, v), "Jtilde", 1).passed
+                if stable != (v == on_line):
+                    yield verifier._witness("iff", {"u": u, "v": v, "stable": stable}, None, None)
+
+    def line_identity():
+        for u in u_values:
+            v = 12 * u + 1
+            local = verifier.rc_localized(u, v)
+            reference = verifier.accol(F(1, 12), F(-1, 12), v)
+            for f in GENERATORS:
+                for g in GENERATORS:
+                    lhs = verifier.bracket_n(local, 1, f, g)
+                    rhs = verifier.bracket_n(reference, 1, f, g)
+                    if lhs != rhs:
+                        yield verifier._witness("line-identity", {"f": f, "g": g, "u": u}, lhs, rhs)
+
+    return next(iff(), None), next(line_identity(), None)
+
+
+VINSET_U = [F(0), F(-1, 12), F(1, 12), F(1)]  # on the line v = 1, 0, 2 and 13
+VINSET_MUTATIONS = {
+    "none": (None, None),
+    "accol-c-plus-1": ("accol", lambda true: lambda a, b, c: true(a, b, c + 1)),
+    "accol-b-zero": ("accol", lambda true: lambda a, b, c: true(a, 0, c)),
+    "accol-a-doubled": ("accol", lambda true: lambda a, b, c: true(2 * a, b, c)),
+    "every-v-on-the-line": ("rc_localized", lambda true: lambda u, v: true(u, 12 * u + 1)),
+    "every-v-off-the-line": ("rc_localized", lambda true: lambda u, v: true(u, 12 * u + 2)),
+    # failing only at a later u: where the line meets v = 0, and at v = 13
+    "on-the-line-at-u-minus-1/12": ("rc_localized", lambda true: lambda u, v: true(u, 1 + 12 * u if u == F(-1, 12) else v)),
+    "accol-c-plus-1-at-v-13": ("accol", lambda true: lambda a, b, c: true(a, b, c + 1 if c == 13 else c)),
+}
+
+
+@pytest.mark.parametrize("mutation", VINSET_MUTATIONS.values(), ids=VINSET_MUTATIONS.keys())
+def test_vinset_reports_equal_the_loops_over_every_v_and_ordered_pair(monkeypatch, mutation):
+    from jacobiforms import verifier
+
+    name, wrap = mutation
+    if name:
+        monkeypatch.setattr(verifier, name, wrap(getattr(verifier, name)))
+    _, iff, line_identity = check_vinset(VINSET_U)
+    assert (iff.witness, line_identity.witness) == _parent_iff_and_line_identity(VINSET_U)
+    assert (iff.passed and line_identity.passed) == (name is None)
+
+
+def test_vinset_brackets_each_line_pair_once_and_checks_each_v_once(monkeypatch):
+    from jacobiforms import verifier
+
+    calls, stability, line_start = [], [], []
+    true_bracket, true_stability, true_accol = verifier.bracket_n, verifier.check_stability, verifier.accol
+    monkeypatch.setattr(verifier, "bracket_n", lambda *args: calls.append(args) or true_bracket(*args))
+    monkeypatch.setattr(verifier, "check_stability", lambda *args: stability.append(args[0]) or true_stability(*args))
+    # the line identity is checked last, and builds its reference first for each u
+    monkeypatch.setattr(verifier, "accol", lambda *args: line_start.append(len(calls)) or true_accol(*args))
+    assert all(report.passed for report in check_vinset(VINSET_U))
+    # 6 unordered generator pairs, on each side, per u
+    assert len(calls) - line_start[0] == 12 * len(VINSET_U)
+    # v = 12u+1, 0, 1, 2, once each when distinct: 3 + 3 + 3 + 4
+    assert len(stability) == 13
