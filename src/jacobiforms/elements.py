@@ -22,9 +22,10 @@ module knows the encoding; the rest of the package sees Monomials.
 
 One loop, `_accumulate`, multiplies rows of integer numerators keyed by
 integers: every sum and product of `linear_combination`, derivation
-application and q-series product, and the part outside a subalgebra that
+application and w-polynomials, and the part outside a subalgebra that
 `escapes` forms to decide membership; under `work_budget` it counts its
-multiply-adds, which bounds the work of any computation.  One normaliser,
+multiply-adds, and q-series products, which multiply packed rows, count
+what it would, which bounds the work of any computation.  One normaliser,
 `_normalized`, reduces a list of rows (an element is one row) to lowest
 terms, and `_numerators` is the one conversion from Fractions.  `power`
 is the one square-and-multiply of elements, coefficients, series and
@@ -166,17 +167,23 @@ def work_budget(multiply_adds: int | None):
         _allowance = saved
 
 
+def _charge(multiply_adds: int) -> None:
+    """Spend multiply_adds of the allowance of work_budget, which is set,
+    before the work they count: raise BudgetExceeded once it is spent."""
+    global _allowance
+    _allowance -= multiply_adds
+    if _allowance < 0:
+        raise BudgetExceeded
+
+
 def _accumulate(acc: dict, left: dict, right: dict, scale: int = 1) -> None:
     """acc += scale * left * right, for rows keyed by integers that add
     under multiplication (packed monomials, w exponents), their values
     integer numerators (Fractions in LaurentPolyW): the one product loop of
-    elements, derivations and series, which first charges its
+    elements, derivations and w-polynomials, which first charges its
     multiply-adds to the allowance of work_budget, if any."""
-    global _allowance
     if _allowance is not None:  # None: unbounded, nothing to count
-        _allowance -= len(left) * len(right)
-        if _allowance < 0:
-            raise BudgetExceeded
+        _charge(len(left) * len(right))
     get = acc.get
     for k1, c1 in left.items():
         c1 *= scale

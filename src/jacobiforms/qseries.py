@@ -9,12 +9,13 @@ negative order raises ValueError and a float exponent TypeError.
 
 A series stores one row per power of q, a dict {w exponent: integer
 numerator}, over one positive denominator shared by all rows: the rows of
-the exact kernel of `elements`, whose one product loop, one normaliser
-and one conversion from Fractions series share with elements (an element
-is one row keyed by packed monomials).  coefficient(n) builds a
-LaurentPolyW of Fractions from a row on demand.  Sums and products of
-series are folded by `combination` into one set of integer rows over the
-lcm of the terms' denominators and normalised once; `+`, `-`, `*` and the
+the exact kernel of `elements`, whose normaliser, conversion from
+Fractions and work budget series share with elements.  coefficient(n)
+builds a LaurentPolyW of Fractions from a row 0 <= n <= N on demand.
+Sums and products of series are folded by `combination` into one set of
+rows over the lcm of the terms' denominators and normalised once, each
+row of a factor packed into one integer (Kronecker substitution), so a
+product of two rows is one integer product; `+`, `-`, `*` and the
 evaluation maps are calls of it, and `**` of `elements.power`; both
 evaluations are one substitution map, `_substituted`, on the memoised
 powers of the bundle's series and the memoised index parts A^a B^b: only
@@ -35,22 +36,25 @@ eta-cube series, both sums over triangular powers of q, and B as 12
 times the normalised Weierstrass function times A, with both checked
 against their known leading coefficients before use.  The Fourier-side
 derivation is thus independent of B, which it is checked against.  A
-product costs about N^2 times the square of the row width, so the CLI's
-expand accepts N <= 200.
+product costs about N^2/2 integer products of rows, and the CLI's expand
+accepts N <= 200.
 """
 
 from __future__ import annotations
 
 import operator
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt, lcm, prod
 
+from . import elements
 from .elements import (
     BigradedElement,
     InternalInvariantError,
     _accumulate,
+    _charge,
     _format_sum,
     _normalized,
     _numerators,
@@ -85,7 +89,7 @@ class LaurentPolyW:
         return self._coeffs.items()
 
     def coefficient(self, r: int) -> Fraction:
-        return self._coeffs.get(r, Fraction(0))
+        return self._coeffs.get(operator.index(r), Fraction(0))
 
     @property
     def is_zero(self) -> bool:
@@ -154,7 +158,7 @@ class QSeries:
     dicts, one per power of q.
     """
 
-    __slots__ = ("_rows", "_den", "_hash")
+    __slots__ = ("_rows", "_den", "_hash", "_shape", "_pack")
 
     def __init__(self, coeffs):
         polys = [c if isinstance(c, LaurentPolyW) else LaurentPolyW(c) for c in coeffs]
@@ -163,6 +167,7 @@ class QSeries:
         rows, den = _numerators([p._coeffs for p in polys])
         rows, self._den = _normalized(rows, den)
         self._rows, self._hash = tuple(rows), None
+        self._shape = self._pack = None
 
     @classmethod
     def _raw(cls, rows, den: int) -> "QSeries":
@@ -170,6 +175,7 @@ class QSeries:
         series = cls.__new__(cls)
         rows, series._den = _normalized(rows, den)
         series._rows, series._hash = tuple(rows), None
+        series._shape = series._pack = None
         return series
 
     @property
@@ -181,8 +187,18 @@ class QSeries:
         return tuple(self.coefficient(n) for n in range(len(self._rows)))
 
     def coefficient(self, n: int) -> LaurentPolyW:
+        if not 0 <= n <= self.q_order:
+            raise ValueError(f"q^{n} lies outside q^0..q^{self.q_order}")
         den = self._den
         return LaurentPolyW._raw({r: Fraction(c, den) for r, c in self._rows[n].items()})
+
+    def _packed(self, nbytes: int, stride: int) -> tuple:
+        """The rows packed by _pack_row with slots of nbytes bytes, the
+        last packing asked for kept, as an element keeps its escape rows."""
+        if self._pack is None or self._pack[0] != (nbytes, stride):
+            lo = _shape(self)[0]
+            self._pack = (nbytes, stride), tuple(_pack_row(row, lo, stride, nbytes) for row in self._rows)
+        return self._pack[1]
 
     def __neg__(self):
         return combination(((-1, self),), self.q_order)
@@ -275,10 +291,15 @@ def combination(terms, q_order: int) -> QSeries:
     (coeff, x, y) terms through q^q_order, normalised once: the one place
     that decides how sums and products of series are normalised.
 
-    Terms are summed into integer rows over the lcm of their denominators,
-    taken before any product, each pair of rows through the product loop of
-    elements, a sum as a product with the row 1.  A zero coefficient drops
-    its term; a term that stops short of q^q_order raises ValueError.
+    Terms are summed over the lcm of their denominators, taken before any
+    product, as packed integers (Kronecker substitution): every row of
+    every factor is one integer (_pack_row), with slots wide enough for
+    any coefficient of the sum, so a pair of rows is one integer product,
+    a sum's term a product with the row 1, and each row of the sum is
+    unpacked once.  Under work_budget each pair of rows is charged what
+    the product loop of elements would perform, len(row1) * len(row2),
+    before its product.  A zero coefficient drops its term; a term that
+    stops short of q^q_order raises ValueError.
     """
     rows = _rows(q_order)
     terms = [term for term in terms if term[0]]
@@ -286,15 +307,75 @@ def combination(terms, q_order: int) -> QSeries:
         raise ValueError(f"a term does not reach q^{q_order}")
     dens = [term[0].denominator * prod(s._den for s in term[1:]) for term in terms]
     den = lcm(*dens)
-    for (c, x, *y), d in zip(terms, dens):
-        right = y[0]._rows if y else _ONE_ROWS
-        scale = c.numerator * (den // d)
-        for n1, row1 in enumerate(x._rows[: q_order + 1]):
-            if row1:
-                for n2, row2 in enumerate(right[: q_order + 1 - n1]):
-                    if row2:
-                        _accumulate(rows[n1 + n2], row1, row2, scale)
-    return QSeries._raw(rows, den)
+    if not terms:
+        return QSeries._raw(rows, den)
+    terms = [(c.numerator * (den // d), *series) for (c, *series), d in zip(terms, dens)]
+    one = (0, False, (1,))  # the shape of the series 1 (one row), a sum's second factor
+    shapes = [[_shape(s) for s in series] + [one] * (2 - len(series)) for _, *series in terms]
+    bases = [x[0] + y[0] for x, y in shapes]  # the least w exponent of each term's product
+    # stride 2 when the slots of odd or of even exponents alone are ever filled
+    mixed = any(x[1] or y[1] for x, y in shapes) or len({base & 1 for base in bases}) > 1
+    stride, low = 1 + (not mixed), min(bases)
+    bound = [0] * (q_order + 1)  # of the sizes of the rows of the sum, so of its coefficients
+    for (scale, *_), (x, y) in zip(terms, shapes):
+        bound = [b + abs(scale) * sum(map(operator.mul, y[2][: n + 1], x[2][n::-1])) for n, b in enumerate(bound)]
+    nbytes = 8 * ((_slot_bits(max(bound)) + 63) // 64)  # whole words, so packs of nearby widths are shared
+    sums = [0] * (q_order + 1)
+    for (scale, x, *y), base in zip(terms, bases):
+        if elements._allowance is not None:  # charged pair by pair, as the product loop would be
+            for n1, row1 in enumerate(x._rows[: q_order + 1]):
+                for row2 in (y[0]._rows if y else _ONE_ROWS)[: q_order + 1 - n1]:
+                    _charge(len(row1) * len(row2))
+        shift = (base - low) // stride * 8 * nbytes
+        left = [scale * p << shift for p in x._packed(nbytes, stride)[: q_order + 1]]
+        right = y[0]._packed(nbytes, stride) if y else (1,)
+        sums = [v + sum(map(operator.mul, right[: n + 1], left[n::-1])) for n, v in enumerate(sums)]
+    return QSeries._raw([_unpacked(v, low, stride, nbytes) for v in sums], den)
+
+
+def _shape(series: QSeries) -> tuple:
+    """(least w exponent, whether the w exponents mix parities, the sum of
+    the sizes of the numerators of each row) of a series, kept on it."""
+    if series._shape is None:
+        exponents = set().union(*series._rows)
+        sizes = tuple(sum(map(abs, row.values())) for row in series._rows)
+        series._shape = min(exponents, default=0), len({r & 1 for r in exponents}) > 1, sizes
+    return series._shape
+
+
+def _slot_bits(bound: int) -> int:
+    """Bits of a slot for integers of size at most bound, a sign bit included."""
+    return bound.bit_length() + 1
+
+
+def _pack_row(row: dict, lo: int, stride: int, nbytes: int) -> int:
+    """Sum of c * 2^(8 nbytes (r - lo) / stride) over the terms c w^r of row,
+    in linear time: by shifts up to 1 KiB, where they are faster, else from
+    bytes holding c + 2^(8 nbytes - 1) in each slot, less that bias."""
+    if not row:
+        return 0
+    count = (max(row) - lo) // stride + 1
+    if count * nbytes <= 1024:
+        return sum(c << 8 * nbytes * ((r - lo) // stride) for r, c in row.items())
+    half = 1 << (8 * nbytes - 1)
+    data = bytearray(half.to_bytes(nbytes, "little") * count)
+    bias = int.from_bytes(data, "little")
+    for r, c in row.items():
+        at = (r - lo) // stride * nbytes
+        data[at : at + nbytes] = (c + half).to_bytes(nbytes, "little")
+    return int.from_bytes(data, "little") - bias
+
+
+def _unpacked(value: int, lo: int, stride: int, nbytes: int) -> dict:
+    """The row that _pack_row packs as value, each coefficient of size below
+    2^(8 nbytes - 1): with the bias added, each slot is an unsigned digit."""
+    count, half = abs(value).bit_length() // (8 * nbytes) + 1, 1 << (8 * nbytes - 1)
+    data = (value + int.from_bytes(half.to_bytes(nbytes, "little") * count, "little")).to_bytes(count * nbytes, "little")
+    if nbytes == 8:  # every digit in one call
+        digits = struct.unpack(f"<{count}Q", data)
+    else:
+        digits = [int.from_bytes(data[at : at + nbytes], "little") for at in range(0, len(data), nbytes)]
+    return {r: d - half for r, d in zip(range(lo, lo + stride * count, stride), digits) if d != half}
 
 
 _ONE_ROWS = ({0: 1},)  # the series 1, by which combination multiplies a sum's term

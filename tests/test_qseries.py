@@ -593,6 +593,151 @@ def test_combination_of_no_terms_is_the_exact_zero():
     assert combination([(0, j1_series(3, 4))], 3) == constant_series(0, 3)
 
 
+# ------------------------------------------- packed rows: sizes and budget
+
+
+def assert_fold_matches_reference(terms, order):
+    """combination(terms, order) against the Fraction reference, row by row."""
+    expected = [{} for _ in range(order + 1)]
+    for c, *factors in terms:
+        rows = rows_of(factors[0]) if len(factors) == 1 else ref_mul(*map(rows_of, factors))
+        expected = ref_add(expected, [{r: v * c for r, v in row.items()} for row in rows[: order + 1]])
+    assert rows_of(combination(terms, order)) == ref_clean(expected)
+
+
+huge = st.integers(-(10 ** 300), 10 ** 300).filter(bool)
+
+
+@st.composite
+def huge_series(draw):
+    """Series with numerators of up to 300 digits over a shared denominator:
+    w exponents all even, all odd or mixed, rows empty, single terms at
+    either end of the w range, or up to five terms."""
+    parity = draw(st.sampled_from([0, 1, None]))
+    exponents = st.integers(-9, 9) if parity is None else st.integers(-4, 4).map(lambda k: 2 * k + parity)
+    ends = st.sampled_from([-9, 9] if parity is None else [parity - 8, parity + 8])
+    row = st.one_of(st.just({}), st.dictionaries(ends, huge, min_size=1, max_size=1), st.dictionaries(exponents, huge, max_size=5))
+    den = draw(st.sampled_from([1, 3, 10 ** 40 + 7]))
+    rows = draw(st.lists(row, min_size=1, max_size=5))
+    return QSeries([{r: F(c, den) for r, c in row.items()} for row in rows])
+
+
+@settings(max_examples=150, deadline=None)
+@given(huge_series(), huge_series(), huge_series(), huge, huge, st.integers(0, 4))
+def test_packed_products_of_huge_numerators_match_the_fraction_reference(x, y, z, c1, c2, cut):
+    # sum and product terms in one fold, through a q order at most both factors'
+    order = min(x.q_order, y.q_order, z.q_order, cut)
+    assert_fold_matches_reference([(c1, x, y), (F(c2, 7), z), (-1, y, z)], order)
+    assert_fold_matches_reference([(1, x, y)], min(x.q_order, y.q_order))
+
+
+def tight_folds():
+    """Folds whose largest coefficient has the size of the bound the slots
+    are made for, 64, 128 and 320 bits, of both signs: one bit less in a
+    slot, with its sign bit, halves what it holds."""
+    for bits in (64, 128, 320):
+        root = 2 ** (bits // 2) - 1  # root^2 has exactly bits bits
+        for sign in (1, -1):
+            one = QSeries([{3: sign * root}, {}])
+            yield [(1, one, QSeries([{-5: root}, {1: 1}]))]
+            yield [(1, QSeries([{-3: sign * root ** 2}]))]
+            yield [(1, one, one), (sign, QSeries([{6: 1}, {-2: 4}]))]
+
+
+@pytest.mark.parametrize("terms", list(tight_folds()))
+def test_packed_slots_hold_a_coefficient_as_large_as_their_bound(terms):
+    assert_fold_matches_reference(terms, 0)
+
+
+def test_a_slot_narrowed_by_one_bit_fails_the_reference(monkeypatch):
+    # the mutation control of the two tests above
+    from jacobiforms import qseries
+
+    slot_bits = qseries._slot_bits
+    monkeypatch.setattr(qseries, "_slot_bits", lambda bound: slot_bits(bound) - 1)
+    for terms in tight_folds():
+        with pytest.raises(AssertionError):
+            assert_fold_matches_reference(terms, 0)
+
+
+def parent_charge(terms, order):
+    """What the row-pair product loop charges for combination(terms, order):
+    len(row1) * len(row2) over the row pairs through q^order, a sum's term
+    as a product with the row 1."""
+    total = 0
+    for c, x, *y in terms:
+        if c:
+            right = [len(y[0].coefficient(n).support()) for n in range(order + 1)] if y else [1] + [0] * order
+            total += sum(len(x.coefficient(n1).support()) * right[n2] for n1 in range(order + 1) for n2 in range(order + 1 - n1))
+    return total
+
+
+def drawn(compute):
+    """compute() and the multiply-adds it drew from a work budget."""
+    from jacobiforms import elements
+
+    with elements.work_budget(10 ** 12):
+        result = compute()
+        return result, 10 ** 12 - elements._allowance
+
+
+@settings(max_examples=100, deadline=None)
+@given(fold_terms, st.integers(0, 4))
+def test_combination_charges_the_row_pairs_of_the_product_loop(terms, empty_order):
+    order = min((s.q_order for term in terms for s in term[1:]), default=empty_order)
+    assert drawn(lambda: combination(terms, order))[1] == parent_charge(terms, order)
+
+
+def test_a_bundle_and_an_evaluation_charge_what_the_product_loop_did(monkeypatch):
+    # without the charge, test_series_consistency_forms_each_index_part_once
+    # would pass with a count of 0
+    import jacobiforms
+    from jacobiforms import elements, qseries
+
+    folds = []
+
+    def counted(terms, q_order):
+        terms = list(terms)
+        before = elements._allowance
+        result = combination(terms, q_order)
+        folds.append((before - elements._allowance, parent_charge(terms, q_order)))
+        return result
+
+    jacobiforms.clear_caches()
+    monkeypatch.setattr(qseries, "combination", counted)
+    drawn(lambda: [evaluate(f, make_bundle(12)) for f in GUARD_ELEMENTS + [A ** 2 * B]])
+    assert len(folds) > 20 and all(got == charge > 0 for got, charge in folds)
+
+
+def test_expand_keeps_its_budget_verdict_to_the_multiply_add(capsys, monkeypatch):
+    # A^2*B through q^12 costs the product loop 19,572 multiply-adds
+    import jacobiforms
+    from jacobiforms import cli
+
+    argv = ["expand", "--what", "element", "--element", "A^2*B", "--N", "12"]
+    for budget, code in ((19_571, 2), (19_572, 0)):
+        jacobiforms.clear_caches()
+        monkeypatch.setitem(cli.WORK_BUDGET, "expand", budget)
+        assert cli.main(argv) == code
+        assert capsys.readouterr().err == ("" if code == 0 else f"error: expand exceeds its work budget of {budget} multiply-adds\n")
+
+
+def test_coefficients_outside_the_series_are_refused():
+    series = eisenstein(4, 3)
+    assert series.coefficient(3) == LaurentPolyW({0: 6720})
+    for n in (-1, 4):
+        with pytest.raises(ValueError, match=r"^q\^%d lies outside q\^0..q\^3$" % n):
+            series.coefficient(n)
+
+
+@pytest.mark.parametrize("r", [1.0, 0.5, "1"])
+def test_a_w_coefficient_is_read_at_an_integer_exponent(r):
+    poly = LaurentPolyW({1: 5, 0: 2})
+    assert poly.coefficient(1) == 5 and poly.coefficient(True) == 5 and poly.coefficient(2) == 0
+    with pytest.raises(TypeError):
+        poly.coefficient(r)
+
+
 # ------------------------------------------------- oracles at any truncation
 
 
