@@ -167,23 +167,17 @@ def work_budget(multiply_adds: int | None):
         _allowance = saved
 
 
-def _charge(multiply_adds: int) -> None:
-    """Spend multiply_adds of the allowance of work_budget, which is set,
-    before the work they count: raise BudgetExceeded once it is spent."""
-    global _allowance
-    _allowance -= multiply_adds
-    if _allowance < 0:
-        raise BudgetExceeded
-
-
 def _accumulate(acc: dict, left: dict, right: dict, scale: int = 1) -> None:
     """acc += scale * left * right, for rows keyed by integers that add
     under multiplication (packed monomials, w exponents), their values
     integer numerators (Fractions in LaurentPolyW): the one product loop of
     elements, derivations and w-polynomials, which first charges its
     multiply-adds to the allowance of work_budget, if any."""
+    global _allowance
     if _allowance is not None:  # None: unbounded, nothing to count
-        _charge(len(left) * len(right))
+        _allowance -= len(left) * len(right)
+        if _allowance < 0:
+            raise BudgetExceeded
     get = acc.get
     for k1, c1 in left.items():
         c1 *= scale

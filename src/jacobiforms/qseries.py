@@ -52,9 +52,9 @@ from math import comb, isqrt, lcm, prod
 from . import elements
 from .elements import (
     BigradedElement,
+    BudgetExceeded,
     InternalInvariantError,
     _accumulate,
-    _charge,
     _format_sum,
     _normalized,
     _numerators,
@@ -192,14 +192,6 @@ class QSeries:
         den = self._den
         return LaurentPolyW._raw({r: Fraction(c, den) for r, c in self._rows[n].items()})
 
-    def _packed(self, nbytes: int, stride: int) -> tuple:
-        """The rows packed by _pack_row with slots of nbytes bytes, the
-        last packing asked for kept, as an element keeps its escape rows."""
-        if self._pack is None or self._pack[0] != (nbytes, stride):
-            lo = _shape(self)[0]
-            self._pack = (nbytes, stride), tuple(_pack_row(row, lo, stride, nbytes) for row in self._rows)
-        return self._pack[1]
-
     def __neg__(self):
         return combination(((-1, self),), self.q_order)
 
@@ -293,42 +285,42 @@ def combination(terms, q_order: int) -> QSeries:
 
     Terms are summed over the lcm of their denominators, taken before any
     product, as packed integers (Kronecker substitution): every row of
-    every factor is one integer (_pack_row), with slots wide enough for
-    any coefficient of the sum, so a pair of rows is one integer product,
-    a sum's term a product with the row 1, and each row of the sum is
+    every factor is one integer (_packed), with slots wide enough for any
+    coefficient of the sum, so a pair of rows is one integer product, a
+    sum's term a product with the row 1, and each row of the sum is
     unpacked once.  Under work_budget each pair of rows is charged what
     the product loop of elements would perform, len(row1) * len(row2),
     before its product.  A zero coefficient drops its term; a term that
     stops short of q^q_order raises ValueError.
     """
-    rows = _rows(q_order)
+    _rows(q_order)  # a negative order raises ValueError
     terms = [term for term in terms if term[0]]
     if any(s.q_order < q_order for term in terms for s in term[1:]):
         raise ValueError(f"a term does not reach q^{q_order}")
     dens = [term[0].denominator * prod(s._den for s in term[1:]) for term in terms]
     den = lcm(*dens)
-    if not terms:
-        return QSeries._raw(rows, den)
     terms = [(c.numerator * (den // d), *series) for (c, *series), d in zip(terms, dens)]
     one = (0, False, (1,))  # the shape of the series 1 (one row), a sum's second factor
     shapes = [[_shape(s) for s in series] + [one] * (2 - len(series)) for _, *series in terms]
     bases = [x[0] + y[0] for x, y in shapes]  # the least w exponent of each term's product
     # stride 2 when the slots of odd or of even exponents alone are ever filled
     mixed = any(x[1] or y[1] for x, y in shapes) or len({base & 1 for base in bases}) > 1
-    stride, low = 1 + (not mixed), min(bases)
+    stride, low = 1 + (not mixed), min(bases, default=0)
     bound = [0] * (q_order + 1)  # of the sizes of the rows of the sum, so of its coefficients
     for (scale, *_), (x, y) in zip(terms, shapes):
         bound = [b + abs(scale) * sum(map(operator.mul, y[2][: n + 1], x[2][n::-1])) for n, b in enumerate(bound)]
-    nbytes = 8 * ((_slot_bits(max(bound)) + 63) // 64)  # whole words, so packs of nearby widths are shared
+    nbytes = 8 * ((_slot_bits(max(bound)) + 63) // 64)  # whole words: packs of nearby widths are shared
     sums = [0] * (q_order + 1)
     for (scale, x, *y), base in zip(terms, bases):
         if elements._allowance is not None:  # charged pair by pair, as the product loop would be
             for n1, row1 in enumerate(x._rows[: q_order + 1]):
                 for row2 in (y[0]._rows if y else _ONE_ROWS)[: q_order + 1 - n1]:
-                    _charge(len(row1) * len(row2))
+                    elements._allowance -= len(row1) * len(row2)
+                    if elements._allowance < 0:
+                        raise BudgetExceeded
         shift = (base - low) // stride * 8 * nbytes
-        left = [scale * p << shift for p in x._packed(nbytes, stride)[: q_order + 1]]
-        right = y[0]._packed(nbytes, stride) if y else (1,)
+        left = [scale * p << shift for p in _packed(x, stride, nbytes)[: q_order + 1]]
+        right = _packed(y[0], stride, nbytes) if y else (1,)
         sums = [v + sum(map(operator.mul, right[: n + 1], left[n::-1])) for n, v in enumerate(sums)]
     return QSeries._raw([_unpacked(v, low, stride, nbytes) for v in sums], den)
 
@@ -348,26 +340,19 @@ def _slot_bits(bound: int) -> int:
     return bound.bit_length() + 1
 
 
-def _pack_row(row: dict, lo: int, stride: int, nbytes: int) -> int:
-    """Sum of c * 2^(8 nbytes (r - lo) / stride) over the terms c w^r of row,
-    in linear time: by shifts up to 1 KiB, where they are faster, else from
-    bytes holding c + 2^(8 nbytes - 1) in each slot, less that bias."""
-    if not row:
-        return 0
-    count = (max(row) - lo) // stride + 1
-    if count * nbytes <= 1024:
-        return sum(c << 8 * nbytes * ((r - lo) // stride) for r, c in row.items())
-    half = 1 << (8 * nbytes - 1)
-    data = bytearray(half.to_bytes(nbytes, "little") * count)
-    bias = int.from_bytes(data, "little")
-    for r, c in row.items():
-        at = (r - lo) // stride * nbytes
-        data[at : at + nbytes] = (c + half).to_bytes(nbytes, "little")
-    return int.from_bytes(data, "little") - bias
+def _packed(series: QSeries, stride: int, nbytes: int) -> tuple:
+    """The rows of series as integers, each the sum of c * 2^(8 nbytes (r -
+    lo) / stride) over its terms c w^r, lo the least w exponent of the
+    series: exact for any c.  The last packing is kept on the series."""
+    if series._pack is None or series._pack[0] != (stride, nbytes):
+        lo, bits = _shape(series)[0], 8 * nbytes
+        rows = tuple(sum(c << bits * ((r - lo) // stride) for r, c in row.items()) for row in series._rows)
+        series._pack = (stride, nbytes), rows
+    return series._pack[1]
 
 
 def _unpacked(value: int, lo: int, stride: int, nbytes: int) -> dict:
-    """The row that _pack_row packs as value, each coefficient of size below
+    """The row that _packed packs as value, each coefficient of size below
     2^(8 nbytes - 1): with the bias added, each slot is an unsigned digit."""
     count, half = abs(value).bit_length() // (8 * nbytes) + 1, 1 << (8 * nbytes - 1)
     data = (value + int.from_bytes(half.to_bytes(nbytes, "little") * count, "little")).to_bytes(count * nbytes, "little")

@@ -611,12 +611,17 @@ huge = st.integers(-(10 ** 300), 10 ** 300).filter(bool)
 @st.composite
 def huge_series(draw):
     """Series with numerators of up to 300 digits over a shared denominator:
-    w exponents all even, all odd or mixed, rows empty, single terms at
-    either end of the w range, or up to five terms."""
-    parity = draw(st.sampled_from([0, 1, None]))
-    exponents = st.integers(-9, 9) if parity is None else st.integers(-4, 4).map(lambda k: 2 * k + parity)
-    ends = st.sampled_from([-9, 9] if parity is None else [parity - 8, parity + 8])
-    row = st.one_of(st.just({}), st.dictionaries(ends, huge, min_size=1, max_size=1), st.dictionaries(exponents, huge, max_size=5))
+    w exponents all even, all odd or mixed, in a narrow range or in one of
+    about -300..300, whose packed rows are hundreds of slots wide; rows
+    empty, terms at one or both ends of the w range, or up to five terms."""
+    parity, half_span = draw(st.sampled_from([0, 1, None])), draw(st.sampled_from([4, 150]))
+    if parity is None:
+        exponents, ends = st.integers(-2 * half_span - 1, 2 * half_span + 1), [-2 * half_span - 1, 2 * half_span + 1]
+    else:
+        exponents = st.integers(-half_span, half_span).map(lambda k: 2 * k + parity)
+        ends = [parity - 2 * half_span, parity + 2 * half_span]
+    ends = st.dictionaries(st.sampled_from(ends), huge, min_size=1, max_size=2)
+    row = st.one_of(st.just({}), ends, st.dictionaries(exponents, huge, max_size=5))
     den = draw(st.sampled_from([1, 3, 10 ** 40 + 7]))
     rows = draw(st.lists(row, min_size=1, max_size=5))
     return QSeries([{r: F(c, den) for r, c in row.items()} for row in rows])
@@ -632,21 +637,25 @@ def test_packed_products_of_huge_numerators_match_the_fraction_reference(x, y, z
 
 
 def tight_folds():
-    """Folds whose largest coefficient has the size of the bound the slots
-    are made for, 64, 128 and 320 bits, of both signs: one bit less in a
-    slot, with its sign bit, halves what it holds."""
+    """(terms, q order) of folds whose largest coefficient has the size of
+    the bound the slots are made for, 64, 128 and 320 bits, of both signs:
+    one bit less in a slot, with its sign bit, halves what it holds.  The
+    last fold's row is 301 slots wide, and its first factor has a row of
+    300-digit numerators past the truncation."""
     for bits in (64, 128, 320):
-        root = 2 ** (bits // 2) - 1  # root^2 has exactly bits bits
+        root = 2 ** (bits // 2) - 1  # root^2 has exactly bits bits, root^2 + root too
         for sign in (1, -1):
             one = QSeries([{3: sign * root}, {}])
-            yield [(1, one, QSeries([{-5: root}, {1: 1}]))]
-            yield [(1, QSeries([{-3: sign * root ** 2}]))]
-            yield [(1, one, one), (sign, QSeries([{6: 1}, {-2: 4}]))]
+            yield [(1, one, QSeries([{-5: root}, {1: 1}]))], 0
+            yield [(1, QSeries([{-3: sign * root ** 2}]))], 0
+            yield [(1, one, one), (sign, QSeries([{6: 1}, {-2: 4}]))], 0
+            wide = QSeries([{-301: sign * root, 299: 1}, {-301: 10 ** 300, 301: -(10 ** 300)}])
+            yield [(1, wide, QSeries([{-5: root}]))], 0
 
 
-@pytest.mark.parametrize("terms", list(tight_folds()))
-def test_packed_slots_hold_a_coefficient_as_large_as_their_bound(terms):
-    assert_fold_matches_reference(terms, 0)
+@pytest.mark.parametrize("terms, order", list(tight_folds()))
+def test_packed_slots_hold_a_coefficient_as_large_as_their_bound(terms, order):
+    assert_fold_matches_reference(terms, order)
 
 
 def test_a_slot_narrowed_by_one_bit_fails_the_reference(monkeypatch):
@@ -655,12 +664,22 @@ def test_a_slot_narrowed_by_one_bit_fails_the_reference(monkeypatch):
 
     slot_bits = qseries._slot_bits
     monkeypatch.setattr(qseries, "_slot_bits", lambda bound: slot_bits(bound) - 1)
-    for terms in tight_folds():
+    for terms, order in tight_folds():
         with pytest.raises(AssertionError):
-            assert_fold_matches_reference(terms, 0)
+            assert_fold_matches_reference(terms, order)
 
 
-def parent_charge(terms, order):
+def test_rows_outside_the_bound_of_the_slots_still_pack_exactly():
+    # a factor's rows past the truncation, or meeting only empty rows of
+    # the other factor, are not in the bound the slots are sized by
+    wide = {r: 2 ** 70 for r in range(300)}  # 300 slots of 2^70
+    x = QSeries([{0: 1}, wide])
+    assert x + QSeries([{0: 1}]) == QSeries([{0: 2}])
+    assert x * QSeries([{}, {0: 1}]) == QSeries([{}, {0: 1}])
+    assert_fold_matches_reference([(1, x, QSeries([{}, {1: -(10 ** 300)}])), (1, QSeries([{}, {0: 1}]))], 1)
+
+
+def product_loop_charge(terms, order):
     """What the row-pair product loop charges for combination(terms, order):
     len(row1) * len(row2) over the row pairs through q^order, a sum's term
     as a product with the row 1."""
@@ -685,7 +704,7 @@ def drawn(compute):
 @given(fold_terms, st.integers(0, 4))
 def test_combination_charges_the_row_pairs_of_the_product_loop(terms, empty_order):
     order = min((s.q_order for term in terms for s in term[1:]), default=empty_order)
-    assert drawn(lambda: combination(terms, order))[1] == parent_charge(terms, order)
+    assert drawn(lambda: combination(terms, order))[1] == product_loop_charge(terms, order)
 
 
 def test_a_bundle_and_an_evaluation_charge_what_the_product_loop_did(monkeypatch):
@@ -700,7 +719,7 @@ def test_a_bundle_and_an_evaluation_charge_what_the_product_loop_did(monkeypatch
         terms = list(terms)
         before = elements._allowance
         result = combination(terms, q_order)
-        folds.append((before - elements._allowance, parent_charge(terms, q_order)))
+        folds.append((before - elements._allowance, product_loop_charge(terms, q_order)))
         return result
 
     jacobiforms.clear_caches()
