@@ -6,9 +6,10 @@ from jacobiforms import make_bundle
 
 
 @pytest.fixture(scope="session")
-def bundle():
-    """Shared truncation at the desk-scale default N=10."""
-    return make_bundle(10)
+def bundle(request):
+    """Shared truncation at the desk-scale default N=10, or at the N a test
+    passes as an indirect parameter."""
+    return make_bundle(getattr(request, "param", 10))
 
 
 @pytest.fixture()

@@ -51,6 +51,7 @@ from jacobiforms.classifier import (
     family_e,
 )
 from jacobiforms.qseries import LaurentPolyW, b_series, make_bundle, theta_quotient_A
+from test_qseries import a_oracle, b_oracle, series_rows
 
 PARAM_SAMPLES = [F(0), F(1), F(-1, 6), F(-1, 3), F(1, 12), F(7, 5)]
 
@@ -80,8 +81,9 @@ def test_criterion_01_generator_expansion_golden_match():
     ]
     ok = all(a.coefficient(n) == expected_a[n] for n in range(3))
     ok = ok and all(b.coefficient(n) == expected_b[n] for n in range(3))
+    ok = ok and series_rows(a) == a_oracle(10) and series_rows(b) == b_oracle(10)
     ok = ok and elapsed < 5.0
-    assert _stamp(1, "index-one generator expansions match the reference q^0..q^2 coefficients", ok, elapsed)
+    assert _stamp(1, "index-one generator expansions match the q^0..q^2 rows and the product formulas to q^10", ok, elapsed)
 
 
 def test_criterion_02_series_consistency_of_the_weight_raising_derivation():
