@@ -21,16 +21,16 @@ raises BidegreeError, never carrying into the next field.  Only this
 module knows the encoding; the rest of the package sees Monomials.
 
 One loop, `_accumulate`, multiplies rows of integer numerators keyed by
-integers: every sum and product of `linear_combination`, derivation
-application and w-polynomials, and the part outside a subalgebra that
-`escapes` forms to decide membership; under `work_budget` it counts its
-multiply-adds, and q-series products, which multiply packed rows, count
-what it would, which bounds the work of any computation.  One normaliser,
-`_normalized`, reduces a list of rows (an element is one row) to lowest
-terms, and `_numerators` is the one conversion from Fractions.  `power`
-is the one square-and-multiply of elements, coefficients, series and
-generator powers, and `parse_element` reads text in one loop over its
-terms.
+integers: every sum and product of `linear_combination` and derivation
+application, and the part outside a subalgebra that `escapes` forms to
+decide membership.  Under `work_budget` one rule, `_charge`, takes its
+multiply-adds from an allowance, and the q-series fold, which multiplies
+packed rows, charges what it would, which bounds any computation's work.
+One normaliser, `_normalized`, reduces a list of rows (an element is one
+row) to lowest terms, and `_numerators` is the one conversion from
+Fractions.  `power` is the one square-and-multiply of elements, series
+and generator powers, and `parse_element` reads text in one loop over
+its terms.
 Values are immutable, so an element caches its split into homogeneous
 components and, for the last subalgebra asked for, the rows by (A, B)
 grade `escapes` reads.
@@ -167,17 +167,23 @@ def work_budget(multiply_adds: int | None):
         _allowance = saved
 
 
+def _charge(multiply_adds: int) -> None:
+    """Take multiply_adds from the allowance of work_budget, which must be
+    set, and raise BudgetExceeded once it is spent: the one budget rule."""
+    global _allowance
+    _allowance -= multiply_adds
+    if _allowance < 0:
+        raise BudgetExceeded
+
+
 def _accumulate(acc: dict, left: dict, right: dict, scale: int = 1) -> None:
     """acc += scale * left * right, for rows keyed by integers that add
     under multiplication (packed monomials, w exponents), their values
-    integer numerators (Fractions in LaurentPolyW): the one product loop of
-    elements, derivations and w-polynomials, which first charges its
-    multiply-adds to the allowance of work_budget, if any."""
-    global _allowance
+    integer numerators: the one product loop of elements, derivations and
+    series inversion, which first charges its multiply-adds to the
+    allowance of work_budget, if any."""
     if _allowance is not None:  # None: unbounded, nothing to count
-        _allowance -= len(left) * len(right)
-        if _allowance < 0:
-            raise BudgetExceeded
+        _charge(len(left) * len(right))
     get = acc.get
     for k1, c1 in left.items():
         c1 *= scale
@@ -369,9 +375,9 @@ def constant(c: Scalar) -> BigradedElement:
 
 def power(base, n: int, one):
     """base ** n for an integer n >= 0 by square-and-multiply: the one
-    power rule of elements, coefficients, series and the memoised powers
-    of the series generators.  The unit one is returned for n = 0 and
-    never multiplied in, so base ** 1 is base itself."""
+    power rule of elements, series and the memoised powers of the series
+    generators.  The unit one is returned for n = 0 and never multiplied
+    in, so base ** 1 is base itself."""
     if n < 0:
         raise ValueError("negative powers are not supported")
     result = None

@@ -9,15 +9,17 @@ negative order raises ValueError and a float exponent TypeError.
 
 A series stores one row per power of q, a dict {w exponent: integer
 numerator}, over one positive denominator shared by all rows: the rows of
-the exact kernel of `elements`, whose normaliser, conversion from
-Fractions and work budget series share with elements.  coefficient(n)
-builds a LaurentPolyW of Fractions from a row 0 <= n <= N on demand.
-Sums and products of series are folded by `combination` into one set of
-rows over the lcm of the terms' denominators and normalised once, each
-row of a factor packed into one integer (Kronecker substitution), so a
-product of two rows is one integer product; `+`, `-`, `*` and the
-evaluation maps are calls of it, and `**` of `elements.power`; both
-evaluations are one substitution map, `_substituted`, on the memoised
+the exact kernel of `elements`, whose normaliser and conversion from
+Fractions series share.  coefficient(n) builds a LaurentPolyW of
+Fractions from a row 0 <= n <= N, and w-polynomials compute as one-row
+series.  Sums and products of series are folded by `combination` into
+one set of rows over the lcm of the terms' denominators and normalised
+once, each row of a factor packed into one integer (Kronecker
+substitution), so a product of two rows is one integer product; `+`,
+`-`, `*` and the evaluation maps are calls of it, and `**` of
+`elements.power`.  Under `work_budget` a fold is charged by the rule of
+elements, before it packs a row, what the product loop would count.
+Both evaluations are one substitution map, `_substituted`, on the memoised
 powers of the bundle's series and the memoised index parts A^a B^b: only
 A and B rows are wide, E4, E6 and E2 rows are one term, so the index part
 is the one product worth keeping.
@@ -51,7 +53,6 @@ from math import comb, isqrt, lcm, prod
 from . import elements
 from .elements import (
     BigradedElement,
-    BudgetExceeded,
     _accumulate,
     _format_sum,
     _normalized,
@@ -77,12 +78,6 @@ class LaurentPolyW:
                 if c:
                     self._coeffs[operator.index(r)] = c
 
-    @classmethod
-    def _raw(cls, coeffs: dict) -> "LaurentPolyW":
-        poly = cls.__new__(cls)
-        poly._coeffs = {r: c for r, c in coeffs.items() if c}
-        return poly
-
     def items(self):
         return self._coeffs.items()
 
@@ -105,37 +100,29 @@ class LaurentPolyW:
         return hash(frozenset(self._coeffs.items()))
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPolyW({0: other})
-        elif not isinstance(other, LaurentPolyW):
-            return NotImplemented
-        out = dict(self._coeffs)
-        _accumulate(out, other._coeffs, {0: 1})
-        return LaurentPolyW._raw(out)
+        return self._fold(other, operator.add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPolyW._raw({r: -c for r, c in self._coeffs.items()})
+        return (-QSeries([self])).coefficient(0)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return LaurentPolyW()
-            return LaurentPolyW._raw({r: v * c for r, v in self._coeffs.items()})
-        if not isinstance(other, LaurentPolyW):
-            return NotImplemented
-        out: dict = {}
-        _accumulate(out, self._coeffs, other._coeffs)
-        return LaurentPolyW._raw(out)
+        return self._fold(other, operator.mul)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if not isinstance(n, int):
+        return self._fold(n, operator.pow)
+
+    def _fold(self, other, op):
+        """op of self and other as one-row series (a scalar other, or an
+        exponent, as itself), read back; NotImplemented for any other."""
+        if isinstance(other, LaurentPolyW):
+            other = QSeries([other])
+        elif not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return power(self, n, LaurentPolyW({0: 1}))
+        return op(QSeries([self]), other).coefficient(0)
 
     def __repr__(self):
         return f"<wpoly {format_wpoly(self)}>"
@@ -187,32 +174,31 @@ class QSeries:
     def coefficient(self, n: int) -> LaurentPolyW:
         if not 0 <= n <= self.q_order:
             raise ValueError(f"q^{n} lies outside q^0..q^{self.q_order}")
-        den = self._den
-        return LaurentPolyW._raw({r: Fraction(c, den) for r, c in self._rows[n].items()})
+        den, poly = self._den, LaurentPolyW()
+        poly._coeffs = {r: Fraction(c, den) for r, c in self._rows[n].items()}
+        return poly
 
     def __neg__(self):
         return combination(((-1, self),), self.q_order)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = constant_series(other, self.q_order)
-        elif not isinstance(other, QSeries):
-            return NotImplemented
-        return combination(((1, self), (1, other)), min(self.q_order, other.q_order))
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def _plus(self, other, sign: int):
+        """self + sign * other, a scalar other as a constant series; NotImplemented for any other."""
         if isinstance(other, (int, Fraction)):
             other = constant_series(other, self.q_order)
         elif not isinstance(other, QSeries):
             return NotImplemented
-        return combination(((1, self), (-1, other)), min(self.q_order, other.q_order))
-
-    def __rsub__(self, other):
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        return combination(((1, constant_series(other, self.q_order)), (-1, self)), self.q_order)
+        return combination(((1, self), (sign, other)), min(self.q_order, other.q_order))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -285,11 +271,12 @@ def combination(terms, q_order: int) -> QSeries:
     product, as packed integers (Kronecker substitution): every row of
     every factor is one integer (_packed), with slots wide enough for any
     coefficient of the sum, so a pair of rows is one integer product, a
-    sum's term a product with the row 1, and each row of the sum is
-    unpacked once.  Under work_budget each pair of rows is charged what
-    the product loop of elements would perform, len(row1) * len(row2),
-    before its product.  A zero coefficient drops its term; a term that
-    stops short of q^q_order raises ValueError.
+    sum's term a product with the series 1, and each row of the sum is
+    unpacked once.  Under work_budget the fold is charged at once, before
+    any row is packed, what the product loop of elements would perform:
+    len(row1) * len(row2) for each pair of rows through q^q_order.  A zero
+    coefficient drops its term; a term that stops short of q^q_order raises
+    ValueError.
     """
     _rows(q_order)  # a negative order raises ValueError
     terms = [term for term in terms if term[0]]
@@ -297,9 +284,11 @@ def combination(terms, q_order: int) -> QSeries:
         raise ValueError(f"a term does not reach q^{q_order}")
     dens = [term[0].denominator * prod(s._den for s in term[1:]) for term in terms]
     den = lcm(*dens)
-    terms = [(c.numerator * (den // d), *series) for (c, *series), d in zip(terms, dens)]
-    one = (0, False, (1,))  # the shape of the series 1 (one row), a sum's second factor
-    shapes = [[_shape(s) for s in series] + [one] * (2 - len(series)) for _, *series in terms]
+    terms = [(c.numerator * (den // d), *series, _ONE)[:3] for (c, *series), d in zip(terms, dens)]
+    if elements._allowance is not None:  # what the product loop would count, charged whole before any packing
+        pairs = ((row1, row2) for _, x, y in terms for n, row1 in enumerate(x._rows[: q_order + 1]) for row2 in y._rows[: q_order + 1 - n])
+        elements._charge(sum(len(row1) * len(row2) for row1, row2 in pairs))
+    shapes = [(_shape(x), _shape(y)) for _, x, y in terms]
     bases = [x[0] + y[0] for x, y in shapes]  # the least w exponent of each term's product
     # stride 2 when the slots of odd or of even exponents alone are ever filled
     mixed = any(x[1] or y[1] for x, y in shapes) or len({base & 1 for base in bases}) > 1
@@ -309,16 +298,10 @@ def combination(terms, q_order: int) -> QSeries:
         bound = [b + abs(scale) * sum(map(operator.mul, y[2][: n + 1], x[2][n::-1])) for n, b in enumerate(bound)]
     nbytes = 8 * ((_slot_bits(max(bound)) + 63) // 64)  # whole words: packs of nearby widths are shared
     sums = [0] * (q_order + 1)
-    for (scale, x, *y), base in zip(terms, bases):
-        if elements._allowance is not None:  # charged pair by pair, as the product loop would be
-            for n1, row1 in enumerate(x._rows[: q_order + 1]):
-                for row2 in (y[0]._rows if y else _ONE_ROWS)[: q_order + 1 - n1]:
-                    elements._allowance -= len(row1) * len(row2)
-                    if elements._allowance < 0:
-                        raise BudgetExceeded
+    for (scale, x, y), base in zip(terms, bases):
         shift = (base - low) // stride * 8 * nbytes
         left = [scale * p << shift for p in _packed(x, stride, nbytes)[: q_order + 1]]
-        right = _packed(y[0], stride, nbytes) if y else (1,)
+        right = _packed(y, stride, nbytes)
         sums = [v + sum(map(operator.mul, right[: n + 1], left[n::-1])) for n, v in enumerate(sums)]
     return QSeries._raw([_unpacked(v, low, stride, nbytes) for v in sums], den)
 
@@ -361,9 +344,6 @@ def _unpacked(value: int, lo: int, stride: int, nbytes: int) -> dict:
     return {r: d - half for r, d in zip(range(lo, lo + stride * count, stride), digits) if d != half}
 
 
-_ONE_ROWS = ({0: 1},)  # the series 1, by which combination multiplies a sum's term
-
-
 def _rows(q_order: int, first: dict | None = None) -> list:
     """Rows for q^0 through q^q_order, empty but for the q^0 row first:
     the one place rows are laid out for a given truncation order, so the
@@ -376,6 +356,9 @@ def _rows(q_order: int, first: dict | None = None) -> list:
 def constant_series(value, q_order: int) -> QSeries:
     c = Fraction(value)
     return QSeries._raw(_rows(q_order, {0: c.numerator}), c.denominator)
+
+
+_ONE = constant_series(1, 0)  # the series 1, by which combination multiplies a sum's term
 
 
 # ----------------------------------------------------------- number helpers
@@ -401,9 +384,10 @@ def _divisors(n: int) -> list[int]:
 
 
 def sigma(u: int, n: int) -> int:
-    """Divisor power sum sigma_u(n) for positive n."""
-    if n <= 0:
-        raise ValueError("divisor sums need a positive argument")
+    """Divisor power sum sigma_u(n), an integer, for integers u >= 0 and n > 0."""
+    u = operator.index(u)
+    if u < 0 or n <= 0:
+        raise ValueError(f"divisor sums need a power u >= 0 and an argument n > 0, got u = {u}, n = {n}")
     return sum(d ** u for d in _divisors(n))
 
 

@@ -235,6 +235,8 @@ def check_stability(
     On Q this cannot fail: Q = C[E4, E6, F2] is the index-zero part of K
     and every admissible family keeps the index (the bidegree law).  The
     paper's statement on Q is checked by the Cohen-formula test instead."""
+    if basis is None and algebra not in SUBALGEBRA_GENERATORS:
+        raise ValueError(f"the default basis needs a proper subalgebra of K, one of {tuple(SUBALGEBRA_GENERATORS)}, got {algebra!r}")
     basis = list(SUBALGEBRA_GENERATORS[algebra]) if basis is None else basis
     for f in basis:
         if not membership(f, algebra):

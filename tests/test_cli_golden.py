@@ -8,13 +8,23 @@ output is meant to change, regenerate the file with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 
-and say in the change which entries changed and why.
+and say in the change which entries changed and why.  To replay the golden
+set through a command in fresh processes instead (an installed entry
+point, say), run from any directory
+
+    python tests/test_cli_golden.py --replay "python -m jacobiforms.cli" [GOLDEN]
+
+which prints each entry that differs and exits 1 if any does.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import os
+import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -93,7 +103,11 @@ def _run(argv) -> dict:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(list(argv))
-    text = out.getvalue()
+    return _entry(argv, code, out.getvalue())
+
+
+def _entry(argv, code: int, text: str) -> dict:
+    """The golden entry of a run of argv that exited with code and printed text."""
     if len(text) > MAX_INLINE:
         return {"argv": argv, "exit": code, "stdout_sha256": hashlib.sha256(text.encode()).hexdigest()}
     return {"argv": argv, "exit": code, "stdout": text}
@@ -112,5 +126,41 @@ def test_cli_output_matches_golden(argv):
     assert _run(argv) == _golden()[" ".join(argv)]
 
 
+def replay(command: list, golden: Path = GOLDEN) -> int:
+    """Run command + argv of every entry of the golden file in a fresh
+    process, print each that differs and a tally; 1 if any differs."""
+    entries = json.loads(Path(golden).read_text(encoding="utf-8"))
+    env = dict(os.environ, PYTHONIOENCODING="utf-8")
+    failed = 0
+    for entry in entries:
+        done = subprocess.run(command + entry["argv"], capture_output=True, env=env)
+        if _entry(entry["argv"], done.returncode, done.stdout.decode("utf-8")) != entry:
+            failed += 1
+            print("mismatch:", shlex.join(command + entry["argv"]))
+    print(f"{len(entries) - failed} of {len(entries)} golden entries match")
+    return 1 if failed else 0
+
+
+def test_replay_names_each_entry_that_differs(tmp_path, monkeypatch, capsys):
+    # the mode CI runs through the installed entry point, here on two
+    # quick entries through `python -m`, the second altered on its exit code
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    keys = ["iso --from 0,0,1/2 --to 0,0,1/2", "classify --params 1,2,3,4,5,6,7,8,9,10 --json"]
+    entries = [_golden()[key] for key in keys]
+    golden, command = tmp_path / "cli.json", [sys.executable, "-m", "jacobiforms.cli"]
+    golden.write_text(json.dumps(entries))
+    assert replay(command, golden) == 0
+    golden.write_text(json.dumps([entries[0], {**entries[1], "exit": entries[1]["exit"] + 1}]))
+    assert replay(command, golden) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2:] == ["mismatch: " + shlex.join(command + entries[1]["argv"]), "1 of 2 golden entries match"]
+
+
 if __name__ == "__main__":
+    args = sys.argv[1:]
+    if args[:1] == ["--replay"] and len(args) in (2, 3):
+        sys.exit(replay(shlex.split(args[1]), *args[2:]))
+    if args:
+        sys.exit("usage: test_cli_golden.py [--replay COMMAND [GOLDEN]]")
     GOLDEN.write_text(json.dumps([_run(argv) for argv in VARIANTS], indent=1, sort_keys=True) + "\n")

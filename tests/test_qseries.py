@@ -3,7 +3,7 @@ from fractions import Fraction as F
 from math import comb, isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jacobiforms import (
@@ -90,6 +90,13 @@ def test_sigma():
     assert sigma(5, 1) == 1
     with pytest.raises(ValueError):
         sigma(1, 0)
+
+
+@pytest.mark.parametrize("u, error", [(-1, ValueError), (1.5, TypeError)])
+def test_sigma_refuses_a_negative_or_fractional_power(u, error):
+    # the divisor sums of such powers are floats: sigma(-1, 6) would be 2.0
+    with pytest.raises(error):
+        sigma(u, 6)
 
 
 def test_eisenstein_series():
@@ -744,6 +751,108 @@ def test_expand_keeps_its_budget_verdict_to_the_multiply_add(capsys, monkeypatch
         monkeypatch.setitem(cli.WORK_BUDGET, "expand", budget)
         assert cli.main(argv) == code
         assert capsys.readouterr().err == ("" if code == 0 else f"error: expand exceeds its work budget of {budget} multiply-adds\n")
+
+
+def test_a_fold_past_its_budget_refuses_before_packing_a_row(monkeypatch):
+    # the whole fold is charged first: the product term alone is within
+    # the budget, so a charge term by term would pack its rows first
+    from jacobiforms import elements, qseries
+
+    x, y = QSeries([{0: 1, 2: 3}, {1: 1}]), QSeries([{-1: 2}, {0: 1, 4: 1}])
+    terms = [(1, x, y), (F(1, 2), y)]
+    total = product_loop_charge(terms, 1)
+    assert product_loop_charge(terms[:1], 1) < total - 1
+    packed, pack = [], qseries._packed
+    monkeypatch.setattr(qseries, "_packed", lambda *args: packed.append(args) or pack(*args))
+    with elements.work_budget(total - 1), pytest.raises(elements.BudgetExceeded):
+        combination(terms, 1)
+    assert packed == []
+    with elements.work_budget(total):
+        combination(terms, 1)
+        assert elements._allowance == 0 and packed
+
+
+# ------------------------------------------- w-polynomials as one-row series
+
+
+def wpoly_sum_reference(x: dict, y: dict) -> dict:
+    """x + y for {w exponent: Fraction} dicts, as the w-polynomial loop did
+    it before w-polynomials were one-row series."""
+    out = dict(x)
+    for r, c in y.items():
+        out[r] = out.get(r, 0) + c
+    return {r: c for r, c in out.items() if c}
+
+
+def wpoly_product_reference(x: dict, y: dict) -> dict:
+    """x * y for {w exponent: Fraction} dicts, by the same loop."""
+    out: dict = {}
+    for r1, c1 in x.items():
+        for r2, c2 in y.items():
+            out[r1 + r2] = out.get(r1 + r2, 0) + c1 * c2
+    return {r: c for r, c in out.items() if c}
+
+
+@st.composite
+def w_dicts(draw):
+    """{w exponent: Fraction} with no, one or up to five terms, exponents
+    all even, all odd or mixed, numerators small or of up to 300 digits."""
+    parity = draw(st.sampled_from([0, 1, None]))
+    exponents = st.integers(-9, 9) if parity is None else st.integers(-4, 4).map(lambda k: 2 * k + parity)
+    values = st.builds(F, st.one_of(st.integers(-9, 9), huge), st.sampled_from([1, 3, 10 ** 40 + 7]))
+    return draw(st.dictionaries(exponents, values, max_size=draw(st.sampled_from([0, 1, 5]))))
+
+
+def exact_items(poly) -> dict:
+    """The terms of a w-polynomial, each coefficient checked to be a Fraction."""
+    assert isinstance(poly, LaurentPolyW) and all(type(c) is F for _, c in poly.items())
+    return dict(poly.items())
+
+
+@settings(max_examples=150, deadline=None)
+@given(w_dicts(), w_dicts(), st.one_of(st.just(0), st.integers(-9, 9), huge, rationals, st.builds(F, huge, huge)))
+@example({}, {}, 0)
+@example({3: F(10 ** 300)}, {}, F(1, 3))
+@example({4: F(-(10 ** 299), 7)}, {1: F(10 ** 300), -2: F(-1, 3)}, -(10 ** 300))
+def test_w_polynomial_arithmetic_matches_the_fraction_reference(x, y, c):
+    px, py, pc = LaurentPolyW(x), LaurentPolyW(y), {0: F(c)} if c else {}
+    x = {r: v for r, v in x.items() if v}
+    assert exact_items(px + py) == exact_items(py + px) == wpoly_sum_reference(x, y)
+    assert exact_items(px + c) == exact_items(c + px) == wpoly_sum_reference(x, pc)
+    assert exact_items(-px) == {r: -v for r, v in x.items()}
+    assert exact_items(px * py) == exact_items(py * px) == wpoly_product_reference(x, y)
+    assert exact_items(px * c) == exact_items(c * px) == wpoly_product_reference(x, pc)
+    assert exact_items(px * 0) == {}
+    power = {0: F(1)}
+    for k in range(5):
+        assert exact_items(px ** k) == power
+        power = wpoly_product_reference(power, x)
+
+
+def test_the_product_loop_multiplies_integers_only(monkeypatch):
+    # w-polynomials compute as one-row series, so no Fraction reaches the
+    # loop: not from their arithmetic, nor from a bundle or an evaluation
+    import sys
+
+    import jacobiforms
+    from jacobiforms import elements
+
+    loop, seen = elements._accumulate, []
+
+    def typed(acc, left, right, scale=1):
+        seen.extend(type(v) for v in (*acc.values(), *left.values(), *right.values(), scale))
+        return loop(acc, left, right, scale)
+
+    bindings = [m for name, m in sys.modules.items() if name.startswith("jacobiforms") and getattr(m, "_accumulate", None) is loop]
+    assert elements in bindings
+    for module in bindings:
+        monkeypatch.setattr(module, "_accumulate", typed)
+    x, y = LaurentPolyW({1: F(1, 3), -2: 5}), LaurentPolyW({0: F(-7, 2), 3: 1})
+    assert ((x + y + 1) * -x * F(2, 3) + x ** 3).coefficient(-3) == 25  # 3 (w/3) (5 w^-2)^2 of x^3
+    assert set(seen) <= {int}
+    jacobiforms.clear_caches()
+    evaluate(F(1, 3) * E4 * A ** 2 * B - E6 * B ** 2 + F(5, 7) * A, make_bundle(8))
+    assert seen and set(seen) == {int}
 
 
 def test_coefficients_outside_the_series_are_refused():

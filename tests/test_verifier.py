@@ -562,6 +562,13 @@ def test_stability_rejects_basis_outside_subalgebra():
         check_stability(accol(1, 1, 1), "M", 2, basis=[A])
 
 
+@pytest.mark.parametrize("algebra", ["K", "X"])
+def test_stability_without_a_basis_needs_a_proper_subalgebra(algebra):
+    # K has no generators of its own to default to, and X is no algebra
+    with pytest.raises(ValueError, match=r"proper subalgebra of K, one of \('M', 'Jtilde', 'Q'\), got '%s'$" % algebra):
+        check_stability(crochet(F(1), F(1)), algebra, 1)
+
+
 def _stability_reference(family, algebra, n_max, basis=None, claim="bracket.stability"):
     """check_stability as it was before it read each unordered pair once:
     bracket_n for every ordered pair and every order, in the same loop
