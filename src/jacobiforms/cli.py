@@ -474,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_deriv)
 
     p = sub.add_parser("verify", parents=[common], help="run a verification suite")
-    p.add_argument("--suite", required=True, choices=["associativity", "poisson", "bidegree", "stability", "vinset"])
+    p.add_argument("--suite", required=True, choices=list(SUITE_OPTIONS))
     p.add_argument("--family", default=None, choices=sorted(_FAMILIES))
     p.add_argument("--params", type=_rational_list, default="")
     p.add_argument("--seed", type=_integer, default=0, help="seed of the bidegree suite's random pairs")

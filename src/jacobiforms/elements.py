@@ -16,9 +16,10 @@ monomials: E4^i E6^j A^k B^l is i*S^3 + j*S^2 + k*S + l for S = 2^23, so
 integer order is the lexicographic order of exponent vectors, 1 is the
 key 0, and a product of monomials is the sum of their keys.  Exponents
 lie in [-2^21, 2^21), room for a product of two monomials of element text
-(exponents up to 10^6) after hundreds of derivation steps; leaving it
-raises BidegreeError, never carrying into the next field.  Only this
-module knows the encoding; the rest of the package sees Monomials.
+(exponents up to 10^6) after hundreds of derivation steps; `_raw` checks
+every key of every element it makes, so leaving the range raises
+BidegreeError, never carrying into the next field.  Only this module
+knows the encoding; the rest of the package sees Monomials.
 
 One loop, `_accumulate`, multiplies rows of integer numerators keyed by
 integers: every sum and product of `linear_combination` and derivation
@@ -135,8 +136,8 @@ def _normalized(rows, den: int):
 
 
 def _check_product_keys(num) -> None:
-    """Raise BidegreeError if a key of num, each a sum of two keys in range
-    (one possibly less a generator's key), has an exponent out of range.
+    """Raise BidegreeError if a key of num, each in range or a sum of two
+    keys in range (one possibly less a generator's key), leaves the range.
 
     An exponent v of such a sum gives the digit v + _LIMIT in
     [-_LIMIT - 1, 3 * _LIMIT), which sets its guard, or borrows past it,
@@ -207,12 +208,10 @@ class BigradedElement:
         self._hash = self._split = self._outside = None
 
     @classmethod
-    def _raw(cls, num: dict, den: int, product: bool = False) -> "BigradedElement":
-        # trusted path: integer numerators over a positive den, on keys in
-        # range or, for a product, on sums of two keys in range, which
-        # _check_product_keys checks.
-        if product:
-            _check_product_keys(num)
+    def _raw(cls, num: dict, den: int) -> "BigradedElement":
+        # trusted path: integer numerators over a positive den, each key in
+        # range or a sum of two keys in range, which _check_product_keys checks
+        _check_product_keys(num)
         el = cls.__new__(cls)
         (el._num,), el._den = _normalized([num], den)
         el._hash = el._split = el._outside = None
@@ -403,7 +402,6 @@ def linear_combination(terms, divisor: int = 1) -> BigradedElement:
     """
     num: dict = {}
     den = 1
-    multiplied = False
     for term in terms:
         c, x = term[0], term[1]
         y = term[2] if len(term) == 3 else ONE
@@ -415,8 +413,7 @@ def linear_combination(terms, divisor: int = 1) -> BigradedElement:
             num = {k: v * (grown // den) for k, v in num.items()}
             den = grown
         _accumulate(num, x._num, y._num, c.numerator * (den // d))
-        multiplied = multiplied or y is not ONE
-    return BigradedElement._raw(num, den * divisor, product=multiplied)
+    return BigradedElement._raw(num, den * divisor)
 
 
 class _OutsideRows(dict):
@@ -501,7 +498,7 @@ def leibniz_apply(f: BigradedElement, images) -> BigradedElement:
         for e, unit, img in zip(_exponents(k), _GENERATOR_KEYS, images):
             if e and img._num:
                 _accumulate(out, {k - unit: e * c}, img._num, l // img._den)
-    return BigradedElement._raw(out, f._den * l, product=True)
+    return BigradedElement._raw(out, f._den * l)
 
 
 ZERO = BigradedElement()
@@ -693,5 +690,7 @@ def from_json_dict(data: Mapping) -> BigradedElement:
     terms = {}
     for entry in data["terms"]:
         m = Monomial(*(operator.index(entry[x]) for x in Monomial._fields))
+        if isinstance(entry["coeff"], float):  # a JSON number's binary value is not the decimal written
+            raise TypeError(f"a float coefficient, {entry['coeff']!r}, is not exact: give an integer or text such as '1/3'")
         terms[m] = terms.get(m, Fraction(0)) + Fraction(entry["coeff"])
     return BigradedElement(terms)

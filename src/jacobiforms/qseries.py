@@ -10,15 +10,15 @@ negative order raises ValueError and a float exponent TypeError.
 A series stores one row per power of q, a dict {w exponent: integer
 numerator}, over one positive denominator shared by all rows: the rows of
 the exact kernel of `elements`, whose normaliser and conversion from
-Fractions series share.  coefficient(n) builds a LaurentPolyW of
-Fractions from a row 0 <= n <= N, and w-polynomials compute as one-row
-series.  Sums and products of series are folded by `combination` into
-one set of rows over the lcm of the terms' denominators and normalised
-once, each row of a factor packed into one integer (Kronecker
-substitution), so a product of two rows is one integer product; `+`,
-`-`, `*` and the evaluation maps are calls of it, and `**` of
-`elements.power`.  Under `work_budget` a fold is charged by the rule of
-elements, before it packs a row, what the product loop would count.
+Fractions series share.  A LaurentPolyW is one such row over its own
+denominator: coefficient(n) wraps row 0 <= n <= N, and w-polynomials
+compute as one-row series.  Sums and products of series are folded by
+`combination` into one set of rows over the lcm of the terms'
+denominators and normalised once, each row of a factor packed into one
+integer (Kronecker substitution), so a product of two rows is one integer
+product; `+`, `-`, `*` and the evaluation maps are calls of it, and `**`
+of `elements.power`.  Under `work_budget` a fold is charged by the rule
+of elements, before it packs a row, what the product loop would count.
 Both evaluations are one substitution map, `_substituted`, on the memoised
 powers of the bundle's series and the memoised index parts A^a B^b: only
 A and B rows are wide, E4, E6 and E2 rows are one term, so the index part
@@ -66,23 +66,21 @@ from .elements import (
 
 
 class LaurentPolyW:
-    """One q-coefficient: a finite Laurent polynomial in w, exact rationals."""
+    """One q-coefficient, a finite Laurent polynomial in w, as a kernel row:
+    integer numerators by w exponent, _coeffs, over the positive _den, in
+    lowest terms.  Fractions are made only to be read, as by items."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_coeffs", "_den")
 
     def __init__(self, coeffs: dict | None = None):
-        self._coeffs = {}
-        if coeffs:
-            for r, c in coeffs.items():
-                c = Fraction(c)
-                if c:
-                    self._coeffs[operator.index(r)] = c
+        (num,), den = _numerators([{operator.index(r): Fraction(c) for r, c in (coeffs or {}).items()}])
+        (self._coeffs,), self._den = _normalized([num], den)
 
     def items(self):
-        return self._coeffs.items()
+        return {r: Fraction(c, self._den) for r, c in self._coeffs.items()}.items()
 
     def coefficient(self, r: int) -> Fraction:
-        return self._coeffs.get(operator.index(r), Fraction(0))
+        return Fraction(self._coeffs.get(operator.index(r), 0), self._den)
 
     @property
     def is_zero(self) -> bool:
@@ -94,10 +92,10 @@ class LaurentPolyW:
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPolyW):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._den == other._den and self._coeffs == other._coeffs
 
     def __hash__(self):
-        return hash(frozenset(self._coeffs.items()))
+        return hash((self._den, frozenset(self._coeffs.items())))
 
     def __add__(self, other):
         return self._fold(other, operator.add)
@@ -105,7 +103,7 @@ class LaurentPolyW:
     __radd__ = __add__
 
     def __neg__(self):
-        return (-QSeries([self])).coefficient(0)
+        return self._fold(-1, operator.mul)
 
     def __mul__(self, other):
         return self._fold(other, operator.mul)
@@ -119,17 +117,17 @@ class LaurentPolyW:
         """op of self and other as one-row series (a scalar other, or an
         exponent, as itself), read back; NotImplemented for any other."""
         if isinstance(other, LaurentPolyW):
-            other = QSeries([other])
+            other = QSeries._raw([other._coeffs], other._den)
         elif not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return op(QSeries([self]), other).coefficient(0)
+        return op(QSeries._raw([self._coeffs], self._den), other).coefficient(0)
 
     def __repr__(self):
         return f"<wpoly {format_wpoly(self)}>"
 
 
 def format_wpoly(poly: LaurentPolyW) -> str:
-    return _format_sum((poly._coeffs[r], f"w^{r}" if r else "") for r in sorted(poly._coeffs, reverse=True))
+    return _format_sum((c, f"w^{r}" if r else "") for r, c in sorted(poly.items(), reverse=True))
 
 
 # ---------------------------------------------------------------- the series
@@ -149,8 +147,8 @@ class QSeries:
         polys = [c if isinstance(c, LaurentPolyW) else LaurentPolyW(c) for c in coeffs]
         if not polys:
             raise ValueError("a series has at least its q^0 row")
-        rows, den = _numerators([p._coeffs for p in polys])
-        rows, self._den = _normalized(rows, den)
+        den = lcm(*(p._den for p in polys))
+        rows, self._den = _normalized([{r: c * (den // p._den) for r, c in p._coeffs.items()} for p in polys], den)
         self._rows, self._hash = tuple(rows), None
         self._shape = self._pack = None
 
@@ -174,8 +172,8 @@ class QSeries:
     def coefficient(self, n: int) -> LaurentPolyW:
         if not 0 <= n <= self.q_order:
             raise ValueError(f"q^{n} lies outside q^0..q^{self.q_order}")
-        den, poly = self._den, LaurentPolyW()
-        poly._coeffs = {r: Fraction(c, den) for r, c in self._rows[n].items()}
+        poly = LaurentPolyW.__new__(LaurentPolyW)
+        (poly._coeffs,), poly._den = _normalized([self._rows[n]], self._den)
         return poly
 
     def __neg__(self):

@@ -1,4 +1,5 @@
 import gc
+import json
 import re
 from fractions import Fraction as F
 
@@ -34,7 +35,7 @@ from jacobiforms import (
     serre,
     to_json_dict,
 )
-from jacobiforms.elements import _MEMBERSHIP, _OutsideRows, _exponents, _key, escapes, linear_combination, power
+from jacobiforms.elements import _LIMIT, _MEMBERSHIP, _OutsideRows, _exponents, _key, escapes, linear_combination, power
 
 
 def test_generator_bidegrees():
@@ -693,6 +694,27 @@ def test_json_exponents_must_be_integers(exponent):
     data["terms"][0]["e4"] = exponent
     with pytest.raises(TypeError):
         from_json_dict(data)
+
+
+def test_a_float_json_coefficient_is_refused():
+    # the float 0.1 is 3602879701896397/36028797018963968, not 1/10
+    data = json.loads('{"terms": [{"e4": 1, "e6": 0, "a": 0, "b": 0, "coeff": 0.1}]}')
+    with pytest.raises(TypeError, match="float"):
+        from_json_dict(data)
+
+
+@pytest.mark.parametrize("coeff, value", [(3, 3), (F(1, 3), F(1, 3)), ("1/3", F(1, 3)), ("0.1", F(1, 10)), ("-2", -2)])
+def test_json_coefficients_read_exactly(coeff, value):
+    data = {"terms": [{"e4": 1, "e6": 0, "a": 0, "b": 0, "coeff": coeff}]}
+    assert from_json_dict(data) == value * E4
+
+
+def test_every_element_made_from_raw_rows_has_its_keys_checked():
+    # the key of A^(_LIMIT - 1) * A, a sum of two keys in range, leaves the
+    # range of A's exponent, whichever caller hands it to _raw
+    with pytest.raises(BidegreeError):
+        BigradedElement._raw({_key((0, 0, _LIMIT - 1, 0)) + _key((0, 0, 1, 0)): 1}, 1)
+    assert BigradedElement._raw({_key((0, 0, _LIMIT - 1, 0)): 2}, 4) == monomial(a=_LIMIT - 1, coeff=F(1, 2))
 
 
 def test_a_fraction_scales_an_element_from_the_right():

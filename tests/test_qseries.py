@@ -1,6 +1,6 @@
 from dataclasses import replace
 from fractions import Fraction as F
-from math import comb, isqrt
+from math import comb, gcd, isqrt
 
 import pytest
 from hypothesis import example, given, settings
@@ -853,6 +853,44 @@ def test_the_product_loop_multiplies_integers_only(monkeypatch):
     jacobiforms.clear_caches()
     evaluate(F(1, 3) * E4 * A ** 2 * B - E6 * B ** 2 + F(5, 7) * A, make_bundle(8))
     assert seen and set(seen) == {int}
+
+
+def kernel_row(poly) -> tuple:
+    """The stored row of a w-polynomial and its denominator, checked to be
+    nonzero int numerators over a positive int, in lowest terms."""
+    num, den = poly._coeffs, poly._den
+    assert type(den) is int and den > 0 and all(type(r) is int and type(c) is int and c for r, c in num.items())
+    assert gcd(den, *num.values()) == 1
+    return num, den
+
+
+def test_a_w_polynomial_stores_a_kernel_row():
+    huge = 10 ** 300 + 1
+    made = LaurentPolyW({3: F(huge, 7), 1: 0, 2: F(0), 0: F(2, 14), -1: -huge})
+    assert kernel_row(made) == ({3: huge, 0: 1, -1: -7 * huge}, 7)
+    row = QSeries([{0: F(1, 6)}, {2: F(1, 2), 0: F(3, 2)}]).coefficient(1)  # row 1 is {2: 3, 0: 9} over 6
+    assert kernel_row(row) == ({2: 1, 0: 3}, 2)
+    x, y = LaurentPolyW({1: F(1, 3), -2: 5}), LaurentPolyW({0: F(-7, 2), 3: 1})
+    terms_x, terms_y = {1: F(1, 3), -2: F(5)}, {0: F(-7, 2), 3: F(1)}
+    cases = [
+        (made, {3: F(huge, 7), 0: F(1, 7), -1: F(-huge)}),
+        (QSeries([made]).coefficient(0), {3: F(huge, 7), 0: F(1, 7), -1: F(-huge)}),
+        (row, {2: F(1, 2), 0: F(3, 2)}),
+        (x + y, wpoly_sum_reference(terms_x, terms_y)),
+        (F(1, 2) + x, wpoly_sum_reference(terms_x, {0: F(1, 2)})),
+        (-x, {1: F(-1, 3), -2: F(-5)}),
+        (x * y, wpoly_product_reference(terms_x, terms_y)),
+        (x * F(3, 5), {1: F(1, 5), -2: F(3)}),
+        (6 * x, {1: F(2), -2: F(30)}),
+        (x * 0, {}),
+        (x ** 0, {0: F(1)}),
+        (x ** 3, wpoly_product_reference(wpoly_product_reference(terms_x, terms_x), terms_x)),
+    ]
+    for value, terms in cases:
+        kernel_row(value)
+        same = LaurentPolyW(terms)
+        assert value == same and hash(value) == hash(same)
+        assert all(type(c) is F for _, c in value.items()) and dict(value.items()) == terms
 
 
 def test_coefficients_outside_the_series_are_refused():
